@@ -11,7 +11,7 @@ binomial sum, evaluated exactly (no continued fractions).
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int, check_positive
 
 _LN2 = math.log(2.0)
 
@@ -26,9 +26,7 @@ class ScenarioDims:
 
     def __post_init__(self):
         for name in ("n_users", "n_tx", "n_rx"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise InvalidParameterError(f"{name} must be a positive integer")
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
 
 
 @dataclass(frozen=True)
@@ -53,18 +51,6 @@ def _pow2m1(y):
     return math.expm1(y * _LN2)
 
 
-def _check_int_param(v, name):
-    if not isinstance(v, (int,)) or isinstance(v, bool):
-        try:
-            iv = int(v)
-        except (TypeError, ValueError):
-            raise InvalidParameterError(f"{name} must be an integer") from None
-        if iv != v:
-            raise InvalidParameterError(f"{name} must be an integer")
-        v = iv
-    return v
-
-
 def regularized_incomplete_beta(x, a, b):
     """I_x(a, b) for integer a, b >= 1, evaluated as a binomial tail.
 
@@ -72,8 +58,8 @@ def regularized_incomplete_beta(x, a, b):
     of non-negative terms, so the evaluation is exact to rounding with no
     cancellation.
     """
-    a = _check_int_param(a, "a")
-    b = _check_int_param(b, "b")
+    a = check_int(a, "a")
+    b = check_int(b, "b")
     if a < 1 or b < 1:
         raise InvalidParameterError("beta parameters must be >= 1")
     if not (0.0 <= x <= 1.0):
@@ -85,8 +71,8 @@ def regularized_incomplete_beta(x, a, b):
 
 def incomplete_beta(x, a, b):
     """Unnormalized incomplete beta integral of u^(a-1) (1-u)^(b-1) on [0, x]."""
-    a = _check_int_param(a, "a")
-    b = _check_int_param(b, "b")
+    a = check_int(a, "a")
+    b = check_int(b, "b")
     if a < 1 or b < 1:
         raise InvalidParameterError("beta parameters must be >= 1")
     # B(a, b) = (a-1)! (b-1)! / (a+b-1)! exactly, via one integer binomial
@@ -107,14 +93,12 @@ def two_user_cdf(rate_bits, sum_cap_bits):
 def atom_probability(sum_cap_bits):
     """Mass of the atom at R = C: the chance the symmetric-rate point lies on
     the dominant face of the capacity pentagon (two scalar users)."""
-    if not (math.isfinite(sum_cap_bits) and sum_cap_bits > 0):
-        raise InvalidParameterError("sum capacity must be positive")
+    check_positive(sum_cap_bits, "sum capacity")
     return 1.0 - two_user_cdf(sum_cap_bits, sum_cap_bits)
 
 
 def _check_rate_cap(rate_bits, sum_cap_bits):
-    if not (math.isfinite(sum_cap_bits) and sum_cap_bits > 0):
-        raise InvalidParameterError("sum capacity must be positive")
+    check_positive(sum_cap_bits, "sum capacity")
     if not (math.isfinite(rate_bits) and rate_bits >= 0):
         raise InvalidParameterError("rate must be non-negative")
     if rate_bits > sum_cap_bits:
@@ -128,8 +112,8 @@ def p_out_k(k, n_users, rate_bits, sum_cap_bits):
     the regularized incomplete beta at x = (2^(Rk/N) - 1) / (2^C - 1).
     k = N is the deterministic event R > C, impossible under R <= C.
     """
-    k = _check_int_param(k, "k")
-    n_users = _check_int_param(n_users, "n_users")
+    k = check_int(k, "k")
+    n_users = check_int(n_users, "n_users")
     if n_users < 1:
         raise InvalidParameterError("n_users must be >= 1")
     if k < 1 or k > n_users:
@@ -148,7 +132,7 @@ def scalar_bounds(n_users, rate_bits, sum_cap_bits):
     union bound sum over cardinalities weighted by binomial subset counts,
     clamped to 1.  For N = 2 the upper bound is exact.
     """
-    n_users = _check_int_param(n_users, "n_users")
+    n_users = check_int(n_users, "n_users")
     if n_users < 2:
         raise InvalidParameterError("n_users must be >= 2")
     _check_rate_cap(rate_bits, sum_cap_bits)
@@ -170,7 +154,7 @@ def mimo_p_out_k(k, dims, rate_bits, frob_cap_bits):
     """
     if not isinstance(dims, ScenarioDims):
         raise InvalidParameterError("dims must be a ScenarioDims")
-    k = _check_int_param(k, "k")
+    k = check_int(k, "k")
     if k < 1 or k > dims.n_users:
         raise InvalidParameterError("k must lie in [1, n_users]")
     _check_rate_cap(rate_bits, frob_cap_bits)

@@ -71,10 +71,6 @@ class MacChannel:
             raise InvalidParameterError("scalar_gains requires 1x1 user matrices")
         return np.array([abs(m[0, 0]) ** 2 for m in self.user_matrices])
 
-    def stacked(self):
-        """All user matrices stacked side by side (N_r x N*N_t)."""
-        return np.hstack(self.user_matrices)
-
 
 def _validate_subset(ch, subset):
     idx = tuple(sorted(int(i) for i in subset))
@@ -141,10 +137,14 @@ def scalar_symmetric_capacity(gains):
         raise InvalidParameterError("gains must be a non-empty vector")
     if not np.all(np.isfinite(g)) or np.any(g < 0):
         raise InvalidParameterError("gains must be finite and non-negative")
-    n = g.size
-    cums = np.cumsum(np.sort(g))
-    rates = (n / np.arange(1, n + 1)) * np.log1p(cums) / _LN2
-    return float(rates.min())
+    return float(scaled_subset_rates(np.sort(g)).min())
+
+
+def scaled_subset_rates(gains_sorted):
+    """(N/k) * log2(1 + sum of the k weakest gains) for k = 1..N, from gains
+    sorted ascending: the candidate subset rates of a scalar channel."""
+    n = len(gains_sorted)
+    return (n / np.arange(1, n + 1)) * np.log1p(np.cumsum(gains_sorted)) / _LN2
 
 
 def frobenius_subset_info(ch, subset):

@@ -16,11 +16,13 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .bounds import (
+    BoundPair,
     ScenarioDims,
     atom_probability,
     mimo_p_out_k,
@@ -32,9 +34,10 @@ from .bounds import (
     two_user_simo_bound,
 )
 from .dmt import single_user_dmt, symmetric_mac_dmt, symmetric_mac_dmt_curve
-from .errors import InvalidParameterError, NumericalDomainError
+from .errors import InvalidParameterError, NumericalDomainError, check_int
 from .integer_forcing import (
     EffectiveChannel,
+    _quad_forms,
     brute_force_search,
     conditioned_rate_samples,
     fraction_of_capacity,
@@ -43,7 +46,7 @@ from .integer_forcing import (
     lll_search,
     ml_mean_rate_fraction,
 )
-from .linalg import RngStream, sample_complex_gaussian
+from .linalg import hermitian_inverse, sample_complex_gaussian, trial_generators
 from .montecarlo import (
     SimConfig,
     averaged_bound_vs_snr,
@@ -59,7 +62,6 @@ _LN2 = math.log(2.0)
 
 _PRECODER_NAMES = {"none": "none", "haar": "haar", "bb": "badr_belfiore"}
 
-BOUND_KINDS = ("two-user", "atom", "scalar-bracket", "frobenius-union", "simo", "dmt")
 VALIDATE_SUITES = ("analytic", "montecarlo", "if", "all")
 
 
@@ -105,8 +107,7 @@ def _write_manifest(path, command, params, wall_time_s, csv_path, extra=None):
         fh.write("\n")
 
 
-def _out_paths(out, default_stem):
-    base = out if out else default_stem
+def _out_paths(base):
     if base.endswith(".csv"):
         return base, base[:-4] + ".json"
     if base.endswith(".json"):
@@ -147,21 +148,20 @@ def _parse_snr_list(text):
 # ---------------------------------------------------------------------------
 # figure handlers: each takes the resolved parameter dict and returns rows
 
+_SNR_GRID_DB = [float(s) for s in range(-10, 21, 2)]
+
+# Per-figure defaults, applied on top of the "fig" entry of _DEFAULTS.
 _FIG_DEFAULTS = {
-    1: {"users": 2, "nt": 1, "nr": 1},
+    1: {},
     2: {"sum_cap": 2.0},
     3: {"users": 4, "sum_cap": 8.0, "trials": 100000},
     4: {"users": 4, "sum_cap": 8.0, "trials": 100000},
-    5: {"users": 2, "nt": 2, "nr": 3, "rate": 3.0, "trials": 10000,
-        "snr_db_list": [float(s) for s in range(-10, 21, 2)],
-        "rate_convention": "total"},
-    6: {"users": 2, "nt": 1, "nr": 6, "rate": 3.0, "trials": 10000,
-        "snr_db_list": [float(s) for s in range(-10, 21, 2)],
-        "rate_convention": "total"},
-    7: {"users": 2, "sum_cap": 10.0, "trials": 10000, "rate_convention": "total"},
-    8: {"users": 2, "sum_cap": 10.0, "trials": 10000},
+    5: {"nt": 2, "nr": 3, "rate": 3.0, "snr_db_list": _SNR_GRID_DB},
+    6: {"nr": 6, "rate": 3.0, "snr_db_list": _SNR_GRID_DB},
+    7: {"sum_cap": 10.0},
+    8: {"sum_cap": 10.0},
     9: {"trials": 2000},
-    10: {"users": 2, "trials": 2000},
+    10: {"trials": 2000},
 }
 
 
@@ -185,29 +185,32 @@ def _fig_2(params):
         verts = [(0.0, 0.0), (c1, 0.0), (c1, cap - c1), (cap - c2, c2),
                  (0.0, c2), (0.0, 0.0)]
         rows.extend((f"region-u{u:g}", x, y, None) for x, y in verts)
-    for r in default_rate_grid(cap):
-        density = _LN2 * 2.0 ** (r / 2.0) / gain_total
-        rows.append(("density", r, density, None))
+    rows.extend(("density", r, _two_user_density(r, cap), None)
+                for r in default_rate_grid(cap))
     rows.append(("atom", cap, atom_probability(cap), None))
     return rows
 
 
-def _fig_3(params):
-    users, cap = params["users"], params["sum_cap"]
-    cfg = SimConfig(trials=params["trials"], seed=params["seed"])
-    grid = default_rate_grid(cap)
-    rows = []
-    for k in range(1, users):
-        cdf = conditional_cdf_cardinality(k, users, cap, cfg)
-        rows.extend(_cdf_rows(f"empirical-k{k}", cdf))
-        rows.extend((f"analytic-k{k}", r, p_out_k(k, users, float(r), cap), None)
-                    for r in grid)
-    return rows
+def _two_user_density(r, cap):
+    """Density of the two-user symmetric capacity below C, given C."""
+    return _LN2 * 2.0 ** (r / 2.0) / math.expm1(cap * _LN2)
 
 
-def _fig_4(params):
-    users, cap = params["users"], params["sum_cap"]
-    cfg = SimConfig(trials=params["trials"], seed=params["seed"])
+def _cfg(params):
+    return SimConfig(trials=params["trials"], seed=params["seed"])
+
+
+def _dims(params):
+    return ScenarioDims(params["users"], params["nt"], params["nr"])
+
+
+def _cardinality_rows(k, users, cap, cfg):
+    cdf = conditional_cdf_cardinality(k, users, cap, cfg)
+    return _cdf_rows(f"empirical-k{k}", cdf) + [
+        (f"analytic-k{k}", r, p_out_k(k, users, float(r), cap), None) for r in cdf.rates]
+
+
+def _bracket_rows(users, cap, cfg):
     cdf = conditional_cdf_scalar(users, cap, cfg)
     rows = _cdf_rows("empirical", cdf, atom_name="empirical-atom")
     for r in cdf.rates:
@@ -217,8 +220,19 @@ def _fig_4(params):
     return rows
 
 
+def _fig_3(params):
+    users, cap = params["users"], params["sum_cap"]
+    cfg = _cfg(params)
+    return [row for k in range(1, users)
+            for row in _cardinality_rows(k, users, cap, cfg)]
+
+
+def _fig_4(params):
+    return _bracket_rows(params["users"], params["sum_cap"], _cfg(params))
+
+
 def _snr_sweep_rows(params, with_simo):
-    dims = ScenarioDims(params["users"], params["nt"], params["nr"])
+    dims = _dims(params)
     cfg = SimConfig(trials=params["trials"], seed=params["seed"],
                     snr_grid_db=np.asarray(params["snr_db_list"], dtype=float),
                     per_user_target=params.get("rate_convention") == "per-user")
@@ -262,7 +276,7 @@ def _ml_cdf_rows(users, cap, grid, convention):
 def _fig_7(params):
     users, cap = params["users"], params["sum_cap"]
     convention = params["rate_convention"]
-    cfg = SimConfig(trials=params["trials"], seed=params["seed"])
+    cfg = _cfg(params)
     top = cap if convention == "total" else cap / users
     grid = default_rate_grid(top)
     rows = _ml_cdf_rows(users, cap, grid, convention)
@@ -286,14 +300,12 @@ def _histogram_rows(curve_name, samples, edges, trials):
 
 def _fig_8(params):
     users, cap = params["users"], params["sum_cap"]
-    cfg = SimConfig(trials=params["trials"], seed=params["seed"])
+    cfg = _cfg(params)
     edges = np.linspace(0.0, cap, 51)
     centers = (edges[:-1] + edges[1:]) / 2.0
     rows = []
     if users == 2:
-        gain_total = math.expm1(cap * _LN2)
-        rows.extend(("ml-density", float(r), _LN2 * 2.0 ** (r / 2.0) / gain_total, None)
-                    for r in centers)
+        rows.extend(("ml-density", r, _two_user_density(r, cap), None) for r in centers)
         rows.append(("ml-atom", cap, atom_probability(cap), None))
     for mode, pre in _IF_SCHEMES_NO_HAAR:
         samples = conditioned_rate_samples(users, cap, _PRECODER_NAMES[pre],
@@ -311,7 +323,7 @@ def _fig_9(params):
         pairs = fraction_of_capacity(users, caps, outage_level, "ml")
         rows.extend((f"ml-n{users}", cap / users, frac, None)
                     for cap, frac in pairs)
-    cfg = SimConfig(trials=params["trials"], seed=params["seed"])
+    cfg = _cfg(params)
     caps2 = [2 * puc for puc in per_user_caps]
     pairs = fraction_of_capacity(2, caps2, outage_level, "if-sic", cfg,
                                  precoder_kind="badr_belfiore")
@@ -321,7 +333,7 @@ def _fig_9(params):
 
 def _fig_10(params):
     users = params["users"]
-    cfg = SimConfig(trials=params["trials"], seed=params["seed"])
+    cfg = _cfg(params)
     caps = [float(c) for c in range(2, 17, 2)]
     rows = []
     if users == 2:
@@ -340,59 +352,37 @@ _FIG_HANDLERS = {1: _fig_1, 2: _fig_2, 3: _fig_3, 4: _fig_4, 5: _fig_5,
                  6: _fig_6, 7: _fig_7, 8: _fig_8, 9: _fig_9, 10: _fig_10}
 
 
-def _rows_fig(params):
-    return _FIG_HANDLERS[params["figure"]](params)
-
-
 # ---------------------------------------------------------------------------
 # bound, simulate, if-sim handlers
 
-def _bound_values(params):
-    which = params["which"]
-    if which == "two-user":
-        _require(params, "rate", "sum_cap")
-        return {"value": two_user_cdf(params["rate"], params["sum_cap"])}
-    if which == "atom":
-        _require(params, "sum_cap")
-        return {"value": atom_probability(params["sum_cap"])}
-    if which == "scalar-bracket":
-        _require(params, "users", "rate", "sum_cap")
-        pair = scalar_bounds(params["users"], params["rate"], params["sum_cap"])
-        return {"lower": pair.lower, "upper": pair.upper,
-                "upper_raw": pair.upper_raw}
-    if which == "frobenius-union":
-        _require(params, "users", "nt", "nr", "rate", "sum_cap")
-        dims = ScenarioDims(params["users"], params["nt"], params["nr"])
-        return {"value": mimo_union_bound(dims, params["rate"], params["sum_cap"])}
-    if which == "simo":
-        _require(params, "rate", "sum_cap")
-        return {"value": two_user_simo_bound(params["rate"], params["sum_cap"])}
-    if which == "dmt":
-        _require(params, "users", "nt", "nr", "mux")
-        return {"value": symmetric_mac_dmt(params["users"], params["nt"],
-                                           params["nr"], params["mux"])}
-    raise InvalidParameterError(f"unknown bound kind {which!r}")
+# bound kind -> (required flags, function of the parameter dict)
+_BOUNDS = {
+    "two-user": (("rate", "sum_cap"),
+                 lambda p: two_user_cdf(p["rate"], p["sum_cap"])),
+    "atom": (("sum_cap",), lambda p: atom_probability(p["sum_cap"])),
+    "scalar-bracket": (("users", "rate", "sum_cap"),
+                       lambda p: scalar_bounds(p["users"], p["rate"], p["sum_cap"])),
+    "frobenius-union": (("users", "nt", "nr", "rate", "sum_cap"),
+                        lambda p: mimo_union_bound(_dims(p), p["rate"], p["sum_cap"])),
+    "simo": (("rate", "sum_cap"),
+             lambda p: two_user_simo_bound(p["rate"], p["sum_cap"])),
+    "dmt": (("users", "nt", "nr", "mux"),
+            lambda p: symmetric_mac_dmt(p["users"], p["nt"], p["nr"], p["mux"])),
+}
 
 
 def _rows_simulate(params):
     users = params["users"]
-    cfg_kwargs = {"trials": params["trials"], "seed": params["seed"]}
-    if params.get("snr_db_list") is not None:
+    if params["snr_db_list"] is not None:
         _require(params, "rate", "nt", "nr")
-        local = dict(params)
-        return _snr_sweep_rows(local, with_simo=(users == 2 and params["nt"] == 1))
+        return _snr_sweep_rows(params, with_simo=(users == 2 and params["nt"] == 1))
     _require(params, "sum_cap")
     cap = params["sum_cap"]
-    cfg = SimConfig(**cfg_kwargs)
-    if params.get("cardinality") is not None:
-        k = params["cardinality"]
-        cdf = conditional_cdf_cardinality(k, users, cap, cfg)
-        rows = _cdf_rows(f"empirical-k{k}", cdf)
-        rows.extend((f"analytic-k{k}", float(r), p_out_k(k, users, float(r), cap), None)
-                    for r in cdf.rates)
-        return rows
-    nt = params.get("nt") or 1
-    nr = params.get("nr") or 1
+    cfg = _cfg(params)
+    if params["cardinality"] is not None:
+        return _cardinality_rows(params["cardinality"], users, cap, cfg)
+    nt = params["nt"] or 1
+    nr = params["nr"] or 1
     if nt > 1 or nr > 1:
         dims = ScenarioDims(users, nt, nr)
         cdf = conditional_cdf_mimo_frobenius(dims, cap, cfg)
@@ -403,12 +393,7 @@ def _rows_simulate(params):
                          max(mimo_p_out_k(k, dims, float(r), cap)
                              for k in range(1, users + 1)), None))
         return rows
-    cdf = conditional_cdf_scalar(users, cap, cfg)
-    rows = _cdf_rows("empirical", cdf, atom_name="empirical-atom")
-    for r in cdf.rates:
-        pair = scalar_bounds(users, float(r), cap)
-        rows.append(("lower", r, pair.lower, None))
-        rows.append(("upper", r, pair.upper, None))
+    rows = _bracket_rows(users, cap, cfg)
     if users == 2:
         rows.append(("analytic-atom", cap, atom_probability(cap), None))
     return rows
@@ -418,15 +403,16 @@ def _rows_ifsim(params):
     _require(params, "sum_cap")
     users, cap = params["users"], params["sum_cap"]
     convention = params["rate_convention"]
-    cfg = SimConfig(trials=params["trials"], seed=params["seed"])
     cdf = if_rate_cdf_conditioned(users, cap, _PRECODER_NAMES[params["precoder"]],
-                                  params["mode"], cfg, rate_convention=convention)
+                                  params["mode"], _cfg(params),
+                                  rate_convention=convention)
     rows = _ml_cdf_rows(users, cap, cdf.rates, convention)
     rows.extend(_cdf_rows(f"{params['mode']}-{params['precoder']}", cdf))
     return rows
 
 
-_ROW_HANDLERS = {"fig": _rows_fig, "simulate": _rows_simulate, "if-sim": _rows_ifsim}
+_ROW_HANDLERS = {"fig": lambda p: _FIG_HANDLERS[p["figure"]](p),
+                 "simulate": _rows_simulate, "if-sim": _rows_ifsim}
 
 
 # ---------------------------------------------------------------------------
@@ -477,52 +463,46 @@ def _suite_analytic():
     return checks
 
 
+def _worst_sigma(cdf, exact):
+    """Largest deviation of an empirical CDF from exact(rate), in binomial sigmas."""
+    worst = 0.0
+    for r, p in zip(cdf.rates, cdf.probs):
+        e = exact(float(r))
+        sigma = binomial_stderr(e, cdf.trials)
+        dev = abs(p - e) / sigma if sigma > 0 else (0.0 if p == e else math.inf)
+        worst = max(worst, dev)
+    return worst
+
+
 def _suite_montecarlo(trials, seed):
     checks = []
     cfg = SimConfig(trials=trials, seed=seed,
                     rate_grid=np.linspace(0.0, 2.0, 20))
     cdf = conditional_cdf_scalar(2, 2.0, cfg)
-    worst = 0.0
-    for r, p in zip(cdf.rates, cdf.probs):
-        exact = two_user_cdf(float(r), 2.0)
-        sigma = binomial_stderr(exact, trials)
-        dev = abs(p - exact) / sigma if sigma > 0 else (0.0 if p == exact else math.inf)
-        worst = max(worst, dev)
-    checks.append(("two-user cdf deviation (sigmas)", worst, 4.0))
+    checks.append(("two-user cdf deviation (sigmas)",
+                   _worst_sigma(cdf, lambda r: two_user_cdf(r, 2.0)), 4.0))
     sigma = binomial_stderr(1.0 / 3.0, trials)
     checks.append(("atom mass deviation (sigmas)",
                    abs(cdf.atom_mass - 1.0 / 3.0) / sigma, 4.0))
     cfg = SimConfig(trials=trials, seed=seed,
                     rate_grid=np.linspace(0.0, 8.0, 10))
     cdf = conditional_cdf_cardinality(2, 4, 8.0, cfg)
-    worst = 0.0
-    for r, p in zip(cdf.rates, cdf.probs):
-        exact = p_out_k(2, 4, float(r), 8.0)
-        sigma = binomial_stderr(exact, trials)
-        dev = abs(p - exact) / sigma if sigma > 0 else (0.0 if p == exact else math.inf)
-        worst = max(worst, dev)
-    checks.append(("fixed-pair cdf deviation (sigmas)", worst, 4.0))
+    checks.append(("fixed-pair cdf deviation (sigmas)",
+                   _worst_sigma(cdf, lambda r: p_out_k(2, 4, r, 8.0)), 4.0))
     return checks
 
 
-def _random_gram(n, rng):
-    h = sample_complex_gaussian(n, n, 1.0, rng)
-    k = np.linalg.inv(np.eye(n) + h.conj().T @ h)
-    return (k + k.conj().T) / 2.0
-
-
 def _min_rate(gram, a):
-    forms = np.einsum("mi,ij,mj->m", a.conj(), gram, a).real
-    return float(np.min(-np.log(forms) / _LN2))
+    return float(np.min(-np.log(_quad_forms(gram, a)) / _LN2))
 
 
 def _suite_if(instances, seed):
     checks = []
     agree = 0
     better = 0
-    for t in range(instances):
-        rng = RngStream(seed, t).generator()
-        gram = _random_gram(2, rng)
+    for rng in trial_generators(seed, instances):
+        h = sample_complex_gaussian(2, 2, 1.0, rng)
+        gram = hermitian_inverse(np.eye(2) + h.conj().T @ h)
         r_lll = _min_rate(gram, lll_search(gram))
         r_opt = _min_rate(gram, brute_force_search(gram, 3))
         if r_lll > r_opt + 1e-9:
@@ -533,8 +513,7 @@ def _suite_if(instances, seed):
     checks.append(("reduction-oracle disagreement rate",
                    1.0 - agree / instances, 0.05))
     worst = 0.0
-    for t in range(2 * instances):
-        rng = RngStream(seed + 1, t).generator()
+    for rng in trial_generators(seed + 1, 2 * instances):
         h = sample_complex_gaussian(3, 3, 1.0, rng)
         eff = EffectiveChannel(matrix=h, n_users=3, streams_per_user=1,
                                time_extension=1)
@@ -554,16 +533,16 @@ def _suite_if(instances, seed):
 
 
 def _run_validate(params):
-    suite = params["suite"]
-    trials = params["trials"]
-    seed = params["seed"]
+    suite, trials, seed = params["suite"], params["trials"], params["seed"]
+    if trials is not None:
+        check_int(trials, "trials", 1)
     checks = []
     if suite in ("analytic", "all"):
         checks.extend(_suite_analytic())
     if suite in ("montecarlo", "all"):
-        checks.extend(_suite_montecarlo(trials if trials else 20000, seed))
+        checks.extend(_suite_montecarlo(20000 if trials is None else trials, seed))
     if suite in ("if", "all"):
-        checks.extend(_suite_if(trials if trials else 100, seed))
+        checks.extend(_suite_if(100 if trials is None else trials, seed))
     failures = 0
     for name, measured, threshold in checks:
         ok = measured <= threshold
@@ -577,46 +556,29 @@ def _run_validate(params):
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+_FLAGS = {
+    "trials": dict(type=int, help="Monte-Carlo trial count"),
+    "seed": dict(type=int, default=0, help="base seed (default 0)"),
+    "out": dict(help="output path stem or .csv/.json path"),
+    "users": dict(type=int, help="number of users"),
+    "nr": dict(type=int, help="receive antennas"),
+    "nt": dict(type=int, help="transmit antennas per user"),
+    "sum-cap": dict(type=float, help="conditioning sum rate in bits"),
+    "rate": dict(type=float, help="target rate in bits"),
+    "snr-db-list": dict(help="comma-separated SNR grid in dB"),
+    "precoder": dict(default="none", choices=sorted(_PRECODER_NAMES),
+                     help="space-time precoder"),
+    "mode": dict(default="if", choices=["if", "if-sic"], help="receiver variant"),
+    "rate-convention": dict(choices=["total", "per-user"],
+                            help="rate axis and outage-target convention"),
+    "mux": dict(type=float, help="multiplexing gain"),
+    "cardinality": dict(type=int, help="subset size for the per-cardinality law"),
+}
+
+
 def _add_flags(p, *names):
-    flags = {
-        "trials": lambda: p.add_argument("--trials", type=int, default=None,
-                                         help="Monte-Carlo trial count"),
-        "seed": lambda: p.add_argument("--seed", type=int, default=0,
-                                       help="base seed (default 0)"),
-        "out": lambda: p.add_argument("--out", default=None,
-                                      help="output path stem or .csv/.json path"),
-        "users": lambda: p.add_argument("--users", type=int, default=None,
-                                        help="number of users"),
-        "nr": lambda: p.add_argument("--nr", type=int, default=None,
-                                     help="receive antennas"),
-        "nt": lambda: p.add_argument("--nt", type=int, default=None,
-                                     help="transmit antennas per user"),
-        "sum-cap": lambda: p.add_argument("--sum-cap", type=float, default=None,
-                                          dest="sum_cap",
-                                          help="conditioning sum rate in bits"),
-        "rate": lambda: p.add_argument("--rate", type=float, default=None,
-                                       help="target rate in bits"),
-        "snr-db-list": lambda: p.add_argument("--snr-db-list", default=None,
-                                              dest="snr_db_list",
-                                              help="comma-separated SNR grid in dB"),
-        "precoder": lambda: p.add_argument("--precoder", default="none",
-                                           choices=sorted(_PRECODER_NAMES),
-                                           help="space-time precoder"),
-        "mode": lambda: p.add_argument("--mode", default="if",
-                                       choices=["if", "if-sic"],
-                                       help="receiver variant"),
-        "rate-convention": lambda: p.add_argument(
-            "--rate-convention", default=None, dest="rate_convention",
-            choices=["total", "per-user"],
-            help="rate axis and outage-target convention"),
-        "mux": lambda: p.add_argument("--mux", type=float, default=None,
-                                      help="multiplexing gain"),
-        "cardinality": lambda: p.add_argument(
-            "--cardinality", type=int, default=None,
-            help="subset size for the per-cardinality law"),
-    }
     for name in names:
-        flags[name]()
+        p.add_argument("--" + name, **_FLAGS[name])
 
 
 def build_parser():
@@ -638,7 +600,7 @@ def build_parser():
     p = sub.add_parser("bound", help="evaluate one analytic quantity",
                        description="Print a single bound value; with --out, "
                                    "also record it in a JSON manifest.")
-    p.add_argument("which", choices=list(BOUND_KINDS), help="which quantity")
+    p.add_argument("which", choices=list(_BOUNDS), help="which quantity")
     _add_flags(p, "users", "nr", "nt", "rate", "sum-cap", "mux", "seed", "out")
 
     p = sub.add_parser("simulate", help="Monte-Carlo conditional CDFs and outage sweeps")
@@ -660,50 +622,52 @@ def build_parser():
     return parser
 
 
-def _fig_params(args):
-    defaults = dict(_FIG_DEFAULTS[args.figure])
-    params = {"figure": args.figure, "seed": args.seed,
-              "users": defaults.get("users", 2),
-              "nt": defaults.get("nt", 1), "nr": defaults.get("nr", 1),
-              "sum_cap": defaults.get("sum_cap"),
-              "rate": defaults.get("rate"),
-              "trials": defaults.get("trials", 10000),
-              "snr_db_list": defaults.get("snr_db_list"),
-              "rate_convention": defaults.get("rate_convention", "total")}
-    for name in ("trials", "users", "nt", "nr", "sum_cap", "rate",
-                 "rate_convention"):
-        val = getattr(args, name)
-        if val is not None:
-            params[name] = val
-    if args.snr_db_list is not None:
-        params["snr_db_list"] = _parse_snr_list(args.snr_db_list)
+# Values a command's parameters take when their flag is not given.
+_DEFAULTS = {
+    "fig": {"users": 2, "nt": 1, "nr": 1, "trials": 10000, "rate_convention": "total"},
+    "simulate": {"users": 2, "trials": 10000, "rate_convention": "total"},
+    "if-sim": {"users": 2, "trials": 10000, "rate_convention": "total"},
+}
+
+
+def _params(args):
+    """The parameter set a command runs with and its manifest records."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    if params.get("snr_db_list") is not None:
+        params["snr_db_list"] = _parse_snr_list(params["snr_db_list"])
+    defaults = dict(_DEFAULTS.get(args.command, {}))
+    if args.command == "fig":
+        defaults.update(_FIG_DEFAULTS[args.figure])
+    for name, value in defaults.items():
+        if params[name] is None:
+            params[name] = value
     return params
 
 
-def _run_and_write(command, params, default_stem, out):
+def _run_and_write(command, params, out):
     start = time.perf_counter()
     rows = _ROW_HANDLERS[command](params)
     wall = time.perf_counter() - start
-    csv_path, manifest_path = _out_paths(out, default_stem)
+    csv_path, manifest_path = _out_paths(out)
     _write_csv(csv_path, rows)
     _write_manifest(manifest_path, command, params, wall, csv_path)
     print(f"wrote {csv_path} and {manifest_path}")
     return 0
 
 
-def _run_bound(args):
-    params = {"which": args.which, "users": args.users, "nt": args.nt,
-              "nr": args.nr, "rate": args.rate, "sum_cap": args.sum_cap,
-              "mux": args.mux, "seed": args.seed}
+def _run_bound(params, out):
+    required, value_of = _BOUNDS[params["which"]]
     start = time.perf_counter()
-    values = _bound_values(params)
+    _require(params, *required)
+    result = value_of(params)
+    values = asdict(result) if isinstance(result, BoundPair) else {"value": result}
     wall = time.perf_counter() - start
     if set(values) == {"value"}:
         print(f"{values['value']:.6g}")
     else:
         print(" ".join(f"{k}={v:.6g}" for k, v in values.items()))
-    if args.out:
-        path = args.out if args.out.endswith(".json") else args.out + ".json"
+    if out:
+        path = out if out.endswith(".json") else out + ".json"
         _write_manifest(path, "bound", params, wall, None, extra={"result": values})
         print(f"wrote {path}")
     return 0
@@ -725,46 +689,19 @@ def _run_rerun(args):
     out = args.out if args.out else doc.get("csv")
     if not out:
         raise InvalidParameterError("manifest records no CSV path; pass --out")
-    start = time.perf_counter()
-    rows = _ROW_HANDLERS[command](params)
-    wall = time.perf_counter() - start
-    csv_path, manifest_path = _out_paths(out, out)
-    _write_csv(csv_path, rows)
-    _write_manifest(manifest_path, command, params, wall, csv_path)
-    print(f"wrote {csv_path} and {manifest_path}")
-    return 0
+    return _run_and_write(command, params, out)
 
 
 def _dispatch(args):
-    if args.command == "fig":
-        params = _fig_params(args)
-        return _run_and_write("fig", params, f"fig{args.figure}", args.out)
-    if args.command == "bound":
-        return _run_bound(args)
-    if args.command == "simulate":
-        params = {"users": args.users if args.users else 2,
-                  "sum_cap": args.sum_cap, "rate": args.rate,
-                  "trials": args.trials if args.trials else 10000,
-                  "seed": args.seed, "nt": args.nt, "nr": args.nr,
-                  "cardinality": args.cardinality,
-                  "snr_db_list": (_parse_snr_list(args.snr_db_list)
-                                  if args.snr_db_list else None),
-                  "rate_convention": args.rate_convention or "total"}
-        return _run_and_write("simulate", params, "simulate", args.out)
-    if args.command == "if-sim":
-        params = {"users": args.users if args.users else 2,
-                  "sum_cap": args.sum_cap,
-                  "trials": args.trials if args.trials else 10000,
-                  "seed": args.seed, "precoder": args.precoder,
-                  "mode": args.mode,
-                  "rate_convention": args.rate_convention or "total"}
-        return _run_and_write("if-sim", params, "if-sim", args.out)
-    if args.command == "validate":
-        return _run_validate({"suite": args.suite, "trials": args.trials,
-                              "seed": args.seed})
     if args.command == "rerun":
         return _run_rerun(args)
-    raise InvalidParameterError(f"unknown command {args.command!r}")
+    params = _params(args)
+    if args.command == "bound":
+        return _run_bound(params, args.out)
+    if args.command == "validate":
+        return _run_validate(params)
+    stem = f"fig{args.figure}" if args.command == "fig" else args.command
+    return _run_and_write(args.command, params, args.out or stem)
 
 
 def main(argv=None):

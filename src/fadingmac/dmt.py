@@ -10,7 +10,7 @@ transmitter running N times the per-user multiplexing gain.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 
 _TOL = 1e-12
 
@@ -21,7 +21,7 @@ def single_user_dmt(n_t, n_r, r):
     Piecewise linear between d(k) = (n_t - k)(n_r - k) at integers k,
     defined for 0 <= r <= min(n_t, n_r).
     """
-    _check_antennas(n_t, n_r)
+    n_t, n_r = check_int(n_t, "n_t", 1), check_int(n_r, "n_r", 1)
     rmax = min(n_t, n_r)
     if not (math.isfinite(r) and -_TOL <= r <= rmax + _TOL):
         raise InvalidParameterError(f"multiplexing gain must lie in [0, {rmax}]")
@@ -41,8 +41,8 @@ def symmetric_mac_dmt(n_users, n_t, n_r, r):
     d of an (N n_t) x n_r link at multiplexing N r.  The two branches agree
     at r*.  Defined for 0 <= r <= min(N n_t, n_r) / N.
     """
-    _check_users(n_users)
-    _check_antennas(n_t, n_r)
+    n_users = check_int(n_users, "n_users", 1)
+    n_t, n_r = check_int(n_t, "n_t", 1), check_int(n_r, "n_r", 1)
     rmax = min(n_users * n_t, n_r) / n_users
     if not (math.isfinite(r) and -_TOL <= r <= rmax + _TOL):
         raise InvalidParameterError(f"multiplexing gain must lie in [0, {rmax}]")
@@ -82,8 +82,8 @@ class DmtCurve:
 
 def symmetric_mac_dmt_curve(n_users, n_t, n_r):
     """Breakpoints of the symmetric-rate MAC DMT over its whole domain."""
-    _check_users(n_users)
-    _check_antennas(n_t, n_r)
+    n_users = check_int(n_users, "n_users", 1)
+    n_t, n_r = check_int(n_t, "n_t", 1), check_int(n_r, "n_r", 1)
     rmax = min(n_users * n_t, n_r) / n_users
     threshold = min(n_t, n_r / (n_users + 1))
     knots = {0.0, rmax}
@@ -104,12 +104,3 @@ def symmetric_mac_dmt_curve(n_users, n_t, n_r):
     points = tuple((r, symmetric_mac_dmt(n_users, n_t, n_r, r)) for r in merged)
     return DmtCurve(points)
 
-
-def _check_users(n_users):
-    if not isinstance(n_users, int) or n_users < 1:
-        raise InvalidParameterError("n_users must be a positive integer")
-
-
-def _check_antennas(n_t, n_r):
-    if not isinstance(n_t, int) or not isinstance(n_r, int) or n_t < 1 or n_r < 1:
-        raise InvalidParameterError("antenna counts must be positive integers")

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import MacChannel
-from .errors import InvalidParameterError, NumericalDomainError
-from .linalg import RngStream, hermitian_inverse, sample_capacity_sphere, \
-    sample_haar_unitary
+from .errors import InvalidParameterError, NumericalDomainError, check_int, check_positive
+from .linalg import hermitian_inverse, sample_capacity_sphere, sample_haar_unitary, \
+    trial_generators
 from .montecarlo import default_rate_grid, empirical_cdf
 
 _LN2 = math.log(2.0)
@@ -334,15 +334,14 @@ def brute_force_search(gram, radius):
     if n > BRUTE_FORCE_MAX_DIM:
         raise InvalidParameterError(
             f"exhaustive search limited to dimension {BRUTE_FORCE_MAX_DIM}")
-    if not isinstance(radius, (int, np.integer)) or radius < 1:
-        raise InvalidParameterError("radius must be an integer >= 1")
+    radius = check_int(radius, "radius", 1)
     m = _real_embedding(k)
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalDomainError("Gram matrix is not positive definite") from exc
     bound = float(np.max(np.diagonal(m))) * (1.0 + 1e-9) + 1e-12
-    pts = _points_in_ellipsoid(m, bound, int(radius))
+    pts = _points_in_ellipsoid(m, bound, radius)
     cands = [p[:n].astype(float) + 1j * p[n:].astype(float) for p in pts]
     cands += [e.astype(complex) for e in np.eye(n)]
     cands = _dedup_candidates(cands)
@@ -395,6 +394,8 @@ def if_rate(eff, mode="if", a=None, sic_order="natural"):
     stream's variance, so it dominates plain IF row by row.
     sic_order "best" tries every decode order (up to 4 streams).
     The symmetric per-user rate is streams_per_user * worst stream / T.
+    A noise variance that is not finite and positive, which rounding in K
+    can produce at high capacities, raises NumericalDomainError.
     """
     if not isinstance(eff, EffectiveChannel):
         raise InvalidParameterError("eff must be an EffectiveChannel")
@@ -408,6 +409,8 @@ def if_rate(eff, mode="if", a=None, sic_order="natural"):
         variances = _quad_forms(k, a)
     else:
         a, variances = _sic_variances(k, a, sic_order)
+    if not np.all(np.isfinite(variances) & (variances > 0)):
+        raise NumericalDomainError("integer-forcing noise variance is not positive")
     rates = np.maximum(0.0, -np.log(variances) / _LN2)
     sym = eff.streams_per_user * float(rates.min()) / eff.time_extension
     return IfResult(a_re=np.rint(a.real).astype(np.int64),
@@ -463,12 +466,10 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     """Total symmetric IF rate (N users x per-user rate) for channels drawn
     conditioned on the sum capacity.  Haar precoders are redrawn per trial
     from the same stream as the channel."""
-    if not (math.isfinite(sum_cap_bits) and sum_cap_bits > 0):
-        raise InvalidParameterError("conditioning capacity must be positive")
+    check_positive(sum_cap_bits, "conditioning capacity")
     fixed = _fixed_precoder(precoder_kind, n_users)
     samples = np.empty(cfg.trials)
-    for t in range(cfg.trials):
-        rng = RngStream(cfg.seed, t).generator()
+    for t, rng in enumerate(trial_generators(cfg.seed, cfg.trials)):
         h = sample_capacity_sphere(n_users, sum_cap_bits, rng)
         pre = fixed if fixed is not None else Precoder.haar_t2(n_users, rng)
         eff = build_effective_channel(MacChannel.from_scalar(h), pre)
@@ -492,8 +493,7 @@ def if_rate_cdf_conditioned(n_users, sum_cap_bits, precoder_kind, mode, cfg,
     if rate_convention == "per-user":
         samples = samples / n_users
     grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(top)
-    return empirical_cdf(samples, grid, cfg.trials,
-                         label=f"if-{mode}-{precoder_kind}")
+    return empirical_cdf(samples, grid, cfg.trials)
 
 
 def ml_rate_quantile(n_users, sum_cap_bits, outage_level):
@@ -505,8 +505,7 @@ def ml_rate_quantile(n_users, sum_cap_bits, outage_level):
     """
     if not (0.0 < outage_level < 1.0):
         raise InvalidParameterError("outage_level must lie in (0, 1)")
-    if not (math.isfinite(sum_cap_bits) and sum_cap_bits > 0):
-        raise InvalidParameterError("sum capacity must be positive")
+    check_positive(sum_cap_bits, "sum capacity")
     if n_users == 2:
         r = 2.0 * math.log1p(0.5 * outage_level * math.expm1(sum_cap_bits * _LN2)) / _LN2
         return min(sum_cap_bits, r)
@@ -557,8 +556,7 @@ def ml_mean_rate_fraction(sum_cap_bits):
     F(R) = 2 (2^(R/2) - 1) / (2^C - 1).
     """
     c = sum_cap_bits
-    if not (math.isfinite(c) and c > 0):
-        raise InvalidParameterError("sum capacity must be positive")
+    check_positive(c, "sum capacity")
     denom = math.expm1(c * _LN2)
     integral = 2.0 * ((2.0 / _LN2) * math.expm1(c * _LN2 / 2.0) - c) / denom
     return (c - integral) / c

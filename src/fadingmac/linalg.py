@@ -3,8 +3,10 @@
 Every random draw goes through an explicit generator so that simulations are
 reproducible.  :class:`RngStream` is a small value type naming a
 (seed, stream) pair; a given stream always produces the same draws no matter
-how many workers run concurrently.  Monte-Carlo drivers derive one stream per
-trial, which makes their aggregates independent of execution order.
+how many workers run concurrently.  :func:`trial_generators` is the package's
+reproducibility layout, and the only place it is written: trial t of a run
+with seed s draws from ``RngStream(s, t)``.  Every Monte-Carlo driver
+iterates over it, which makes their aggregates independent of execution order.
 """
 
 import math
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalDomainError
+from .errors import InvalidParameterError, NumericalDomainError, check_int, check_positive
 
 _LN2 = math.log(2.0)
 
@@ -25,16 +27,19 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidParameterError("seed must be a non-negative integer")
-        if not isinstance(self.stream_id, (int, np.integer)) or self.stream_id < 0:
-            raise InvalidParameterError("stream_id must be a non-negative integer")
+        for name in ("seed", "stream_id"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 0))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream; identical streams give identical draws."""
-        ss = np.random.SeedSequence(entropy=int(self.seed),
-                                    spawn_key=(int(self.stream_id),))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(ss)
+
+
+def trial_generators(seed, trials):
+    """Yield the generator of each trial t = 0 .. trials - 1 of a seeded run."""
+    for t in range(trials):
+        yield RngStream(seed, t).generator()
 
 
 def _as_generator(rng):
@@ -62,8 +67,7 @@ def sample_complex_gaussian(rows, cols, variance, rng):
     """
     if rows < 1 or cols < 1:
         raise InvalidParameterError("matrix dimensions must be positive")
-    if not (math.isfinite(variance) and variance > 0):
-        raise InvalidParameterError("variance must be positive and finite")
+    check_positive(variance, "variance")
     g = _as_generator(rng)
     z = g.standard_normal((2, rows, cols))
     return math.sqrt(variance / 2.0) * (z[0] + 1j * z[1])

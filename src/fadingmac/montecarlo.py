@@ -1,20 +1,22 @@
 """Monte-Carlo engines for the conditioned and unconditioned outage curves.
 
-Trial t of a run with seed s always draws from RngStream(s, t), so results
-are bit-reproducible and independent of scheduling; aggregation is pure
+Every driver iterates over linalg.trial_generators, so results are
+bit-reproducible and independent of scheduling; aggregation is pure
 counting.  Empirical CDFs use the strict event {rate < R}, matching the
 analytic formulas, and report the atom mass at the conditioning capacity
 separately.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bounds import ScenarioDims, mimo_union_bound, two_user_simo_bound
-from .errors import InvalidParameterError
-from .linalg import RngStream, sample_capacity_sphere, sample_complex_gaussian
+from .capacity import scaled_subset_rates
+from .errors import InvalidParameterError, check_int, check_positive
+from .linalg import sample_capacity_sphere, sample_complex_gaussian, trial_generators
 
 _LN2 = math.log(2.0)
 
@@ -27,12 +29,10 @@ class SimConfig:
     seed: int = 0
     rate_grid: np.ndarray = None
     snr_grid_db: np.ndarray = None
-    dims: ScenarioDims = None
     per_user_target: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
-            raise InvalidParameterError("trials must be a positive integer")
+        self.trials = check_int(self.trials, "trials", 1)
         for name in ("rate_grid", "snr_grid_db"):
             grid = getattr(self, name)
             if grid is None:
@@ -65,7 +65,6 @@ class CdfCurve:
     trials: int = None
     atom_mass: float = None
     atom_stderr: float = None
-    label: str = ""
 
 
 def binomial_stderr(p_hat, trials):
@@ -76,7 +75,7 @@ def default_rate_grid(sum_cap_bits, points=50):
     return np.linspace(0.0, sum_cap_bits, points)
 
 
-def empirical_cdf(samples, grid, trials, atom_count=None, label=""):
+def empirical_cdf(samples, grid, trials, atom_count=None):
     s = np.sort(samples)
     counts = np.searchsorted(s, grid, side="left")
     probs = counts / trials
@@ -86,19 +85,7 @@ def empirical_cdf(samples, grid, trials, atom_count=None, label=""):
         atom_mass = atom_count / trials
         atom_stderr = binomial_stderr(atom_mass, trials)
     return CdfCurve(rates=np.asarray(grid, dtype=float), probs=probs, stderr=stderr,
-                    trials=trials, atom_mass=atom_mass, atom_stderr=atom_stderr,
-                    label=label)
-
-
-def _check_cap(sum_cap_bits):
-    if not (math.isfinite(sum_cap_bits) and sum_cap_bits > 0):
-        raise InvalidParameterError("conditioning capacity must be positive")
-
-
-def _scaled_subset_rates(gains_sorted, n_users):
-    # (N/k) * log2(1 + weakest-k gain sum) for k = 1..N
-    cums = np.cumsum(gains_sorted)
-    return (n_users / np.arange(1, n_users + 1)) * np.log1p(cums) / _LN2
+                    trials=trials, atom_mass=atom_mass, atom_stderr=atom_stderr)
 
 
 def _conditioned_sym_samples(n_users, sum_cap_bits, cfg, block_dim=1):
@@ -111,8 +98,7 @@ def _conditioned_sym_samples(n_users, sum_cap_bits, cfg, block_dim=1):
     trials = cfg.trials
     samples = np.empty(trials)
     atom = 0
-    for t in range(trials):
-        rng = RngStream(cfg.seed, t).generator()
+    for t, rng in enumerate(trial_generators(cfg.seed, trials)):
         h = sample_capacity_sphere(n_users * block_dim, sum_cap_bits, rng)
         mags = np.abs(h) ** 2
         gains = mags if block_dim == 1 else mags.reshape(n_users, block_dim).sum(axis=1)
@@ -120,7 +106,7 @@ def _conditioned_sym_samples(n_users, sum_cap_bits, cfg, block_dim=1):
             samples[t] = sum_cap_bits
             atom += 1
             continue
-        scaled = _scaled_subset_rates(np.sort(gains), n_users)
+        scaled = scaled_subset_rates(np.sort(gains))
         partial_min = scaled[:-1].min()
         if partial_min >= sum_cap_bits:
             atom += 1
@@ -136,11 +122,10 @@ def conditional_cdf_scalar(n_users, sum_cap_bits, cfg):
     Draws channels uniformly on the capacity sphere, so the conditioning is
     exact rather than a rejection step.
     """
-    _check_cap(sum_cap_bits)
+    check_positive(sum_cap_bits, "conditioning capacity")
     grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(sum_cap_bits)
     samples, atom = _conditioned_sym_samples(n_users, sum_cap_bits, cfg)
-    return empirical_cdf(samples, grid, cfg.trials, atom,
-                          label=f"sym-capacity|C={sum_cap_bits:g}")
+    return empirical_cdf(samples, grid, cfg.trials, atom)
 
 
 def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):
@@ -150,17 +135,16 @@ def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):
     not of the weakest one), which is what the per-cardinality beta formula
     describes.
     """
-    _check_cap(sum_cap_bits)
+    check_positive(sum_cap_bits, "conditioning capacity")
     if not 1 <= k <= n_users:
         raise InvalidParameterError("k must lie in [1, n_users]")
     grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(sum_cap_bits)
     samples = np.empty(cfg.trials)
-    for t in range(cfg.trials):
-        rng = RngStream(cfg.seed, t).generator()
+    for t, rng in enumerate(trial_generators(cfg.seed, cfg.trials)):
         h = sample_capacity_sphere(n_users, sum_cap_bits, rng)
         part = float(np.sum(np.abs(h[:k]) ** 2))
         samples[t] = (n_users / k) * math.log1p(part) / _LN2
-    return empirical_cdf(samples, grid, cfg.trials, label=f"cardinality-{k}")
+    return empirical_cdf(samples, grid, cfg.trials)
 
 
 def conditional_cdf_mimo_frobenius(dims, frob_cap_bits, cfg):
@@ -169,12 +153,11 @@ def conditional_cdf_mimo_frobenius(dims, frob_cap_bits, cfg):
     user's squared norm aggregates N_r*N_t coordinates of one big sphere."""
     if not isinstance(dims, ScenarioDims):
         raise InvalidParameterError("dims must be a ScenarioDims")
-    _check_cap(frob_cap_bits)
+    check_positive(frob_cap_bits, "conditioning capacity")
     grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(frob_cap_bits)
     samples, atom = _conditioned_sym_samples(
         dims.n_users, frob_cap_bits, cfg, block_dim=dims.n_rx * dims.n_tx)
-    return empirical_cdf(samples, grid, cfg.trials, atom,
-                          label=f"frobenius-sym|C~={frob_cap_bits:g}")
+    return empirical_cdf(samples, grid, cfg.trials, atom)
 
 
 def _draw_unit_user_matrices(dims, rng):
@@ -227,13 +210,11 @@ def outage_vs_snr(dims, target_rate_bits, cfg):
     """
     if not isinstance(dims, ScenarioDims):
         raise InvalidParameterError("dims must be a ScenarioDims")
-    if not (math.isfinite(target_rate_bits) and target_rate_bits > 0):
-        raise InvalidParameterError("target rate must be positive")
+    check_positive(target_rate_bits, "target rate")
     grid_db, grid_lin = _snr_grid_linear(cfg)
     threshold = target_rate_bits * (dims.n_users if cfg.per_user_target else 1)
     counts = np.zeros(grid_lin.size, dtype=int)
-    for t in range(cfg.trials):
-        rng = RngStream(cfg.seed, t).generator()
+    for rng in trial_generators(cfg.seed, cfg.trials):
         eigs = _subset_eigenvalues(dims, _draw_unit_user_matrices(dims, rng))
         for j, snr in enumerate(grid_lin):
             if _sym_capacity_at_snr(eigs, dims.n_users, snr) < threshold:
@@ -259,30 +240,25 @@ def averaged_bound_vs_snr(dims, target_rate_bits, which, cfg):
         raise InvalidParameterError("which must be 'union' or 'simo'")
     if which == "simo" and (dims.n_users != 2 or dims.n_tx != 1):
         raise InvalidParameterError("the SIMO bound needs 2 users with one tx antenna")
-    if not (math.isfinite(target_rate_bits) and target_rate_bits > 0):
-        raise InvalidParameterError("target rate must be positive")
+    check_positive(target_rate_bits, "target rate")
     grid_db, grid_lin = _snr_grid_linear(cfg)
     target = target_rate_bits * (dims.n_users if cfg.per_user_target else 1)
+    bound = partial(mimo_union_bound, dims) if which == "union" else two_user_simo_bound
     acc = np.zeros(grid_lin.size)
     acc_sq = np.zeros(grid_lin.size)
-    for t in range(cfg.trials):
-        rng = RngStream(cfg.seed, t).generator()
+    for rng in trial_generators(cfg.seed, cfg.trials):
         mats = _draw_unit_user_matrices(dims, rng)
         if which == "union":
             unit_frob = sum(float(np.sum(np.abs(m) ** 2)) for m in mats)
-            for j, snr in enumerate(grid_lin):
-                cond = math.log1p(snr * unit_frob) / _LN2
-                v = 1.0 if target >= cond else mimo_union_bound(dims, target, cond)
-                acc[j] += v
-                acc_sq[j] += v * v
+            conds = [math.log1p(snr * unit_frob) / _LN2 for snr in grid_lin]
         else:
             stackg = np.hstack(mats)
             lam = np.clip(np.linalg.eigvalsh(stackg @ stackg.conj().T), 0.0, None)
-            for j, snr in enumerate(grid_lin):
-                cond = float(np.sum(np.log1p(snr * lam))) / _LN2
-                v = 1.0 if target >= cond else two_user_simo_bound(target, cond)
-                acc[j] += v
-                acc_sq[j] += v * v
+            conds = [float(np.sum(np.log1p(snr * lam))) / _LN2 for snr in grid_lin]
+        for j, cond in enumerate(conds):
+            v = 1.0 if target >= cond else bound(target, cond)
+            acc[j] += v
+            acc_sq[j] += v * v
     means = acc / cfg.trials
     variances = np.maximum(acc_sq / cfg.trials - means ** 2, 0.0)
     sems = np.sqrt(variances / cfg.trials)

@@ -230,3 +230,17 @@ def test_outputs_stay_in_unit_interval():
         assert 0.0 <= pair.lower <= pair.upper <= 1.0
         k = int(rng.integers(1, n + 1))
         assert 0.0 <= p_out_k(k, n, r, c) <= 1.0
+
+
+def test_numpy_integer_dimensions_are_accepted_and_stored_as_int():
+    dims = ScenarioDims(np.int64(2), np.int64(2), 3)
+    assert (dims.n_users, dims.n_tx, dims.n_rx) == (2, 2, 3)
+    assert all(type(v) is int for v in (dims.n_users, dims.n_tx, dims.n_rx))
+    assert mimo_union_bound(dims, 3.0, 8.0) == mimo_union_bound(ScenarioDims(2, 2, 3), 3.0, 8.0)
+
+
+def test_non_finite_integer_parameter_is_a_parameter_error():
+    with pytest.raises(InvalidParameterError):
+        p_out_k(float("inf"), 2, 1.0, 2.0)
+    with pytest.raises(InvalidParameterError):
+        scalar_bounds(float("nan"), 1.0, 2.0)

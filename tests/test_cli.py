@@ -6,6 +6,7 @@ exit codes, CSV/manifest layout, and byte-identical replay from a manifest.
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +145,74 @@ def test_validate_analytic_suite_passes(capsys):
 def test_validate_if_suite_passes(capsys):
     assert main(["validate", "if", "--trials", "40"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("stem", ["fig2", "simulate-scalar"])
+def test_rerun_reproduces_committed_outputs(tmp_path, capsys, stem):
+    # Manifest and CSV pairs written by an earlier release
+    # (`fig 2`; `simulate --users 2 --sum-cap 2 --trials 200 --seed 5`).
+    out = tmp_path / f"{stem}.csv"
+    assert main(["rerun", "--manifest", str(DATA / f"{stem}.json"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{stem}.csv").read_bytes()
+
+
+def test_fresh_manifests_record_the_committed_parameter_sets(tmp_path, capsys):
+    runs = {"fig2": ["fig", "2"],
+            "simulate-scalar": ["simulate", "--users", "2", "--sum-cap", "2",
+                                "--trials", "200", "--seed", "5"]}
+    for stem, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / stem)]) == 0
+        fresh = json.loads((tmp_path / f"{stem}.json").read_text())
+        committed = json.loads((DATA / f"{stem}.json").read_text())
+        assert fresh["params"] == committed["params"]
+        assert (tmp_path / f"{stem}.csv").read_bytes() == (DATA / f"{stem}.csv").read_bytes()
+
+
+_PARAM_KEYS = {
+    "fig": {"figure", "seed", "users", "nt", "nr", "sum_cap", "rate", "trials",
+            "snr_db_list", "rate_convention"},
+    "simulate": {"users", "sum_cap", "rate", "trials", "seed", "nt", "nr",
+                 "cardinality", "snr_db_list", "rate_convention"},
+    "if-sim": {"users", "sum_cap", "trials", "seed", "precoder", "mode",
+               "rate_convention"},
+    "bound": {"which", "users", "nt", "nr", "rate", "sum_cap", "mux", "seed"},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig", "1"],
+    ["simulate", "--sum-cap", "2", "--trials", "20"],
+    ["if-sim", "--sum-cap", "4", "--trials", "5"],
+    ["bound", "atom", "--sum-cap", "2"],
+])
+def test_manifest_parameter_keys_are_pinned(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    doc = json.loads((tmp_path / "run.json").read_text())
+    assert doc["command"] == argv[0]
+    assert set(doc["params"]) == _PARAM_KEYS[argv[0]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--users", "0", "--sum-cap", "2", "--trials", "0"],
+    ["simulate", "--sum-cap", "2", "--trials", "0"],
+    ["simulate", "--users", "0", "--sum-cap", "2", "--trials", "5"],
+    ["simulate", "--users", "2", "--nt", "2", "--nr", "3", "--rate", "3",
+     "--trials", "10", "--snr-db-list="],
+    ["if-sim", "--sum-cap", "4", "--trials", "0"],
+    ["if-sim", "--users", "0", "--sum-cap", "4", "--trials", "5"],
+    ["fig", "4", "--trials", "0"],
+    ["validate", "if", "--trials", "0"],
+    ["validate", "montecarlo", "--trials", "0"],
+    ["validate", "all", "--trials", "-3"],
+])
+def test_explicit_zero_is_a_value_not_a_missing_flag(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fadingmac: error:")
+    assert list(tmp_path.iterdir()) == []

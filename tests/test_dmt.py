@@ -125,3 +125,10 @@ def test_single_user_case_degenerates():
     for r in (0.0, 0.25, 0.5, 0.9):
         assert abs(symmetric_mac_dmt(1, 1, 1, r) - single_user_dmt(1, 1, r)) < 1e-15
         assert abs(symmetric_mac_dmt(1, 2, 3, 2 * r) - single_user_dmt(2, 3, 2 * r)) < 1e-15
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert symmetric_mac_dmt(np.int64(2), 2, 3, 0.0) == 6.0
+    assert single_user_dmt(np.int64(2), np.int32(3), 1.0) == single_user_dmt(2, 3, 1.0)
+    curve = symmetric_mac_dmt_curve(np.int64(2), np.int64(1), np.int64(1))
+    assert curve.breakpoints == symmetric_mac_dmt_curve(2, 1, 1).breakpoints

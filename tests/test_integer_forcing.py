@@ -32,7 +32,7 @@ from fadingmac.integer_forcing import (
     ml_mean_rate_fraction,
     ml_rate_quantile,
 )
-from fadingmac.linalg import RngStream
+from fadingmac.linalg import RngStream, sample_capacity_sphere
 from fadingmac.montecarlo import SimConfig
 
 _SQRT5 = math.sqrt(5.0)
@@ -340,3 +340,20 @@ def test_fraction_of_capacity_schemes():
         fraction_of_capacity(2, [8.0], 1.5, "ml")
     with pytest.raises(InvalidParameterError):
         fraction_of_capacity(2, [8.0], 0.05, "zf", cfg=cfg)
+
+
+def test_if_rate_never_returns_non_finite_rates_at_high_capacity():
+    # At C = 60 bits the explicit inverse K loses precision: some noise
+    # variances come out zero or negative, which would give inf or nan rates.
+    errors = 0
+    for t in range(64):
+        h = sample_capacity_sphere(2, 60.0, RngStream(123, t).generator())
+        eff = build_effective_channel(MacChannel.from_scalar(h), Precoder.identity(2))
+        try:
+            res = if_rate(eff, mode="if")
+        except NumericalDomainError:
+            errors += 1
+            continue
+        assert np.all(np.isfinite(res.per_stream_rate_bits))
+        assert math.isfinite(res.symmetric_rate_bits)
+    assert errors > 0

@@ -14,6 +14,7 @@ from fadingmac.linalg import (
     sample_capacity_sphere,
     sample_complex_gaussian,
     sample_haar_unitary,
+    trial_generators,
 )
 
 
@@ -132,3 +133,14 @@ def test_cholesky_rejects_non_hermitian_and_indefinite():
         cholesky_lower(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(InvalidParameterError):
         cholesky_lower(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_trial_generators_follow_the_seed_sequence_layout():
+    # The reproducibility contract: trial t of seed s is SeedSequence(s, spawn_key=(t,)).
+    draws = [g.standard_normal(4) for g in trial_generators(7, 3)]
+    assert len(draws) == 3
+    for t, d in enumerate(draws):
+        ss = np.random.SeedSequence(entropy=7, spawn_key=(t,))
+        assert np.array_equal(d, np.random.default_rng(ss).standard_normal(4))
+        assert np.array_equal(d, RngStream(7, t).generator().standard_normal(4))
+    assert list(trial_generators(7, 0)) == []

@@ -214,3 +214,9 @@ def test_engine_validation_errors():
         conditional_cdf_cardinality(5, 4, 8.0, SimConfig(trials=10))
     with pytest.raises(InvalidParameterError):
         conditional_cdf_mimo_frobenius((2, 2, 3), 8.0, SimConfig(trials=10))
+
+
+def test_simconfig_accepts_numpy_integer_trials():
+    cfg = SimConfig(trials=np.int64(5))
+    assert cfg.trials == 5 and type(cfg.trials) is int
+    assert SimConfig(trials=5.0).trials == 5
