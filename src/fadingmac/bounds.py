@@ -6,10 +6,17 @@ users).  Conditioned on C, a scalar channel is uniform on a sphere, and
 normalized partial gain sums follow Beta laws with integer parameters; every
 CDF here is therefore an incomplete beta function that reduces to a finite
 binomial sum, evaluated exactly (no continued fractions).
+
+The two bounds the Monte-Carlo engines average over channel draws, the
+Frobenius union bound and the two-user SIMO bound, also come in array forms
+that take a vector of conditioning values.  The scalar functions stay the
+reference they are tested against.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidParameterError, check_int, check_positive
 
@@ -188,3 +195,50 @@ def two_user_simo_bound(rate_bits, sum_cap_bits):
         return 1.0
     eps = math.exp(-gap * _LN2)
     return -math.expm1(0.5 * math.log1p(-eps))
+
+
+def _check_rate_caps(rate_bits, caps_bits):
+    """Conditioning values as a float array, each checked like _check_rate_cap."""
+    caps = np.asarray(caps_bits, dtype=float)
+    if caps.size:
+        _check_rate_cap(rate_bits, float(caps.min()))
+        check_positive(float(caps.max()), "sum capacity")
+    return caps
+
+
+def _regularized_incomplete_beta_array(x, a, b):
+    # regularized_incomplete_beta over an array of x in [0, 1], same sum order
+    n = a + b - 1
+    total = np.zeros_like(x)
+    for j in range(a, n + 1):
+        total += math.comb(n, j) * x ** j * (1.0 - x) ** (n - j)
+    return np.minimum(total, 1.0)
+
+
+def mimo_union_bound_array(dims, rate_bits, frob_caps_bits):
+    """mimo_union_bound (clamped) at each of an array of Frobenius sum rates.
+
+    Agrees with the scalar function to rounding: numpy's powers and
+    logarithms may differ from Python's in the last digit.
+    """
+    if not isinstance(dims, ScenarioDims):
+        raise InvalidParameterError("dims must be a ScenarioDims")
+    caps = _check_rate_caps(rate_bits, frob_caps_bits)
+    n, m = dims.n_users, dims.n_rx * dims.n_tx
+    denom = np.expm1(caps * _LN2)
+    raw = np.zeros_like(caps)
+    for k in range(1, n):
+        x = np.minimum(_pow2m1(rate_bits * k / n) / denom, 1.0)
+        raw += math.comb(n, k) * _regularized_incomplete_beta_array(x, k * m, (n - k) * m)
+    return np.minimum(raw, 1.0)
+
+
+def two_user_simo_bound_array(rate_bits, sum_caps_bits):
+    """two_user_simo_bound at each of an array of sum capacities, to rounding."""
+    caps = _check_rate_caps(rate_bits, sum_caps_bits)
+    out = np.ones_like(caps)
+    gap = caps - rate_bits
+    above = gap > 0.0
+    eps = np.exp(-gap[above] * _LN2)
+    out[above] = -np.expm1(0.5 * np.log1p(-eps))
+    return out

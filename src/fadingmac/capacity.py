@@ -142,9 +142,10 @@ def scalar_symmetric_capacity(gains):
 
 def scaled_subset_rates(gains_sorted):
     """(N/k) * log2(1 + sum of the k weakest gains) for k = 1..N, from gains
-    sorted ascending: the candidate subset rates of a scalar channel."""
-    n = len(gains_sorted)
-    return (n / np.arange(1, n + 1)) * np.log1p(np.cumsum(gains_sorted)) / _LN2
+    sorted ascending along the last axis: the candidate subset rates of a
+    scalar channel, for one channel or for a stack of them."""
+    n = gains_sorted.shape[-1]
+    return (n / np.arange(1, n + 1)) * np.log1p(np.cumsum(gains_sorted, axis=-1)) / _LN2
 
 
 def frobenius_subset_info(ch, subset):

@@ -381,10 +381,9 @@ def _rows_simulate(params):
     cfg = _cfg(params)
     if params["cardinality"] is not None:
         return _cardinality_rows(params["cardinality"], users, cap, cfg)
-    nt = params["nt"] or 1
-    nr = params["nr"] or 1
+    nt, nr = (1 if params[f] is None else params[f] for f in ("nt", "nr"))
+    dims = ScenarioDims(users, nt, nr)   # rejects an explicit 0
     if nt > 1 or nr > 1:
-        dims = ScenarioDims(users, nt, nr)
         cdf = conditional_cdf_mimo_frobenius(dims, cap, cfg)
         rows = _cdf_rows("empirical", cdf, atom_name="empirical-atom")
         for r in cdf.rates:

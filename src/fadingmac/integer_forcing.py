@@ -430,7 +430,10 @@ def _sic_variances(k, a, sic_order):
         # the parallel-decoding forms; its Cholesky diagonal gives the
         # successively reduced variances.
         g = rows.conj() @ k @ rows.T
-        low = np.linalg.cholesky((g + g.conj().T) / 2.0)
+        try:
+            low = np.linalg.cholesky((g + g.conj().T) / 2.0)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalDomainError("SIC Gram matrix is not positive definite") from exc
         return np.diagonal(low).real ** 2
 
     if sic_order == "natural" or n > 4:

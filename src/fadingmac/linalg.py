@@ -5,8 +5,11 @@ reproducible.  :class:`RngStream` is a small value type naming a
 (seed, stream) pair; a given stream always produces the same draws no matter
 how many workers run concurrently.  :func:`trial_generators` is the package's
 reproducibility layout, and the only place it is written: trial t of a run
-with seed s draws from ``RngStream(s, t)``.  Every Monte-Carlo driver
-iterates over it, which makes their aggregates independent of execution order.
+with seed s draws from ``RngStream(s, t)``.  Every Monte-Carlo driver draws
+through it, which makes their aggregates independent of execution order.
+The batched engines take their draws from :func:`trial_normals`, which stacks
+each trial's first ``standard_normal`` call into one array per block of
+trials, so batching changes no random number.
 """
 
 import math
@@ -17,6 +20,10 @@ import numpy as np
 from .errors import InvalidParameterError, NumericalDomainError, check_int, check_positive
 
 _LN2 = math.log(2.0)
+
+# Trials per block of trial_normals: large enough that numpy's per-call
+# overhead vanishes beside the work, small enough to keep blocks a few MB.
+_TRIAL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -37,9 +44,31 @@ class RngStream:
 
 
 def trial_generators(seed, trials):
-    """Yield the generator of each trial t = 0 .. trials - 1 of a seeded run."""
-    for t in range(trials):
-        yield RngStream(seed, t).generator()
+    """Generators of the trials t = 0 .. trials - 1 of a seeded run, in order.
+
+    Trial t draws from ``SeedSequence(seed, spawn_key=(t,))``, the stream
+    ``RngStream(seed, t)`` names.  The seed is checked once for the run.
+    """
+    seed = check_int(seed, "seed", 0)
+    return (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+            for t in range(trials))
+
+
+def trial_normals(seed, trials, shape):
+    """Yield a seeded run's standard normals as (rows, *shape) arrays.
+
+    Row t of the concatenated blocks is ``standard_normal(shape)``, the first
+    draw from trial t's generator, so an engine working on whole blocks sees
+    exactly the numbers a loop over trial_generators would.  Blocks hold at
+    most _TRIAL_BLOCK trials, which bounds an engine's memory at any trial
+    count.
+    """
+    gens = trial_generators(seed, trials)
+    for start in range(0, trials, _TRIAL_BLOCK):
+        out = np.empty((min(_TRIAL_BLOCK, trials - start), *shape))
+        for row, g in zip(out, gens):
+            g.standard_normal(out=row)
+        yield out
 
 
 def _as_generator(rng):

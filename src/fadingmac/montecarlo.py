@@ -1,22 +1,27 @@
 """Monte-Carlo engines for the conditioned and unconditioned outage curves.
 
-Every driver iterates over linalg.trial_generators, so results are
-bit-reproducible and independent of scheduling; aggregation is pure
-counting.  Empirical CDFs use the strict event {rate < R}, matching the
-analytic formulas, and report the atom mass at the conditioning capacity
-separately.
+The engines work on blocks of trials at once.  linalg.trial_normals hands
+them each trial's draws as one row of an array, taken from that trial's own
+stream, and every step after the draw (sphere normalization, subset rates,
+subset-Gram eigenvalues, the averaged bounds) is an array operation over the
+block.  Results are therefore bit-reproducible, independent of scheduling and
+of the block size, and use the same random numbers as a per-trial loop over
+the public samplers; aggregation is pure counting.  Empirical CDFs use the
+strict event {rate < R}, matching the analytic formulas, and report the atom
+mass at the conditioning capacity separately.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .bounds import ScenarioDims, mimo_union_bound, two_user_simo_bound
+from .bounds import ScenarioDims, mimo_union_bound_array, two_user_simo_bound_array
 from .capacity import scaled_subset_rates
 from .errors import InvalidParameterError, check_int, check_positive
-from .linalg import sample_capacity_sphere, sample_complex_gaussian, trial_generators
+from .linalg import sample_capacity_sphere, trial_generators, trial_normals
 
 _LN2 = math.log(2.0)
 
@@ -88,6 +93,24 @@ def empirical_cdf(samples, grid, trials, atom_count=None):
                     trials=trials, atom_mass=atom_mass, atom_stderr=atom_stderr)
 
 
+def _capacity_sphere_blocks(seed, trials, dim, sum_cap_bits):
+    """Blocks of capacity-sphere draws, one row per trial: row t equals
+    sample_capacity_sphere(dim, sum_cap_bits, g) for trial t's generator g."""
+    radius = math.sqrt(math.expm1(sum_cap_bits * _LN2))
+    first = 0
+    for z in trial_normals(seed, trials, (2, dim)):
+        v = z[:, 0] + 1j * z[:, 1]
+        nrm = np.linalg.norm(v, axis=1)
+        h = v * (radius / np.where(nrm > 0, nrm, 1.0))[:, None]
+        for row in np.flatnonzero(nrm == 0):
+            # The sampler redraws an all-zero vector from the same stream, so
+            # replay that trial through it.
+            g = next(itertools.islice(trial_generators(seed, trials), first + row, None))
+            h[row] = sample_capacity_sphere(dim, sum_cap_bits, g)
+        first += len(h)
+        yield h
+
+
 def _conditioned_sym_samples(n_users, sum_cap_bits, cfg, block_dim=1):
     """Symmetric-capacity draws conditioned on the (Frobenius) sum rate.
 
@@ -95,25 +118,18 @@ def _conditioned_sym_samples(n_users, sum_cap_bits, cfg, block_dim=1):
     the scalar sampler into the Frobenius-norm MIMO sampler.  Returns the
     samples (capped at the conditioning value) and the exact atom count.
     """
-    trials = cfg.trials
-    samples = np.empty(trials)
+    if n_users == 1:
+        return np.full(cfg.trials, float(sum_cap_bits)), cfg.trials
+    samples = []
     atom = 0
-    for t, rng in enumerate(trial_generators(cfg.seed, trials)):
-        h = sample_capacity_sphere(n_users * block_dim, sum_cap_bits, rng)
-        mags = np.abs(h) ** 2
-        gains = mags if block_dim == 1 else mags.reshape(n_users, block_dim).sum(axis=1)
-        if n_users == 1:
-            samples[t] = sum_cap_bits
-            atom += 1
-            continue
-        scaled = scaled_subset_rates(np.sort(gains))
-        partial_min = scaled[:-1].min()
-        if partial_min >= sum_cap_bits:
-            atom += 1
-            samples[t] = sum_cap_bits
-        else:
-            samples[t] = partial_min
-    return samples, atom
+    for h in _capacity_sphere_blocks(cfg.seed, cfg.trials, n_users * block_dim,
+                                     sum_cap_bits):
+        gains = (np.abs(h) ** 2).reshape(len(h), n_users, block_dim).sum(axis=2)
+        partial_min = scaled_subset_rates(np.sort(gains, axis=1))[:, :-1].min(axis=1)
+        in_atom = partial_min >= sum_cap_bits
+        atom += int(np.count_nonzero(in_atom))
+        samples.append(np.where(in_atom, sum_cap_bits, partial_min))
+    return np.concatenate(samples), atom
 
 
 def conditional_cdf_scalar(n_users, sum_cap_bits, cfg):
@@ -123,6 +139,7 @@ def conditional_cdf_scalar(n_users, sum_cap_bits, cfg):
     exact rather than a rejection step.
     """
     check_positive(sum_cap_bits, "conditioning capacity")
+    n_users = check_int(n_users, "n_users", 1)
     grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(sum_cap_bits)
     samples, atom = _conditioned_sym_samples(n_users, sum_cap_bits, cfg)
     return empirical_cdf(samples, grid, cfg.trials, atom)
@@ -136,14 +153,14 @@ def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):
     describes.
     """
     check_positive(sum_cap_bits, "conditioning capacity")
-    if not 1 <= k <= n_users:
+    n_users = check_int(n_users, "n_users", 1)
+    k = check_int(k, "k", 1)
+    if k > n_users:
         raise InvalidParameterError("k must lie in [1, n_users]")
     grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(sum_cap_bits)
-    samples = np.empty(cfg.trials)
-    for t, rng in enumerate(trial_generators(cfg.seed, cfg.trials)):
-        h = sample_capacity_sphere(n_users, sum_cap_bits, rng)
-        part = float(np.sum(np.abs(h[:k]) ** 2))
-        samples[t] = (n_users / k) * math.log1p(part) / _LN2
+    samples = np.concatenate([
+        (n_users / k) * np.log1p((np.abs(h[:, :k]) ** 2).sum(axis=1)) / _LN2
+        for h in _capacity_sphere_blocks(cfg.seed, cfg.trials, n_users, sum_cap_bits)])
     return empirical_cdf(samples, grid, cfg.trials)
 
 
@@ -160,37 +177,38 @@ def conditional_cdf_mimo_frobenius(dims, frob_cap_bits, cfg):
     return empirical_cdf(samples, grid, cfg.trials, atom)
 
 
-def _draw_unit_user_matrices(dims, rng):
-    return [sample_complex_gaussian(dims.n_rx, dims.n_tx, 1.0, rng)
-            for _ in range(dims.n_users)]
+def _user_matrix_blocks(dims, cfg):
+    """Blocks of unit-variance user matrices, shape (rows, n_users, n_rx, n_tx):
+    row t holds the matrices sample_complex_gaussian draws, user by user,
+    from trial t's generator."""
+    shape = (dims.n_users, 2, dims.n_rx, dims.n_tx)
+    for z in trial_normals(cfg.seed, cfg.trials, shape):
+        yield math.sqrt(0.5) * (z[:, :, 0] + 1j * z[:, :, 1])
 
 
-def _subset_eigenvalues(dims, mats):
-    """Eigenvalues of sum_{i in S} W_i W_i^H for every non-empty subset.
+def _rates_at_snrs(lam, snrs):
+    """sum log2(1 + s * lam) over the last axis of lam, per row (trial) and
+    column (SNR s): the mutual information of Gram eigenvalues lam at SNR s."""
+    return np.log1p(snrs[:, None] * lam[:, None, :]).sum(axis=2) / _LN2
 
-    Channel draws enter outage curves only through these spectra: at SNR s
-    the subset rate is sum log2(1 + s*lam).  Computing them once per trial
-    makes the SNR sweep cheap."""
-    n = dims.n_users
-    grams = [m @ m.conj().T for m in mats]
-    out = []
+
+def _symmetric_capacity(mats, snrs):
+    """Symmetric capacity of each trial of a block (rows) at each linear SNR
+    (columns), by enumerating the user subsets S.
+
+    Channel draws enter only through the eigenvalues of the subset Grams
+    sum_{i in S} W_i W_i^H, so one batched eigendecomposition per subset
+    serves the whole SNR grid."""
+    n = mats.shape[1]
+    grams = mats @ mats.conj().swapaxes(-1, -2)
+    best = np.full((len(mats), snrs.size), np.inf)
     for mask in range(1, 1 << n):
-        acc = np.zeros((dims.n_rx, dims.n_rx), dtype=complex)
-        size = 0
-        for i in range(n):
-            if mask & (1 << i):
-                acc += grams[i]
-                size += 1
+        members = [i for i in range(n) if mask >> i & 1]
+        acc = np.zeros_like(grams[:, 0])
+        for i in members:
+            acc += grams[:, i]
         lam = np.clip(np.linalg.eigvalsh(acc), 0.0, None)
-        out.append((size, lam))
-    return out
-
-
-def _sym_capacity_at_snr(subset_eigs, n_users, snr):
-    best = math.inf
-    for size, lam in subset_eigs:
-        rate = float(np.sum(np.log1p(snr * lam))) / _LN2
-        best = min(best, (n_users / size) * rate)
+        best = np.minimum(best, (n / len(members)) * _rates_at_snrs(lam, snrs))
     return best
 
 
@@ -214,11 +232,8 @@ def outage_vs_snr(dims, target_rate_bits, cfg):
     grid_db, grid_lin = _snr_grid_linear(cfg)
     threshold = target_rate_bits * (dims.n_users if cfg.per_user_target else 1)
     counts = np.zeros(grid_lin.size, dtype=int)
-    for rng in trial_generators(cfg.seed, cfg.trials):
-        eigs = _subset_eigenvalues(dims, _draw_unit_user_matrices(dims, rng))
-        for j, snr in enumerate(grid_lin):
-            if _sym_capacity_at_snr(eigs, dims.n_users, snr) < threshold:
-                counts[j] += 1
+    for mats in _user_matrix_blocks(dims, cfg):
+        counts += np.count_nonzero(_symmetric_capacity(mats, grid_lin) < threshold, axis=0)
     return [OutageEstimate(point=float(db), p_hat=c / cfg.trials,
                            stderr=binomial_stderr(c / cfg.trials, cfg.trials),
                            trials=cfg.trials)
@@ -243,22 +258,23 @@ def averaged_bound_vs_snr(dims, target_rate_bits, which, cfg):
     check_positive(target_rate_bits, "target rate")
     grid_db, grid_lin = _snr_grid_linear(cfg)
     target = target_rate_bits * (dims.n_users if cfg.per_user_target else 1)
-    bound = partial(mimo_union_bound, dims) if which == "union" else two_user_simo_bound
+    bound = partial(mimo_union_bound_array, dims) if which == "union" \
+        else two_user_simo_bound_array
     acc = np.zeros(grid_lin.size)
     acc_sq = np.zeros(grid_lin.size)
-    for rng in trial_generators(cfg.seed, cfg.trials):
-        mats = _draw_unit_user_matrices(dims, rng)
+    for mats in _user_matrix_blocks(dims, cfg):
         if which == "union":
-            unit_frob = sum(float(np.sum(np.abs(m) ** 2)) for m in mats)
-            conds = [math.log1p(snr * unit_frob) / _LN2 for snr in grid_lin]
+            unit_frob = (np.abs(mats) ** 2).reshape(len(mats), dims.n_users, -1).sum(axis=2)
+            conds = np.log1p(np.multiply.outer(unit_frob.sum(axis=1), grid_lin)) / _LN2
         else:
-            stackg = np.hstack(mats)
-            lam = np.clip(np.linalg.eigvalsh(stackg @ stackg.conj().T), 0.0, None)
-            conds = [float(np.sum(np.log1p(snr * lam))) / _LN2 for snr in grid_lin]
-        for j, cond in enumerate(conds):
-            v = 1.0 if target >= cond else bound(target, cond)
-            acc[j] += v
-            acc_sq[j] += v * v
+            stack = mats.transpose(0, 2, 1, 3).reshape(len(mats), dims.n_rx, -1)
+            lam = np.clip(np.linalg.eigvalsh(stack @ stack.conj().swapaxes(-1, -2)), 0.0, None)
+            conds = _rates_at_snrs(lam, grid_lin)
+        above = target < conds
+        values = np.ones_like(conds)
+        values[above] = bound(target, conds[above])
+        acc += values.sum(axis=0)
+        acc_sq += (values * values).sum(axis=0)
     means = acc / cfg.trials
     variances = np.maximum(acc_sq / cfg.trials - means ** 2, 0.0)
     sems = np.sqrt(variances / cfg.trials)

@@ -216,3 +216,16 @@ def test_explicit_zero_is_a_value_not_a_missing_flag(tmp_path, monkeypatch, caps
     assert captured.out == ""
     assert captured.err.startswith("fadingmac: error:")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("nt, nr", [("0", "3"), ("2", "0"), ("0", "0")])
+def test_simulate_rejects_zero_antenna_counts(tmp_path, monkeypatch, capsys, nt, nr):
+    # A given 0 is a value, not a missing flag: it must not fall back to 1.
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--users", "2", "--nt", nt, "--nr", nr, "--sum-cap", "4",
+            "--trials", "10"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fadingmac: error:")
+    assert list(tmp_path.iterdir()) == []

@@ -357,3 +357,14 @@ def test_if_rate_never_returns_non_finite_rates_at_high_capacity():
         assert np.all(np.isfinite(res.per_stream_rate_bits))
         assert math.isfinite(res.symmetric_rate_bits)
     assert errors > 0
+
+
+def test_sic_gram_that_is_not_positive_definite_is_a_domain_error():
+    # Trial 5 of seed 1 with a Haar precoder at C = 55 bits: rounding in K
+    # leaves the SIC Gram A K A^H indefinite, which numpy reports as a bare
+    # LinAlgError unless if_rate maps it.
+    rng = RngStream(1, 5).generator()
+    h = sample_capacity_sphere(2, 55.0, rng)
+    eff = build_effective_channel(MacChannel.from_scalar(h), Precoder.haar_t2(2, rng))
+    with pytest.raises(NumericalDomainError):
+        if_rate(eff, mode="if-sic")

@@ -220,3 +220,13 @@ def test_simconfig_accepts_numpy_integer_trials():
     cfg = SimConfig(trials=np.int64(5))
     assert cfg.trials == 5 and type(cfg.trials) is int
     assert SimConfig(trials=5.0).trials == 5
+
+
+def test_cardinality_k_must_be_an_integer():
+    cfg = SimConfig(trials=20, seed=1)
+    with pytest.raises(InvalidParameterError):
+        conditional_cdf_cardinality(1.5, 4, 8.0, cfg)
+    with pytest.raises(InvalidParameterError):
+        conditional_cdf_scalar(0, 2.0, cfg)
+    a = conditional_cdf_cardinality(np.int64(2), 4, 8.0, cfg)
+    assert np.array_equal(a.probs, conditional_cdf_cardinality(2, 4, 8.0, cfg).probs)
