@@ -186,6 +186,17 @@ def mimo_union_bound(dims, rate_bits, frob_cap_bits, clamped=True):
     return min(1.0, raw) if clamped else raw
 
 
+def _log1m_pow2(gap):
+    """log(1 - 2^-gap) for gap > 0 (a float or an array) to full precision.
+
+    Below one bit 1 - 2^-gap cancels, so it is taken as -expm1; above, the
+    log of a value near 1 would round to 0, so log1p is used instead
+    (Maechler's log1mexp split).
+    """
+    x = np.multiply(gap, _LN2)
+    return np.where(x <= _LN2, np.log(-np.expm1(-x)), np.log1p(-np.exp(-x)))
+
+
 def two_user_simo_bound(rate_bits, sum_cap_bits):
     """Upper bound 1 - sqrt(1 - 2^-(C-R)) for two single-antenna users and a
     multi-antenna receiver, conditioned on the true sum capacity."""
@@ -193,8 +204,7 @@ def two_user_simo_bound(rate_bits, sum_cap_bits):
     gap = sum_cap_bits - rate_bits
     if gap == 0.0:
         return 1.0
-    eps = math.exp(-gap * _LN2)
-    return -math.expm1(0.5 * math.log1p(-eps))
+    return -math.expm1(0.5 * _log1m_pow2(gap))
 
 
 def _check_rate_caps(rate_bits, caps_bits):
@@ -239,6 +249,5 @@ def two_user_simo_bound_array(rate_bits, sum_caps_bits):
     out = np.ones_like(caps)
     gap = caps - rate_bits
     above = gap > 0.0
-    eps = np.exp(-gap[above] * _LN2)
-    out[above] = -np.expm1(0.5 * np.log1p(-eps))
+    out[above] = -np.expm1(0.5 * _log1m_pow2(gap[above]))
     return out

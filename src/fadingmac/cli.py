@@ -37,7 +37,6 @@ from .dmt import single_user_dmt, symmetric_mac_dmt, symmetric_mac_dmt_curve
 from .errors import InvalidParameterError, NumericalDomainError, check_int
 from .integer_forcing import (
     EffectiveChannel,
-    _quad_forms,
     brute_force_search,
     conditioned_rate_samples,
     fraction_of_capacity,
@@ -492,7 +491,8 @@ def _suite_montecarlo(trials, seed):
 
 
 def _min_rate(gram, a):
-    return float(np.min(-np.log(_quad_forms(gram, a)) / _LN2))
+    forms = np.einsum("mi,ij,mj->m", a.conj(), gram, a).real
+    return float(np.min(-np.log(forms) / _LN2))
 
 
 def _suite_if(instances, seed):

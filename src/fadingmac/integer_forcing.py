@@ -2,11 +2,19 @@
 
 The receiver decodes integer combinations of the transmitted lattice
 codewords.  With effective channel H (one column per stream) the noise
-variance of the combination a is a^H (I + H^H H)^-1 a, each stream carries
-max(0, -log2 variance) bits, and the symmetric rate is set by the worst
-stream of a full-rank Gaussian-integer matrix A.  A is searched with LLL
-reduction on the real embedding of the noise Gram matrix; an exhaustive
-bounded-box search provides the oracle it is validated against.
+variance of the combination a is a^H K a with K = (I + H^H H)^-1, each stream
+carries max(0, -log2 variance) bits, and the symmetric rate is set by the
+worst stream of a full-rank Gaussian-integer matrix A.
+
+K is never formed.  Every quantity comes from one square-root factor
+F = R^-H, where R is the triangular factor of a QR decomposition of [H; I]
+(so R^H R = I + H^H H and K = F^H F): the variance of a is ||F a||^2, the
+successive (SIC) variances are the squared diagonal of the triangular factor
+of F A^T, and A is searched with LLL reduction of the lattice spanned by the
+real embedding of F.  F's condition number grows like 2^(C/2) rather than
+K's 2^C, which keeps rates at or below the sum capacity up to about C = 80
+bits.  An exhaustive bounded-box search provides the oracle the reduction is
+validated against.
 """
 
 import itertools
@@ -17,7 +25,7 @@ import numpy as np
 
 from .capacity import MacChannel
 from .errors import InvalidParameterError, NumericalDomainError, check_int, check_positive
-from .linalg import hermitian_inverse, sample_capacity_sphere, sample_haar_unitary, \
+from .linalg import cholesky_lower, sample_capacity_sphere, sample_haar_unitary, \
     trial_generators
 from .montecarlo import default_rate_grid, empirical_cdf
 
@@ -133,39 +141,22 @@ def build_effective_channel(ch, precoder):
 # integer-matrix search
 
 def _real_embedding(k):
-    """Map a Hermitian form on C^n to the equivalent form on R^(2n):
-    a = u + jv satisfies a^H K a = [u v]^T M [u v]."""
+    """Real matrix M acting on [u; v] as k acts on a = u + jv, so
+    ||k a|| = ||M [u; v]|| and, for Hermitian k, a^H k a = [u v]^T M [u v]."""
     return np.block([[k.real, -k.imag], [k.imag, k.real]])
 
 
-def _quad_forms(gram, rows):
-    return np.einsum("mi,ij,mj->m", rows.conj(), gram, rows).real
-
-
-def _gram_schmidt(b):
-    n = b.shape[0]
-    mu = np.zeros((n, n))
-    bstar = np.zeros_like(b)
-    norms = np.zeros(n)
-    for i in range(n):
-        v = b[i].copy()
-        for j in range(i):
-            mu[i, j] = float(b[i] @ bstar[j]) / norms[j]
-            v -= mu[i, j] * bstar[j]
-        bstar[i] = v
-        norms[i] = float(v @ v)
-        if norms[i] <= 0.0:
-            raise NumericalDomainError("basis is numerically rank deficient")
-    return mu, norms
-
-
 def _lll_transform(basis, delta=0.75):
-    """LLL-reduce the rows of a full-rank real basis; return the unimodular
-    integer transform U such that U @ basis is reduced."""
-    b = np.array(basis, dtype=float)
-    n = b.shape[0]
+    """LLL-reduce the lattice spanned by the columns of a full-rank real
+    matrix; return the unimodular integer U whose rows are the coefficients
+    of the reduced basis vectors, basis @ U.T."""
+    r = np.linalg.qr(basis, mode="r")
+    d = np.diagonal(r)
+    # Gram-Schmidt data: mu[i, j] = <b_i, b*_j> / |b*_j|^2 below the diagonal.
+    mu = (r / d[:, None]).T
+    norms = d * d
+    n = len(d)
     u = np.eye(n, dtype=np.int64)
-    mu, norms = _gram_schmidt(b)
     k = 1
     guard = 0
     max_steps = 10000 * n * n
@@ -176,22 +167,18 @@ def _lll_transform(basis, delta=0.75):
         for j in range(k - 1, -1, -1):
             q = int(np.rint(mu[k, j]))
             if q != 0:
-                b[k] -= q * b[j]
                 u[k] -= q * u[j]
                 mu[k, :j] -= q * mu[j, :j]
                 mu[k, j] -= q
         if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
             continue
-        # swap rows k-1 and k, updating the orthogonalization in place
+        # swap vectors k-1 and k, updating the orthogonalization in place
         mu_val = mu[k, k - 1]
         big = norms[k] + mu_val * mu_val * norms[k - 1]
-        if big <= 0.0:
-            raise NumericalDomainError("basis is numerically rank deficient")
         mu_new = mu_val * norms[k - 1] / big
         norms[k] = norms[k - 1] * norms[k] / big
         norms[k - 1] = big
-        b[[k - 1, k]] = b[[k, k - 1]]
         u[[k - 1, k]] = u[[k, k - 1]]
         if k >= 2:
             mu[[k - 1, k], :k - 1] = mu[[k, k - 1], :k - 1]
@@ -235,8 +222,8 @@ def _dedup_candidates(rows):
     return out
 
 
-def _sorted_by_form(gram, cands):
-    forms = [float(np.real(c.conj() @ gram @ c)) for c in cands]
+def _sorted_by_form(f, cands):
+    forms = np.linalg.norm(np.array(cands) @ f.T, axis=1) ** 2
     order = sorted(range(len(cands)),
                    key=lambda i: (forms[i],
                                   tuple(cands[i].real.astype(np.int64)),
@@ -260,43 +247,38 @@ def _greedy_full_rank(cands, n):
     raise NumericalDomainError("candidate rows do not span the stream space")
 
 
-def _check_gram(gram):
-    k = np.asarray(gram, dtype=complex)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise InvalidParameterError("Gram matrix must be square")
-    if not np.all(np.isfinite(k.view(float))):
-        raise InvalidParameterError("Gram matrix must be finite")
-    if not np.allclose(k, k.conj().T, rtol=1e-10, atol=1e-12):
-        raise InvalidParameterError("Gram matrix must be Hermitian")
-    return (k + k.conj().T) / 2.0
+def _reduce(f):
+    """Full-rank Gaussian-integer matrix with small forms ||F a||^2.
+
+    LLL-reduces the real embedding of F (delta = 0.75), whose columns span a
+    lattice with Gram matrix the real embedding of F^H F, lifts the 2n reduced
+    coefficient rows back to C^n, adds the unit rows, and greedily assembles a
+    basis in form order.  The unit rows guarantee full rank and that no
+    selected row is worse than the worst column norm of F.
+    """
+    n = f.shape[0]
+    u = _lll_transform(_real_embedding(f))
+    cands = [row[:n] + 1j * row[n:] for row in u.astype(float)]
+    cands += [e.astype(complex) for e in np.eye(n)]
+    cands = _dedup_candidates([c for c in cands if np.any(c != 0)])
+    return _greedy_full_rank(_sorted_by_form(f, cands), n)
 
 
 def lll_search(gram):
     """Full-rank Gaussian-integer matrix with small quadratic forms a^H K a.
 
-    Reduces the real embedding of K with LLL (delta = 0.75), lifts the 2n
-    reduced rows back to C^n, adds the unit rows, and greedily assembles a
-    basis in form order.  The unit rows guarantee full rank and that no
-    selected row is worse than the worst diagonal entry of K.
+    Reduces with the Cholesky factor of K: F = L^H with K = L L^H gives
+    a^H K a = ||F a||^2.  No selected row is worse than the worst diagonal
+    entry of K.
     """
-    k = _check_gram(gram)
-    n = k.shape[0]
-    m = _real_embedding(k)
-    try:
-        v = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError("Gram matrix is not positive definite") from exc
-    u = _lll_transform(v)
-    cands = [row[:n] + 1j * row[n:] for row in u.astype(float)]
-    cands += [e.astype(complex) for e in np.eye(n)]
-    cands = _dedup_candidates([c for c in cands if np.any(c != 0)])
-    return _greedy_full_rank(_sorted_by_form(k, cands), n)
+    return _reduce(cholesky_lower(gram).conj().T)
 
 
-def _points_in_ellipsoid(m, bound, radius):
-    """All nonzero integer vectors with x^T M x <= bound and |x_i| <= radius."""
-    nn = m.shape[0]
-    r = np.linalg.cholesky(m).T
+def _points_in_ellipsoid(b, bound, radius):
+    """All nonzero integer vectors with ||b x||^2 <= bound and |x_i| <= radius."""
+    nn = b.shape[1]
+    r = np.linalg.qr(b, mode="r")
+    r *= np.sign(np.diagonal(r))[:, None]   # descend's bounds need r[i, i] > 0
     coords = np.zeros(nn, dtype=np.int64)
     results = []
 
@@ -329,23 +311,18 @@ def brute_force_search(gram, radius):
     always complete a partial selection, so no optimal row can have a larger
     form.  This keeps the result exactly equal to enumerating the whole box.
     """
-    k = _check_gram(gram)
-    n = k.shape[0]
+    f = cholesky_lower(gram).conj().T
+    n = f.shape[0]
     if n > BRUTE_FORCE_MAX_DIM:
         raise InvalidParameterError(
             f"exhaustive search limited to dimension {BRUTE_FORCE_MAX_DIM}")
     radius = check_int(radius, "radius", 1)
-    m = _real_embedding(k)
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError("Gram matrix is not positive definite") from exc
-    bound = float(np.max(np.diagonal(m))) * (1.0 + 1e-9) + 1e-12
-    pts = _points_in_ellipsoid(m, bound, radius)
+    bound = float(np.max(np.linalg.norm(f, axis=0))) ** 2 * (1.0 + 1e-9) + 1e-12
+    pts = _points_in_ellipsoid(_real_embedding(f), bound, radius)
     cands = [p[:n].astype(float) + 1j * p[n:].astype(float) for p in pts]
     cands += [e.astype(complex) for e in np.eye(n)]
     cands = _dedup_candidates(cands)
-    return _greedy_full_rank(_sorted_by_form(k, cands), n)
+    return _greedy_full_rank(_sorted_by_form(f, cands), n)
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +365,14 @@ def if_rate(eff, mode="if", a=None, sic_order="natural"):
     """Integer-forcing rate of an effective channel.
 
     mode "if" uses parallel decoding: stream m gets
-    max(0, -log2 a_m^H K a_m) bits with K = (I + H^H H)^-1.
+    max(0, -log2 a_m^H K a_m) bits with K = (I + H^H H)^-1 = F^H F.
     mode "if-sic" decodes successively; the variances become the squared
-    diagonal of the Cholesky factor of A K A^H, which never increases any
+    diagonal of the triangular factor of F A^T, which never increases any
     stream's variance, so it dominates plain IF row by row.
     sic_order "best" tries every decode order (up to 4 streams).
     The symmetric per-user rate is streams_per_user * worst stream / T.
-    A noise variance that is not finite and positive, which rounding in K
-    can produce at high capacities, raises NumericalDomainError.
+    A noise variance that is not finite and positive raises
+    NumericalDomainError.
     """
     if not isinstance(eff, EffectiveChannel):
         raise InvalidParameterError("eff must be an EffectiveChannel")
@@ -403,12 +380,14 @@ def if_rate(eff, mode="if", a=None, sic_order="natural"):
         raise InvalidParameterError("mode must be 'if' or 'if-sic'")
     h = np.asarray(eff.matrix, dtype=complex)
     n = h.shape[1]
-    k = hermitian_inverse(np.eye(n, dtype=complex) + h.conj().T @ h)
-    a = lll_search(k) if a is None else _validate_a(a, n)
+    r = np.linalg.qr(np.vstack([h, np.eye(n)]), mode="r")
+    f = np.linalg.inv(r).conj().T
+    a = _reduce(f) if a is None else _validate_a(a, n)
+    fa = a @ f.T
     if mode == "if":
-        variances = _quad_forms(k, a)
+        variances = np.linalg.norm(fa, axis=1) ** 2
     else:
-        a, variances = _sic_variances(k, a, sic_order)
+        a, variances = _sic_variances(fa, a, sic_order)
     if not np.all(np.isfinite(variances) & (variances > 0)):
         raise NumericalDomainError("integer-forcing noise variance is not positive")
     rates = np.maximum(0.0, -np.log(variances) / _LN2)
@@ -420,36 +399,33 @@ def if_rate(eff, mode="if", a=None, sic_order="natural"):
                     mode=mode)
 
 
-def _sic_variances(k, a, sic_order):
+def _sic_variances(fa, a, sic_order):
+    """SIC variances of the rows of a, with row m of fa equal to F a_m, in
+    the given decode order or the best one; returns the ordered rows too."""
     if sic_order not in ("natural", "best"):
         raise InvalidParameterError("sic_order must be 'natural' or 'best'")
     n = a.shape[0]
 
-    def variances_for(rows):
-        # (m, m) entry of this Gram matrix is rows_m^H K rows_m, matching
-        # the parallel-decoding forms; its Cholesky diagonal gives the
-        # successively reduced variances.
-        g = rows.conj() @ k @ rows.T
-        try:
-            low = np.linalg.cholesky((g + g.conj().T) / 2.0)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDomainError("SIC Gram matrix is not positive definite") from exc
-        return np.diagonal(low).real ** 2
+    def variances_for(order):
+        # fa^T = Q R makes R^H R the SIC Gram matrix, entry (m, n) being
+        # a_m^H K a_n, so |diag R|^2 are the successively reduced variances.
+        # Taking them from the same product as the parallel forms keeps each
+        # at or below its parallel value to rounding.
+        return np.abs(np.diagonal(np.linalg.qr(fa[order].T, mode="r"))) ** 2
 
     if sic_order == "natural" or n > 4:
-        return a, variances_for(a)
-    best_rows = None
+        return a, variances_for(list(range(n)))
+    best_order = None
     best_var = None
     best_min = -math.inf
     for perm in itertools.permutations(range(n)):
-        rows = a[list(perm)]
-        var = variances_for(rows)
+        var = variances_for(list(perm))
         worst = -np.log(var.max())
         if worst > best_min:
             best_min = worst
-            best_rows = rows
+            best_order = list(perm)
             best_var = var
-    return best_rows, best_var
+    return a[best_order], best_var
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +446,7 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     conditioned on the sum capacity.  Haar precoders are redrawn per trial
     from the same stream as the channel."""
     check_positive(sum_cap_bits, "conditioning capacity")
+    n_users = check_int(n_users, "n_users", 1)
     fixed = _fixed_precoder(precoder_kind, n_users)
     samples = np.empty(cfg.trials)
     for t, rng in enumerate(trial_generators(cfg.seed, cfg.trials)):

@@ -94,8 +94,8 @@ def sample_complex_gaussian(rows, cols, variance, rng):
     Each entry has mean zero and variance ``variance`` (real and imaginary
     parts are independent N(0, variance/2)).
     """
-    if rows < 1 or cols < 1:
-        raise InvalidParameterError("matrix dimensions must be positive")
+    rows = check_int(rows, "rows", 1)
+    cols = check_int(cols, "cols", 1)
     check_positive(variance, "variance")
     g = _as_generator(rng)
     z = g.standard_normal((2, rows, cols))
@@ -110,8 +110,7 @@ def sample_haar_unitary(n, rng):
     that correction the QR convention (real positive diagonal) biases the
     distribution away from Haar measure.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    n = check_int(n, "n", 1)
     z = sample_complex_gaussian(n, n, 1.0, rng)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -127,8 +126,7 @@ def sample_capacity_sphere(dim, sum_cap_bits, rng):
     log2(1 + ||h||^2) equals ``sum_cap_bits`` exactly.  Obtained by
     normalizing an i.i.d. complex Gaussian vector, which is isotropic.
     """
-    if dim < 1:
-        raise InvalidParameterError("dim must be >= 1")
+    dim = check_int(dim, "dim", 1)
     if not (math.isfinite(sum_cap_bits) and sum_cap_bits >= 0):
         raise InvalidParameterError("sum_cap_bits must be non-negative and finite")
     g = _as_generator(rng)

@@ -158,6 +158,10 @@ def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):
     if k > n_users:
         raise InvalidParameterError("k must lie in [1, n_users]")
     grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(sum_cap_bits)
+    if k == n_users:
+        # The full set's rate is C on every draw; summing the sphere would
+        # only add rounding noise around it.
+        return empirical_cdf(np.full(cfg.trials, float(sum_cap_bits)), grid, cfg.trials)
     samples = np.concatenate([
         (n_users / k) * np.log1p((np.abs(h[:, :k]) ** 2).sum(axis=1)) / _LN2
         for h in _capacity_sphere_blocks(cfg.seed, cfg.trials, n_users, sum_cap_bits)])

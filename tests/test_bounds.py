@@ -1,5 +1,6 @@
 """Closed-form outage CDFs and bounds, cross-checked against quadrature."""
 
+import decimal
 import math
 
 import numpy as np
@@ -210,6 +211,18 @@ def test_simo_bound_no_cancellation_at_large_gap():
     expect = 0.5 * 2.0 ** -60.0
     assert got > 0.0
     assert abs(got / expect - 1.0) < 1e-9
+
+
+def test_simo_bound_matches_a_decimal_oracle():
+    # 1 - sqrt(1 - 2^-gap) at 50 digits; the float form must not cancel as
+    # the gap C - R goes to 0, nor lose the tail at large gaps.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for gap in (1e-12, 3.5e-9, 1e-6, 1e-3, 0.5, 1.0, 7.0, 60.0):
+            d = decimal.Decimal(gap)
+            exact = 1 - (1 - decimal.Decimal(2) ** -d).sqrt()
+            got = two_user_simo_bound(0.0, gap)
+            assert abs(decimal.Decimal(got) / exact - 1) < decimal.Decimal("1e-13")
 
 
 def test_simo_bound_monotone_and_domain():

@@ -224,11 +224,8 @@ def test_union_bound_array_matches_the_scalar_bound():
 
 
 def test_simo_bound_array_matches_the_scalar_bound():
-    # Gaps below ~1e-6 bits are left out: there 1 - 2^-gap cancels, and a
-    # last-digit difference between numpy's exp and Python's grows past 1e-12
-    # in both forms alike.
     for rate in (0.5, 3.0, 9.0):
-        conds = np.concatenate([[rate], rate + np.geomspace(1e-6, 60.0, 60)])
+        conds = np.concatenate([[rate], rate + np.geomspace(1e-12, 60.0, 80)])
         want = np.array([two_user_simo_bound(rate, float(c)) for c in conds])
         got = two_user_simo_bound_array(rate, conds)
         np.testing.assert_allclose(got, want, rtol=_REL, atol=0.0)

@@ -56,6 +56,17 @@ def test_complex_gaussian_rejects_bad_args():
         sample_complex_gaussian(2, 2, 0.0, RngStream(0))
     with pytest.raises(InvalidParameterError):
         sample_complex_gaussian(2, 2, 1.0, "not an rng")
+    with pytest.raises(InvalidParameterError):
+        sample_complex_gaussian(2.0001, 2, 1.0, RngStream(0))
+
+
+def test_samplers_reject_non_integral_dimensions():
+    for bad in (0, 2.5):
+        with pytest.raises(InvalidParameterError):
+            sample_capacity_sphere(bad, 1.0, RngStream(0))
+        with pytest.raises(InvalidParameterError):
+            sample_haar_unitary(bad, RngStream(0))
+    assert sample_haar_unitary(np.int64(2), RngStream(0)).shape == (2, 2)
 
 
 def test_haar_unitary_is_unitary():

@@ -114,6 +114,16 @@ def test_cardinality_cdf_matches_beta_law():
             assert abs(p_hat - p_out_k(k, n_users, float(rate), cap)) < _sigma_tol(se)
 
 
+def test_full_set_cardinality_law_is_the_point_mass_at_c():
+    # (N/N) C(S) over the full set is C itself, so P(rate < R) is 0 up to
+    # and including R = C, as p_out_k(N, N, R, C) says.
+    for n_users, cap in ((2, 4.0), (4, 8.0), (3, 2.0)):
+        cfg = SimConfig(trials=2000, seed=2, rate_grid=np.linspace(0.0, cap, 9))
+        curve = conditional_cdf_cardinality(n_users, n_users, cap, cfg)
+        assert np.array_equal(curve.probs, np.zeros(9))
+        assert all(p_out_k(n_users, n_users, float(r), cap) == 0.0 for r in curve.rates)
+
+
 def test_frobenius_sampler_with_single_antennas_reduces_to_scalar():
     grid = np.linspace(0.0, 8.0, 17)
     cfg = SimConfig(trials=600, seed=5, rate_grid=grid)
