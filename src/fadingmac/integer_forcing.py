@@ -15,6 +15,12 @@ real embedding of F.  F's condition number grows like 2^(C/2) rather than
 K's 2^C, which keeps rates at or below the sum capacity up to about C = 80
 bits.  An exhaustive bounded-box search provides the oracle the reduction is
 validated against.
+
+The per-trial search is scalar code: the LLL loop runs on Python floats and
+ints after one numpy QR, since its matrices are at most 8x8; candidate rows
+are tuples of Python ints; and every rank test is exact, by fraction-free
+elimination over the integers, so coefficients of any size (about 10^7 at
+C = 100 bits) never make an independent row look dependent.
 """
 
 import itertools
@@ -148,15 +154,20 @@ def _real_embedding(k):
 
 def _lll_transform(basis, delta=0.75):
     """LLL-reduce the lattice spanned by the columns of a full-rank real
-    matrix; return the unimodular integer U whose rows are the coefficients
-    of the reduced basis vectors, basis @ U.T."""
+    matrix; return the unimodular integer U, as rows of Python ints, whose
+    rows are the coefficients of the reduced basis vectors, basis @ U.T.
+
+    Only the QR runs in numpy.  The reduction loop works on Python floats and
+    ints, which at dimension <= 8 cost far less per element than numpy
+    indexing; round() rounds half to even, as np.rint does.
+    """
     r = np.linalg.qr(basis, mode="r")
     d = np.diagonal(r)
-    # Gram-Schmidt data: mu[i, j] = <b_i, b*_j> / |b*_j|^2 below the diagonal.
-    mu = (r / d[:, None]).T
-    norms = d * d
-    n = len(d)
-    u = np.eye(n, dtype=np.int64)
+    # Gram-Schmidt data: mu[i][j] = <b_i, b*_j> / |b*_j|^2 for j < i.
+    mu = [row[:i] for i, row in enumerate((r / d[:, None]).T.tolist())]
+    norms = (d * d).tolist()
+    n = len(norms)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
     k = 1
     guard = 0
     max_steps = 10000 * n * n
@@ -164,87 +175,111 @@ def _lll_transform(basis, delta=0.75):
         guard += 1
         if guard > max_steps:
             raise NumericalDomainError("lattice reduction failed to converge")
+        mk = mu[k]
         for j in range(k - 1, -1, -1):
-            q = int(np.rint(mu[k, j]))
+            q = round(mk[j])
             if q != 0:
-                u[k] -= q * u[j]
-                mu[k, :j] -= q * mu[j, :j]
-                mu[k, j] -= q
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+                u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+                mj = mu[j]
+                for i in range(j):
+                    mk[i] -= q * mj[i]
+                mk[j] -= q
+        mu_val = mk[k - 1]
+        if norms[k] >= (delta - mu_val ** 2) * norms[k - 1]:
             k += 1
             continue
         # swap vectors k-1 and k, updating the orthogonalization in place
-        mu_val = mu[k, k - 1]
         big = norms[k] + mu_val * mu_val * norms[k - 1]
         mu_new = mu_val * norms[k - 1] / big
         norms[k] = norms[k - 1] * norms[k] / big
         norms[k - 1] = big
-        u[[k - 1, k]] = u[[k, k - 1]]
-        if k >= 2:
-            mu[[k - 1, k], :k - 1] = mu[[k, k - 1], :k - 1]
-        mu[k, k - 1] = mu_new
-        if k + 1 < n:
-            t = mu[k + 1:, k].copy()
-            mu[k + 1:, k] = mu[k + 1:, k - 1] - mu_val * t
-            mu[k + 1:, k - 1] = t + mu_new * mu[k + 1:, k]
+        u[k - 1], u[k] = u[k], u[k - 1]
+        mu[k - 1], mu[k] = mk[:k - 1], mu[k - 1] + [mu_new]
+        for mi in mu[k + 1:]:
+            t = mi[k]
+            mi[k] = mi[k - 1] - mu_val * t
+            mi[k - 1] = t + mu_new * mi[k]
         k = max(k - 1, 1)
     return u
 
 
-def _canonical_unit(vec):
+# A Gaussian-integer row a = x + jy is held as the tuple (x_1..x_n, y_1..y_n)
+# of Python ints, the coefficient layout of the real embedding.
+
+def _canonical_unit(row):
     """Rotate by a Gaussian-integer unit so the first nonzero entry has
     positive real part and non-negative imaginary part.  Unit multiples of a
     row have identical quadratic forms, so this both deduplicates candidates
     and makes tie-breaking deterministic."""
-    for x in vec:
-        if x != 0:
-            if x.real > 0 and x.imag >= 0:
-                unit = 1.0
-            elif x.real <= 0 and x.imag > 0:
-                unit = -1j
-            elif x.real < 0 and x.imag <= 0:
-                unit = -1.0
-            else:
-                unit = 1j
-            return vec * unit
-    return vec
+    n = len(row) // 2
+    x, y = row[:n], row[n:]
+    for re, im in zip(x, y):
+        if re or im:
+            if re > 0 and im >= 0:
+                return row
+            if re <= 0 and im > 0:      # times -j
+                return y + tuple(-v for v in x)
+            if re < 0 and im <= 0:      # times -1
+                return tuple(-v for v in row)
+            return tuple(-v for v in y) + x   # times j
+    return row
 
 
-def _dedup_candidates(rows):
-    seen = set()
-    out = []
-    for row in rows:
-        canon = _canonical_unit(row)
-        key = (tuple(canon.real.astype(np.int64)), tuple(canon.imag.astype(np.int64)))
-        if key not in seen:
-            seen.add(key)
-            out.append(canon)
-    return out
+def _as_complex(rows):
+    """Complex matrix of Gaussian-integer rows."""
+    m = np.array(rows, dtype=float)
+    n = m.shape[1] // 2
+    return m[:, :n] + 1j * m[:, n:]
 
 
-def _sorted_by_form(f, cands):
-    forms = np.linalg.norm(np.array(cands) @ f.T, axis=1) ** 2
-    order = sorted(range(len(cands)),
-                   key=lambda i: (forms[i],
-                                  tuple(cands[i].real.astype(np.int64)),
-                                  tuple(cands[i].imag.astype(np.int64))))
-    return [cands[i] for i in order]
+def _add_if_independent(echelon, row):
+    """Add the Gaussian-integer row to an echelon basis of (pivot, integer
+    row) pairs if it is linearly independent over C of the rows added before;
+    return whether it was.
+
+    Exact: the row enters as the real rows of a and ja, [x, y] and [-y, x],
+    which raise the rational rank by two or not at all.  Each is reduced by
+    fraction-free row operations and stored divided by its content.
+    """
+    n = len(row) // 2
+    for vec in (list(row), [-v for v in row[n:]] + list(row[:n])):
+        for c, p in echelon:
+            if vec[c]:
+                g = math.gcd(p[c], vec[c])
+                s, t = p[c] // g, vec[c] // g
+                vec = [s * a - t * b for a, b in zip(vec, p)]
+        if not any(vec):
+            return False
+        g = math.gcd(*vec)
+        vec = [v // g for v in vec]
+        echelon.append((next(i for i, v in enumerate(vec) if v), vec))
+    return True
 
 
-def _greedy_full_rank(cands, n):
-    """Pick rows in form order, keeping each one that raises the rank over C.
+def _greedy_full_rank(f, rows):
+    """Full-rank selection with the smallest worst form ||F a||^2.
 
+    Deduplicates the rows up to units (keeping first occurrences, so the form
+    product sees the rows in a fixed order), sorts them by (form, row) and
+    picks greedily, keeping each row that raises the rank over C.
     Independence is a matroid, so the greedy basis minimizes the worst
     quadratic form among all full-rank selections from the candidate pool.
     """
+    n = f.shape[0]
+    cands = list(dict.fromkeys(_canonical_unit(r) for r in rows))
+    forms = (np.linalg.norm(_as_complex(cands) @ f.T, axis=1) ** 2).tolist()
+    echelon = []
     sel = []
-    for c in cands:
-        trial = np.array(sel + [c])
-        if np.linalg.matrix_rank(trial) > len(sel):
+    for _, c in sorted(zip(forms, cands)):
+        if _add_if_independent(echelon, c):
             sel.append(c)
             if len(sel) == n:
-                return np.array(sel)
+                return _as_complex(sel)
     raise NumericalDomainError("candidate rows do not span the stream space")
+
+
+def _unit_rows(n):
+    return [tuple(int(i == j) for j in range(2 * n)) for i in range(n)]
 
 
 def _reduce(f):
@@ -252,16 +287,12 @@ def _reduce(f):
 
     LLL-reduces the real embedding of F (delta = 0.75), whose columns span a
     lattice with Gram matrix the real embedding of F^H F, lifts the 2n reduced
-    coefficient rows back to C^n, adds the unit rows, and greedily assembles a
-    basis in form order.  The unit rows guarantee full rank and that no
-    selected row is worse than the worst column norm of F.
+    coefficient rows back to Gaussian-integer rows, adds the unit rows, and
+    greedily assembles a basis in form order.  The unit rows guarantee full
+    rank and that no selected row is worse than the worst column norm of F.
     """
-    n = f.shape[0]
     u = _lll_transform(_real_embedding(f))
-    cands = [row[:n] + 1j * row[n:] for row in u.astype(float)]
-    cands += [e.astype(complex) for e in np.eye(n)]
-    cands = _dedup_candidates([c for c in cands if np.any(c != 0)])
-    return _greedy_full_rank(_sorted_by_form(f, cands), n)
+    return _greedy_full_rank(f, [tuple(row) for row in u] + _unit_rows(f.shape[0]))
 
 
 def lll_search(gram):
@@ -319,10 +350,7 @@ def brute_force_search(gram, radius):
     radius = check_int(radius, "radius", 1)
     bound = float(np.max(np.linalg.norm(f, axis=0))) ** 2 * (1.0 + 1e-9) + 1e-12
     pts = _points_in_ellipsoid(_real_embedding(f), bound, radius)
-    cands = [p[:n].astype(float) + 1j * p[n:].astype(float) for p in pts]
-    cands += [e.astype(complex) for e in np.eye(n)]
-    cands = _dedup_candidates(cands)
-    return _greedy_full_rank(_sorted_by_form(f, cands), n)
+    return _greedy_full_rank(f, [tuple(p.tolist()) for p in pts] + _unit_rows(n))
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +379,14 @@ def _validate_a(a, n):
     a = np.asarray(a, dtype=complex)
     if a.shape != (n, n):
         raise InvalidParameterError("integer matrix must be square of stream dimension")
-    re = np.rint(a.real)
-    im = np.rint(a.imag)
-    if np.max(np.abs(a.real - re)) > 1e-9 or np.max(np.abs(a.imag - im)) > 1e-9:
+    rows = np.hstack([a.real, a.imag])
+    ints = np.rint(rows)
+    if not (np.all(np.isfinite(rows)) and np.max(np.abs(rows - ints)) <= 1e-9):
         raise InvalidParameterError("matrix entries must be Gaussian integers")
-    a = re + 1j * im
-    if np.linalg.matrix_rank(a) != n:
+    echelon = []
+    if not all(_add_if_independent(echelon, tuple(map(int, row))) for row in ints.tolist()):
         raise InvalidParameterError("integer matrix must be full rank")
-    return a
+    return ints[:, :n] + 1j * ints[:, n:]
 
 
 def if_rate(eff, mode="if", a=None, sic_order="natural"):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from fadingmac.bounds import (
@@ -257,3 +259,16 @@ def test_non_finite_integer_parameter_is_a_parameter_error():
         p_out_k(float("inf"), 2, 1.0, 2.0)
     with pytest.raises(InvalidParameterError):
         scalar_bounds(float("nan"), 1.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cap=st.floats(1e-3, 80.0), frac=st.floats(0.0, 1.0), n_users=st.integers(3, 6))
+def test_scalar_bracket_holds_on_generated_points(cap, frac, n_users):
+    rate = frac * cap
+    two = scalar_bounds(2, rate, cap)
+    exact = two_user_cdf(rate, cap)
+    tol = 1e-12 * exact + 1e-300   # the floor covers subnormal results
+    assert two.lower <= exact + tol
+    assert exact <= two.upper + tol
+    many = scalar_bounds(n_users, rate, cap)
+    assert 0.0 <= many.lower <= many.upper + 1e-12

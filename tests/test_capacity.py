@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fadingmac.capacity import (
     MacChannel,
@@ -147,3 +149,11 @@ def test_channel_validation():
     assert MacChannel.from_scalar([1.0, 1.0]).scalar_gains().shape == (2,)
     with pytest.raises(InvalidParameterError):
         MacChannel([np.eye(2)]).scalar_gains()
+
+
+@settings(max_examples=150, deadline=None)
+@given(gains=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=7))
+def test_scalar_shortcut_equals_subset_enumeration(gains):
+    enumerated, _ = symmetric_capacity(MacChannel.from_scalar(np.sqrt(gains)))
+    shortcut = scalar_symmetric_capacity(gains)
+    assert abs(shortcut - enumerated) <= 1e-12 * max(1.0, enumerated)

@@ -215,13 +215,12 @@ def test_brute_force_validation():
 
 
 def test_canonical_unit_rotations():
-    assert np.array_equal(_canonical_unit(np.array([-1.0 + 0j])), np.array([1.0 + 0j]))
-    assert np.array_equal(_canonical_unit(np.array([1j])), np.array([1.0 + 0j]))
-    assert np.array_equal(_canonical_unit(np.array([-1j])), np.array([1.0 + 0j]))
-    out = _canonical_unit(np.array([0.0 + 0j, -2.0 + 1j]))
-    assert np.array_equal(out, np.array([0.0 + 0j, 1.0 + 2j]))
-    zeros = np.zeros(2, dtype=complex)
-    assert np.array_equal(_canonical_unit(zeros), zeros)
+    # rows are (re_1..re_n, im_1..im_n)
+    assert _canonical_unit((-1, 0)) == (1, 0)        # -1
+    assert _canonical_unit((0, 1)) == (1, 0)         # j
+    assert _canonical_unit((0, -1)) == (1, 0)        # -j
+    assert _canonical_unit((0, -2, 0, 1)) == (0, 1, 0, 2)   # (0, -2 + j)
+    assert _canonical_unit((0, 0, 0, 0)) == (0, 0, 0, 0)
 
 
 def test_integer_matrix_validation():
@@ -370,6 +369,39 @@ def test_sic_on_haar_trials_at_high_capacity_stays_within_capacity():
         res = if_rate(eff, mode="if-sic")
         assert np.all(np.isfinite(res.per_stream_rate_bits))
         assert 2.0 * res.symmetric_rate_bits <= cap + 1e-9
+
+
+@pytest.mark.parametrize("kind,trials", [("badr_belfiore", (3, 31, 50, 51, 54)),
+                                          ("haar", (0, 3, 6, 15, 17))])
+def test_precoded_trials_at_100_bits_find_a_full_rank_basis(kind, trials):
+    # Seed 1 trials whose candidate pools have full rank but, with LLL
+    # coefficients near 10^7, looked rank deficient to a floating-point rank
+    # test ("candidate rows do not span the stream space").
+    for t in trials:
+        rng = RngStream(1, t).generator()
+        h = sample_capacity_sphere(2, 100.0, rng)
+        pre = Precoder.badr_belfiore() if kind == "badr_belfiore" else Precoder.haar_t2(2, rng)
+        eff = build_effective_channel(MacChannel.from_scalar(h), pre)
+        for mode in ("if", "if-sic"):
+            total = 2.0 * if_rate(eff, mode=mode).symmetric_rate_bits
+            assert math.isfinite(total) and total <= 100.0 + 1e-9
+
+
+def test_integer_matrix_rank_is_exact_for_large_entries():
+    rng = RngStream(7, 0).generator()
+    eff = _random_scalar_eff(rng, n_users=2)
+    big = 10 ** 8
+    # unimodular: det = big^2 - (big + 1)(big - 1) = 1
+    res = if_rate(eff, a=np.array([[big, big + 1], [big - 1, big]], dtype=float))
+    assert np.array_equal(res.a_re, [[big, big + 1], [big - 1, big]])
+    res = if_rate(eff, a=np.array([[big, 1j * (big + 1)], [-1j * (big - 1), big]]))
+    assert np.array_equal(res.a_im, [[0, big + 1], [-(big - 1), 0]])
+    for dependent in ([[big, big + 1], [2 * big, 2 * big + 2]],
+                      [[big + 1j, big - 1], [(big + 1j) * (3 - 2j), (big - 1) * (3 - 2j)]]):
+        with pytest.raises(InvalidParameterError):
+            if_rate(eff, a=np.array(dependent))
+    with pytest.raises(InvalidParameterError):
+        if_rate(eff, a=np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 @settings(max_examples=60, deadline=None)
