@@ -138,8 +138,14 @@ def build_effective_channel(ch, precoder):
     t = precoder.time_extension
     if t > 1 and ch.n_tx != 1:
         raise InvalidParameterError("time-extended precoding requires n_tx = 1")
-    blocks = [np.kron(p, h) for p, h in zip(precoder.matrices, ch.user_matrices)]
-    return EffectiveChannel(matrix=np.hstack(blocks), n_users=ch.n_users,
+    # kron(P_i, H_i)[(a, k), (b, l)] = P_i[a, b] H_i[k, l], written as one
+    # broadcast product over all users; it multiplies the same entries as
+    # np.kron, so the result is bit-identical.
+    p = np.array(precoder.matrices)
+    h = np.array(ch.user_matrices)
+    blocks = p[:, :, None, :, None] * h[:, None, :, None, :]
+    matrix = blocks.transpose(1, 2, 0, 3, 4).reshape(t * ch.n_rx, -1)
+    return EffectiveChannel(matrix=matrix, n_users=ch.n_users,
                             streams_per_user=ch.n_tx * t, time_extension=t)
 
 

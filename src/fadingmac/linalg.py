@@ -3,15 +3,21 @@
 Every random draw goes through an explicit generator so that simulations are
 reproducible.  :class:`RngStream` is a small value type naming a
 (seed, stream) pair; a given stream always produces the same draws no matter
-how many workers run concurrently.  :func:`trial_generators` is the package's
-reproducibility layout, and the only place it is written: trial t of a run
-with seed s draws from ``RngStream(s, t)``.  Every Monte-Carlo driver draws
-through it, which makes their aggregates independent of execution order.
-The batched engines take their draws from :func:`trial_normals`, which stacks
-each trial's first ``standard_normal`` call into one array per block of
-trials, so batching changes no random number.
+how many workers run concurrently.  :func:`trial_generators` spells out the
+package's reproducibility layout: trial t of a run with seed s draws from
+``RngStream(s, t)``.  Every Monte-Carlo driver draws from these streams,
+which makes their aggregates independent of execution order.  The batched
+engines take their draws from :func:`trial_normals`, which stacks each
+trial's first ``standard_normal`` call into one array per block of trials, so
+batching changes no random number.  Building one SeedSequence and generator
+per trial would cost more than most trials' work, so :func:`trial_normals`
+derives a whole block's PCG64 states at once, with SeedSequence's hash
+written over arrays of spawn keys, and loads them into one reused generator.
+Every block checks its first state against NumPy's own, so a NumPy that
+hashes differently raises instead of changing the draws.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +30,15 @@ _LN2 = math.log(2.0)
 # Trials per block of trial_normals: large enough that numpy's per-call
 # overhead vanishes beside the work, small enough to keep blocks a few MB.
 _TRIAL_BLOCK = 4096
+
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -54,6 +69,68 @@ def trial_generators(seed, trials):
             for t in range(trials))
 
 
+def _mix(x, y):
+    r = ((_MIX_MULT_L * x & _M32) - (_MIX_MULT_R * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _pcg64_states(seed, start, stop):
+    """Yield ``PCG64(SeedSequence(seed, spawn_key=(t,))).state`` for t in [start, stop).
+
+    SeedSequence's entropy pool mixing and ``generate_state(4, uint64)``,
+    then PCG64's seeding step.  The seed's words are mixed as Python ints
+    (they are the same for every t); the spawn-key words, which differ, as
+    uint32 arrays.  The two code paths share one spelling: masking to 32 bits
+    is a no-op on uint32 arrays.
+    """
+    if start < 1 << 32 < stop:
+        yield from _pcg64_states(seed, start, 1 << 32)
+        yield from _pcg64_states(seed, 1 << 32, stop)
+        return
+    keys = np.arange(start, stop, dtype=np.uint64)
+    spawn = [(keys & _M32).astype(np.uint32)]
+    if start >> 32:
+        spawn.append((keys >> 32).astype(np.uint32))
+    # The seed as little-endian 32-bit words, padded to the 4-word pool size
+    # as SeedSequence pads it when there is a spawn key.
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:] + spawn:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const & _M32
+        out.append((value ^ value >> 16).astype(np.uint64))
+    # generate_state pairs the words little-endian into uint64s
+    # s_hi, s_lo, inc_hi, inc_lo.
+    s_hi, s_lo, i_hi, i_lo = ((out[k] | out[k + 1] << np.uint64(32)).tolist()
+                              for k in range(0, 8, 2))
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        # pcg64_set_seed: state = 0, one LCG step, add the seed, one more step.
+        inc = ((c << 64 | d) << 1 | 1) & _M128
+        state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
 def trial_normals(seed, trials, shape):
     """Yield a seeded run's standard normals as (rows, *shape) arrays.
 
@@ -61,13 +138,23 @@ def trial_normals(seed, trials, shape):
     draw from trial t's generator, so an engine working on whole blocks sees
     exactly the numbers a loop over trial_generators would.  Blocks hold at
     most _TRIAL_BLOCK trials, which bounds an engine's memory at any trial
-    count.
+    count.  The trials' PCG64 states come from _pcg64_states and are loaded
+    one by one into a single generator; each block's first state is checked
+    against NumPy's.
     """
-    gens = trial_generators(seed, trials)
+    seed = check_int(seed, "seed", 0)
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
     for start in range(0, trials, _TRIAL_BLOCK):
         out = np.empty((min(_TRIAL_BLOCK, trials - start), *shape))
-        for row, g in zip(out, gens):
-            g.standard_normal(out=row)
+        states = _pcg64_states(seed, start, start + len(out))
+        first = next(states)
+        if first != RngStream(seed, start).generator().bit_generator.state:
+            raise RuntimeError("numpy's SeedSequence no longer hashes as linalg._pcg64_states "
+                               f"does (seed {seed}, trial {start})")
+        for row, state in zip(out, itertools.chain([first], states)):
+            bits.state = state
+            gen.standard_normal(out=row)
         yield out
 
 

@@ -2,7 +2,9 @@
 
 The engines work on blocks of trials at once.  linalg.trial_normals hands
 them each trial's draws as one row of an array, taken from that trial's own
-stream, and every step after the draw (sphere normalization, subset rates,
+stream; it derives a block's per-trial PCG64 states in bulk and checks them
+against NumPy's SeedSequence, so no engine builds a generator per trial.
+Every step after the draw (sphere normalization, subset rates,
 subset-Gram eigenvalues, the averaged bounds) is an array operation over the
 block.  Results are therefore bit-reproducible, independent of scheduling and
 of the block size, and use the same random numbers as a per-trial loop over
@@ -11,7 +13,6 @@ strict event {rate < R}, matching the analytic formulas, and report the atom
 mass at the conditioning capacity separately.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -21,7 +22,7 @@ import numpy as np
 from .bounds import ScenarioDims, mimo_union_bound_array, two_user_simo_bound_array
 from .capacity import scaled_subset_rates
 from .errors import InvalidParameterError, check_int, check_positive
-from .linalg import sample_capacity_sphere, trial_generators, trial_normals
+from .linalg import RngStream, sample_capacity_sphere, trial_normals
 
 _LN2 = math.log(2.0)
 
@@ -105,7 +106,7 @@ def _capacity_sphere_blocks(seed, trials, dim, sum_cap_bits):
         for row in np.flatnonzero(nrm == 0):
             # The sampler redraws an all-zero vector from the same stream, so
             # replay that trial through it.
-            g = next(itertools.islice(trial_generators(seed, trials), first + row, None))
+            g = RngStream(seed, first + row).generator()
             h[row] = sample_capacity_sphere(dim, sum_cap_bits, g)
         first += len(h)
         yield h

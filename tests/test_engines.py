@@ -163,16 +163,22 @@ def test_all_zero_draw_is_replayed_through_the_sampler(monkeypatch):
     # The per-trial sampler redraws a zero vector from the same stream; the
     # engine replays such a row through it, so zeroing one row of the batched
     # draw must leave the result unchanged (the replay sees the real draw).
-    cfg = SimConfig(trials=40, seed=35)
+    # Trial 4100 sits in the second block, so its replay needs the block's
+    # offset.
+    cfg = SimConfig(trials=5000, seed=35)
     plain = montecarlo._conditioned_sym_samples(3, 5.0, cfg)
     real = montecarlo.trial_normals
 
-    def zero_row(seed, trials, shape):
+    def zero_rows(seed, trials, shape):
+        first = 0
         for block in real(seed, trials, shape):
-            block[17] = 0.0
+            for t in (17, 4100):
+                if first <= t < first + len(block):
+                    block[t - first] = 0.0
+            first += len(block)
             yield block
 
-    monkeypatch.setattr(montecarlo, "trial_normals", zero_row)
+    monkeypatch.setattr(montecarlo, "trial_normals", zero_rows)
     patched = montecarlo._conditioned_sym_samples(3, 5.0, cfg)
     assert np.array_equal(plain[0], patched[0]) and plain[1] == patched[1]
 

@@ -93,6 +93,24 @@ def test_effective_channel_kron_structure():
     assert np.max(np.abs(plain.matrix - h[None, :])) < 1e-15
 
 
+@pytest.mark.parametrize("kind, n_users, n_rx, n_tx", [
+    ("none", 2, 1, 1), ("none", 3, 2, 2), ("none", 2, 3, 2),
+    ("badr_belfiore", 2, 1, 1), ("badr_belfiore", 2, 3, 1),
+    ("haar", 2, 1, 1), ("haar", 4, 2, 1)])
+def test_effective_channel_equals_np_kron_bit_for_bit(kind, n_users, n_rx, n_tx):
+    rng = RngStream(9, n_users * 100 + n_rx * 10 + n_tx).generator()
+    for _ in range(50):
+        z = rng.standard_normal((2, n_users, n_rx, n_tx))
+        ch = MacChannel(user_matrices=list(z[0] + 1j * z[1]))
+        if kind == "haar":
+            pre = Precoder.haar_t2(n_users, rng)
+        else:
+            pre = Precoder.identity(n_users) if kind == "none" else Precoder.badr_belfiore()
+        eff = build_effective_channel(ch, pre)
+        want = np.hstack([np.kron(p, h) for p, h in zip(pre.matrices, ch.user_matrices)])
+        assert np.array_equal(eff.matrix, want)
+
+
 def test_time_extension_requires_single_tx_antenna():
     rng = RngStream(1, 0).generator()
     mats = [rng.standard_normal((2, 2)) + 0j for _ in range(2)]

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from fadingmac import linalg
 from fadingmac.errors import InvalidParameterError, NumericalDomainError
 from fadingmac.linalg import (
     RngStream,
@@ -15,6 +18,7 @@ from fadingmac.linalg import (
     sample_complex_gaussian,
     sample_haar_unitary,
     trial_generators,
+    trial_normals,
 )
 
 
@@ -155,3 +159,46 @@ def test_trial_generators_follow_the_seed_sequence_layout():
         assert np.array_equal(d, np.random.default_rng(ss).standard_normal(4))
         assert np.array_equal(d, RngStream(7, t).generator().standard_normal(4))
     assert list(trial_generators(7, 0)) == []
+
+
+def _numpy_pcg64_state(seed, t):
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))).state
+
+
+# Trial indices where the bulk hash could go wrong: block edges, and the
+# spawn key's growth from one 32-bit word to two at 2**32.
+_EDGE_TRIALS = [0, 1, 4095, 4096, 4097, 99_999, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1,
+                2**40 + 3, 2**64 - 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**130 - 1), st.sampled_from(
+           [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128, 2**130 - 1])),
+       start=st.one_of(st.sampled_from(_EDGE_TRIALS), st.integers(0, 2**64 - 4)),
+       width=st.integers(1, 3))
+def test_bulk_states_equal_numpy_seed_sequence(seed, start, width):
+    # Seeds up to five words wide take SeedSequence's extra mixing branch.
+    got = list(linalg._pcg64_states(seed, start, start + width))
+    assert got == [_numpy_pcg64_state(seed, t) for t in range(start, start + width)]
+
+
+def test_bulk_states_span_the_two_word_spawn_keys():
+    start, stop = 2**32 - 3, 2**32 + 3
+    assert list(linalg._pcg64_states(5, start, stop)) == [
+        _numpy_pcg64_state(5, t) for t in range(start, stop)]
+
+
+@pytest.mark.parametrize("trials", [1, 4096, 4097, 9000])
+@pytest.mark.parametrize("shape", [(2,), (2, 3), (2, 2, 1, 3)])
+def test_trial_normals_equal_a_loop_over_trial_generators(trials, shape):
+    blocks = list(trial_normals(2**33 + 5, trials, shape))
+    assert [len(b) for b in blocks][:-1] == [4096] * (len(blocks) - 1)
+    got = np.concatenate(blocks)
+    want = np.array([g.standard_normal(shape) for g in trial_generators(2**33 + 5, trials)])
+    assert np.array_equal(got, want)
+
+
+def test_trial_normals_raise_when_the_hash_disagrees_with_numpy(monkeypatch):
+    monkeypatch.setattr(linalg, "_MULT_B", linalg._MULT_B ^ 1)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        next(trial_normals(3, 10, (2,)))
