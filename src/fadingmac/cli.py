@@ -342,7 +342,9 @@ def _fig_10(params):
             samples = conditioned_rate_samples(users, c, _PRECODER_NAMES[pre],
                                                mode, cfg)
             frac = float(samples.mean()) / c
-            err = float(samples.std(ddof=1)) / (math.sqrt(cfg.trials) * c)
+            # One trial has no sample spread: leave the stderr empty.
+            err = (float(samples.std(ddof=1)) / (math.sqrt(cfg.trials) * c)
+                   if cfg.trials > 1 else None)
             rows.append((f"{mode}-{pre}", c, frac, err))
     return rows
 

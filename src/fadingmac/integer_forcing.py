@@ -16,11 +16,18 @@ K's 2^C, which keeps rates at or below the sum capacity up to about C = 80
 bits.  An exhaustive bounded-box search provides the oracle the reduction is
 validated against.
 
-The per-trial search is scalar code: the LLL loop runs on Python floats and
-ints after one numpy QR, since its matrices are at most 8x8; candidate rows
-are tuples of Python ints; and every rank test is exact, by fraction-free
-elimination over the integers, so coefficients of any size (about 10^7 at
-C = 100 bits) never make an independent row look dependent.
+conditioned_rate_samples works on blocks of trials, drawn through
+linalg.capacity_sphere_blocks as the conditioned Monte-Carlo engines are:
+each trial's sphere and Haar normals are one row.  The sphere normalization,
+the Haar QRs, the effective channels, F, the QR factors of F's real
+embeddings, F A^T, the variances and the rates are stacked numpy calls over
+the block.  if_rate calls the same helpers on a stack of one, so a row
+equals the per-trial rate bit for bit.  Only the search runs per trial, as
+scalar code: the LLL loop runs on Python floats and ints from the
+precomputed QR factor, since its matrices are small (2n x 2n for n streams);
+candidate rows are tuples of Python ints; and every rank test is exact, by
+fraction-free elimination over the integers, so coefficients of any size
+(about 10^7 at C = 100 bits) never make an independent row look dependent.
 """
 
 import itertools
@@ -31,8 +38,8 @@ import numpy as np
 
 from .capacity import MacChannel
 from .errors import InvalidParameterError, NumericalDomainError, check_int, check_positive
-from .linalg import cholesky_lower, sample_capacity_sphere, sample_haar_unitary, \
-    trial_generators
+from .linalg import capacity_sphere_blocks, cholesky_lower, haar_unitary_rows, \
+    sample_haar_unitary
 from .montecarlo import default_rate_grid, empirical_cdf
 
 _LN2 = math.log(2.0)
@@ -62,6 +69,13 @@ def badr_belfiore_precoders():
     return p1, p2
 
 
+def _check_unitary(mats):
+    """Raise unless every matrix of the stack (..., T, T) is unitary to 1e-12."""
+    gram = mats.conj().swapaxes(-1, -2) @ mats
+    if np.max(np.abs(gram - np.eye(mats.shape[-1]))) > 1e-12:
+        raise InvalidParameterError("precoder matrices must be unitary")
+
+
 @dataclass(frozen=True)
 class Precoder:
     """Per-user unitary spreading matrices over a common time extension."""
@@ -78,8 +92,7 @@ class Precoder:
         for m in self.matrices:
             if m.shape != (t, t):
                 raise InvalidParameterError("precoder matrices must be square, equal size")
-            if np.max(np.abs(m.conj().T @ m - np.eye(t))) > 1e-12:
-                raise InvalidParameterError("precoder matrices must be unitary")
+        _check_unitary(np.array(self.matrices))
 
     @property
     def time_extension(self):
@@ -138,15 +151,22 @@ def build_effective_channel(ch, precoder):
     t = precoder.time_extension
     if t > 1 and ch.n_tx != 1:
         raise InvalidParameterError("time-extended precoding requires n_tx = 1")
-    # kron(P_i, H_i)[(a, k), (b, l)] = P_i[a, b] H_i[k, l], written as one
-    # broadcast product over all users; it multiplies the same entries as
-    # np.kron, so the result is bit-identical.
-    p = np.array(precoder.matrices)
-    h = np.array(ch.user_matrices)
-    blocks = p[:, :, None, :, None] * h[:, None, :, None, :]
-    matrix = blocks.transpose(1, 2, 0, 3, 4).reshape(t * ch.n_rx, -1)
+    matrix = _effective_matrices(np.array(precoder.matrices), np.array(ch.user_matrices))
     return EffectiveChannel(matrix=matrix, n_users=ch.n_users,
                             streams_per_user=ch.n_tx * t, time_extension=t)
+
+
+def _effective_matrices(p, h):
+    """Effective matrices of stacked precoders p (..., N, T, T) and user
+    matrices h (..., N, n_rx, n_tx), shape (..., T n_rx, N T n_tx).
+
+    kron(P_i, H_i)[(a, k), (b, l)] = P_i[a, b] H_i[k, l], written as one
+    broadcast product over all users; it multiplies the same entries as
+    np.kron, so the result is bit-identical.
+    """
+    blocks = (p.swapaxes(-3, -2)[..., :, None, :, :, None]
+              * h.swapaxes(-3, -2)[..., None, :, :, None, :])
+    return blocks.reshape(*blocks.shape[:-5], blocks.shape[-5] * blocks.shape[-4], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +174,21 @@ def build_effective_channel(ch, precoder):
 
 def _real_embedding(k):
     """Real matrix M acting on [u; v] as k acts on a = u + jv, so
-    ||k a|| = ||M [u; v]|| and, for Hermitian k, a^H k a = [u v]^T M [u v]."""
+    ||k a|| = ||M [u; v]|| and, for Hermitian k, a^H k a = [u v]^T M [u v].
+    Embeds each matrix of a stack (..., n, n)."""
     return np.block([[k.real, -k.imag], [k.imag, k.real]])
 
 
-def _lll_transform(basis, delta=0.75):
+def _lll_transform(r, delta=0.75):
     """LLL-reduce the lattice spanned by the columns of a full-rank real
-    matrix; return the unimodular integer U, as rows of Python ints, whose
-    rows are the coefficients of the reduced basis vectors, basis @ U.T.
+    matrix B, given the triangular factor r of its QR decomposition; return
+    the unimodular integer U, as rows of Python ints, whose rows are the
+    coefficients of the reduced basis vectors, B @ U.T.
 
-    Only the QR runs in numpy.  The reduction loop works on Python floats and
-    ints, which at dimension <= 8 cost far less per element than numpy
-    indexing; round() rounds half to even, as np.rint does.
+    The reduction loop works on Python floats and ints, which at these small
+    dimensions cost far less per element than numpy indexing; round() rounds
+    half to even, as np.rint does.
     """
-    r = np.linalg.qr(basis, mode="r")
     d = np.diagonal(r)
     # Gram-Schmidt data: mu[i][j] = <b_i, b*_j> / |b*_j|^2 for j < i.
     mu = [row[:i] for i, row in enumerate((r / d[:, None]).T.tolist())]
@@ -288,17 +309,22 @@ def _unit_rows(n):
     return [tuple(int(i == j) for j in range(2 * n)) for i in range(n)]
 
 
-def _reduce(f):
-    """Full-rank Gaussian-integer matrix with small forms ||F a||^2.
+def _search(f):
+    """Full-rank Gaussian-integer matrices with small forms ||F a||^2, one
+    per F of the stack f (rows, n, n).
 
-    LLL-reduces the real embedding of F (delta = 0.75), whose columns span a
-    lattice with Gram matrix the real embedding of F^H F, lifts the 2n reduced
-    coefficient rows back to Gaussian-integer rows, adds the unit rows, and
-    greedily assembles a basis in form order.  The unit rows guarantee full
-    rank and that no selected row is worse than the worst column norm of F.
+    LLL-reduces the real embedding of each F (delta = 0.75), whose columns
+    span a lattice with Gram matrix the real embedding of F^H F, lifts the 2n
+    reduced coefficient rows back to Gaussian-integer rows, adds the unit
+    rows, and greedily assembles a basis in form order.  The unit rows
+    guarantee full rank and that no selected row is worse than the worst
+    column norm of F.  The QR factors of the embeddings come from one
+    stacked call; the reduction and the greedy basis run per matrix.
     """
-    u = _lll_transform(_real_embedding(f))
-    return _greedy_full_rank(f, [tuple(row) for row in u] + _unit_rows(f.shape[0]))
+    units = _unit_rows(f.shape[-1])
+    return np.array([
+        _greedy_full_rank(fi, [tuple(row) for row in _lll_transform(ri)] + units)
+        for fi, ri in zip(f, np.linalg.qr(_real_embedding(f), mode="r"))])
 
 
 def lll_search(gram):
@@ -308,7 +334,7 @@ def lll_search(gram):
     a^H K a = ||F a||^2.  No selected row is worse than the worst diagonal
     entry of K.
     """
-    return _reduce(cholesky_lower(gram).conj().T)
+    return _search(cholesky_lower(gram).conj().T[None])[0]
 
 
 def _points_in_ellipsoid(b, bound, radius):
@@ -395,6 +421,43 @@ def _validate_a(a, n):
     return ints[:, :n] + 1j * ints[:, n:]
 
 
+def _check_mode(mode):
+    if mode not in ("if", "if-sic"):
+        raise InvalidParameterError("mode must be 'if' or 'if-sic'")
+
+
+def _sqrt_factors(h):
+    """F = R^-H for a stack of effective channels h (..., rows, n), where R
+    is the triangular factor of a QR decomposition of [H; I], so that
+    R^H R = I + H^H H and K = F^H F."""
+    n = h.shape[-1]
+    eye = np.broadcast_to(np.eye(n), (*h.shape[:-2], n, n))
+    r = np.linalg.qr(np.concatenate([h, eye], axis=-2), mode="r")
+    return np.linalg.inv(r).conj().swapaxes(-1, -2)
+
+
+def _variances(fa, mode):
+    """Noise variances of the streams whose rows F a_m stack in fa (..., n, n).
+
+    Parallel IF: ||F a_m||^2.  SIC: fa^T = Q R makes R^H R the SIC Gram
+    matrix, entry (m, n) being a_m^H K a_n, so |diag R|^2 are the
+    successively reduced variances.  Taking them from the same product as
+    the parallel forms keeps each at or below its parallel value to rounding.
+    """
+    if mode == "if":
+        return np.linalg.norm(fa, axis=-1) ** 2
+    r = np.linalg.qr(fa.swapaxes(-1, -2), mode="r")
+    return np.abs(np.diagonal(r, axis1=-2, axis2=-1)) ** 2
+
+
+def _rates(variances):
+    """Per-stream rates max(0, -log2 variance); a variance that is not
+    finite and positive raises NumericalDomainError."""
+    if not np.all(np.isfinite(variances) & (variances > 0)):
+        raise NumericalDomainError("integer-forcing noise variance is not positive")
+    return np.maximum(0.0, -np.log(variances) / _LN2)
+
+
 def if_rate(eff, mode="if", a=None, sic_order="natural"):
     """Integer-forcing rate of an effective channel.
 
@@ -410,21 +473,14 @@ def if_rate(eff, mode="if", a=None, sic_order="natural"):
     """
     if not isinstance(eff, EffectiveChannel):
         raise InvalidParameterError("eff must be an EffectiveChannel")
-    if mode not in ("if", "if-sic"):
-        raise InvalidParameterError("mode must be 'if' or 'if-sic'")
-    h = np.asarray(eff.matrix, dtype=complex)
-    n = h.shape[1]
-    r = np.linalg.qr(np.vstack([h, np.eye(n)]), mode="r")
-    f = np.linalg.inv(r).conj().T
-    a = _reduce(f) if a is None else _validate_a(a, n)
-    fa = a @ f.T
-    if mode == "if":
-        variances = np.linalg.norm(fa, axis=1) ** 2
-    else:
-        a, variances = _sic_variances(fa, a, sic_order)
-    if not np.all(np.isfinite(variances) & (variances > 0)):
-        raise NumericalDomainError("integer-forcing noise variance is not positive")
-    rates = np.maximum(0.0, -np.log(variances) / _LN2)
+    _check_mode(mode)
+    f = _sqrt_factors(np.asarray(eff.matrix, dtype=complex)[None])
+    a = _search(f)[0] if a is None else _validate_a(a, f.shape[-1])
+    fa = a @ f[0].T
+    if mode == "if-sic":
+        order = _sic_order(fa, sic_order)
+        a, fa = a[order], fa[order]
+    rates = _rates(_variances(fa, mode))
     sym = eff.streams_per_user * float(rates.min()) / eff.time_extension
     return IfResult(a_re=np.rint(a.real).astype(np.int64),
                     a_im=np.rint(a.imag).astype(np.int64),
@@ -433,33 +489,22 @@ def if_rate(eff, mode="if", a=None, sic_order="natural"):
                     mode=mode)
 
 
-def _sic_variances(fa, a, sic_order):
-    """SIC variances of the rows of a, with row m of fa equal to F a_m, in
-    the given decode order or the best one; returns the ordered rows too."""
+def _sic_order(fa, sic_order):
+    """Decode order of the rows of fa: natural, or the first of all orders
+    (up to 4 streams) whose worst SIC variance is smallest."""
     if sic_order not in ("natural", "best"):
         raise InvalidParameterError("sic_order must be 'natural' or 'best'")
-    n = a.shape[0]
-
-    def variances_for(order):
-        # fa^T = Q R makes R^H R the SIC Gram matrix, entry (m, n) being
-        # a_m^H K a_n, so |diag R|^2 are the successively reduced variances.
-        # Taking them from the same product as the parallel forms keeps each
-        # at or below its parallel value to rounding.
-        return np.abs(np.diagonal(np.linalg.qr(fa[order].T, mode="r"))) ** 2
-
+    n = fa.shape[0]
+    best_order = list(range(n))
     if sic_order == "natural" or n > 4:
-        return a, variances_for(list(range(n)))
-    best_order = None
-    best_var = None
+        return best_order
     best_min = -math.inf
     for perm in itertools.permutations(range(n)):
-        var = variances_for(list(perm))
-        worst = -np.log(var.max())
+        worst = -np.log(_variances(fa[list(perm)], "if-sic").max())
         if worst > best_min:
             best_min = worst
             best_order = list(perm)
-            best_var = var
-    return a[best_order], best_var
+    return best_order
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +523,38 @@ def _fixed_precoder(kind, n_users):
 def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     """Total symmetric IF rate (N users x per-user rate) for channels drawn
     conditioned on the sum capacity.  Haar precoders are redrawn per trial
-    from the same stream as the channel."""
+    from the same stream as the channel.
+
+    Works on blocks of trials: every step but the lattice reduction and the
+    greedy basis is a stacked numpy call, and row t equals
+    N * if_rate(...).symmetric_rate_bits of trial t's channel.
+    """
     check_positive(sum_cap_bits, "conditioning capacity")
     n_users = check_int(n_users, "n_users", 1)
     fixed = _fixed_precoder(precoder_kind, n_users)
-    samples = np.empty(cfg.trials)
-    for t, rng in enumerate(trial_generators(cfg.seed, cfg.trials)):
-        h = sample_capacity_sphere(n_users, sum_cap_bits, rng)
-        pre = fixed if fixed is not None else Precoder.haar_t2(n_users, rng)
-        eff = build_effective_channel(MacChannel.from_scalar(h), pre)
-        res = if_rate(eff, mode=mode)
-        samples[t] = n_users * res.symmetric_rate_bits
-    return samples
+    # A Haar trial draws one 2x2 unitary per user after its sphere draw;
+    # standard_normal keeps no state between calls, so those are the next
+    # 8N normals of the trial's stream.
+    extra = 8 * n_users if fixed is None else 0
+    samples = []
+    for h, z in capacity_sphere_blocks(cfg.seed, cfg.trials, n_users, sum_cap_bits, extra):
+        if fixed is None:
+            p = haar_unitary_rows(z.reshape(-1, n_users, 2, 2, 2))
+            _check_unitary(p)
+        else:
+            p = np.array(fixed.matrices)[None]
+        if not np.all(np.isfinite(h.view(float))):
+            raise InvalidParameterError("channel matrices must be finite")
+        eff = _effective_matrices(p, h[:, :, None, None])
+        if not np.all(np.isfinite(eff.view(float))):
+            raise InvalidParameterError("effective matrix must be 2-D and finite")
+        _check_mode(mode)   # where if_rate checks it, after the channel checks
+        f = _sqrt_factors(eff)
+        a = _search(f)
+        rates = _rates(_variances(a @ f.swapaxes(-1, -2), mode))
+        t = p.shape[-1]
+        samples.append(n_users * (t * rates.min(axis=-1) / t))
+    return np.concatenate(samples)
 
 
 def if_rate_cdf_conditioned(n_users, sum_cap_bits, precoder_kind, mode, cfg,

@@ -7,12 +7,15 @@ how many workers run concurrently.  :func:`trial_generators` spells out the
 package's reproducibility layout: trial t of a run with seed s draws from
 ``RngStream(s, t)``.  Every Monte-Carlo driver draws from these streams,
 which makes their aggregates independent of execution order.  The batched
-engines take their draws from :func:`trial_normals`, which stacks each
-trial's first ``standard_normal`` call into one array per block of trials, so
-batching changes no random number.  Building one SeedSequence and generator
-per trial would cost more than most trials' work, so :func:`trial_normals`
-derives a whole block's PCG64 states at once, with SeedSequence's hash
-written over arrays of spawn keys, and loads them into one reused generator.
+engines, the integer-forcing one included, take their draws from
+:func:`trial_normals`, which stacks each trial's first ``standard_normal``
+call into one array per block of trials, so batching changes no random
+number; :func:`capacity_sphere_blocks` and :func:`haar_unitary_rows` turn
+those rows into exactly what the per-trial samplers return.  Building one
+SeedSequence and generator per trial would cost more than most trials'
+work, so :func:`trial_normals` derives a whole block's PCG64 states at once,
+with SeedSequence's hash written over arrays of spawn keys, and loads them
+into one reused generator.
 Every block checks its first state against NumPy's own, so a NumPy that
 hashes differently raises instead of changing the draws.
 """
@@ -198,12 +201,22 @@ def sample_haar_unitary(n, rng):
     distribution away from Haar measure.
     """
     n = check_int(n, "n", 1)
-    z = sample_complex_gaussian(n, n, 1.0, rng)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    return haar_unitary_rows(_as_generator(rng).standard_normal((2, n, n)))
+
+
+def haar_unitary_rows(z):
+    """Haar unitaries from stacked standard normals z of shape (..., 2, n, n).
+
+    Each n x n result is what sample_haar_unitary returns after drawing
+    that (2, n, n) slice: the same unit-variance complex Gaussian, QR and
+    phase correction, as stacked numpy calls.
+    """
+    g = math.sqrt(0.5) * (z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(d)
     ph = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
-    return q * ph
+    return q * ph[..., None, :]
 
 
 def sample_capacity_sphere(dim, sum_cap_bits, rng):
@@ -225,6 +238,36 @@ def sample_capacity_sphere(dim, sum_cap_bits, rng):
             break
     radius = math.sqrt(math.expm1(sum_cap_bits * _LN2))
     return v * (radius / nrm)
+
+
+def capacity_sphere_blocks(seed, trials, dim, sum_cap_bits, extra=0):
+    """Yield a seeded run's capacity-sphere draws in blocks of rows (h, rest).
+
+    Row t of h is sample_capacity_sphere(dim, sum_cap_bits, g) for trial t's
+    generator g, bit for bit, and row t of rest holds the ``extra`` standard
+    normals g draws next.  The 1-D np.linalg.norm the sampler takes sums the
+    squares as two strided dot products, of the real and of the imaginary
+    parts; a stacked (1 x dim) @ (dim x 1) product runs that same dot on
+    every row, whereas np.linalg.norm(v, axis=1) sums in another order and
+    differs in the last bit on about one row in seven.  The sampler redraws
+    an all-zero vector from the same stream, so such a trial is replayed
+    through it.
+    """
+    radius = math.sqrt(math.expm1(sum_cap_bits * _LN2))
+    first = 0
+    for z in trial_normals(seed, trials, (2 * dim + extra,)):
+        v = z[:, :dim] + 1j * z[:, dim:2 * dim]
+        re, im = v.real, v.imag
+        sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+        nrm = np.sqrt(sq[:, 0, 0])
+        h = v * (radius / np.where(nrm > 0, nrm, 1.0))[:, None]
+        rest = z[:, 2 * dim:]
+        for row in np.flatnonzero(nrm == 0):
+            g = RngStream(seed, first + row).generator()
+            h[row] = sample_capacity_sphere(dim, sum_cap_bits, g)
+            rest[row] = g.standard_normal(extra)
+        first += len(z)
+        yield h, rest
 
 
 def cholesky_lower(k):

@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import ScenarioDims, mimo_union_bound_array, two_user_simo_bound_array
 from .capacity import scaled_subset_rates
 from .errors import InvalidParameterError, check_int, check_positive
-from .linalg import RngStream, sample_capacity_sphere, trial_normals
+from .linalg import capacity_sphere_blocks, trial_normals
 
 _LN2 = math.log(2.0)
 
@@ -94,24 +94,6 @@ def empirical_cdf(samples, grid, trials, atom_count=None):
                     trials=trials, atom_mass=atom_mass, atom_stderr=atom_stderr)
 
 
-def _capacity_sphere_blocks(seed, trials, dim, sum_cap_bits):
-    """Blocks of capacity-sphere draws, one row per trial: row t equals
-    sample_capacity_sphere(dim, sum_cap_bits, g) for trial t's generator g."""
-    radius = math.sqrt(math.expm1(sum_cap_bits * _LN2))
-    first = 0
-    for z in trial_normals(seed, trials, (2, dim)):
-        v = z[:, 0] + 1j * z[:, 1]
-        nrm = np.linalg.norm(v, axis=1)
-        h = v * (radius / np.where(nrm > 0, nrm, 1.0))[:, None]
-        for row in np.flatnonzero(nrm == 0):
-            # The sampler redraws an all-zero vector from the same stream, so
-            # replay that trial through it.
-            g = RngStream(seed, first + row).generator()
-            h[row] = sample_capacity_sphere(dim, sum_cap_bits, g)
-        first += len(h)
-        yield h
-
-
 def _conditioned_sym_samples(n_users, sum_cap_bits, cfg, block_dim=1):
     """Symmetric-capacity draws conditioned on the (Frobenius) sum rate.
 
@@ -123,8 +105,8 @@ def _conditioned_sym_samples(n_users, sum_cap_bits, cfg, block_dim=1):
         return np.full(cfg.trials, float(sum_cap_bits)), cfg.trials
     samples = []
     atom = 0
-    for h in _capacity_sphere_blocks(cfg.seed, cfg.trials, n_users * block_dim,
-                                     sum_cap_bits):
+    for h, _ in capacity_sphere_blocks(cfg.seed, cfg.trials, n_users * block_dim,
+                                       sum_cap_bits):
         gains = (np.abs(h) ** 2).reshape(len(h), n_users, block_dim).sum(axis=2)
         partial_min = scaled_subset_rates(np.sort(gains, axis=1))[:, :-1].min(axis=1)
         in_atom = partial_min >= sum_cap_bits
@@ -165,7 +147,7 @@ def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):
         return empirical_cdf(np.full(cfg.trials, float(sum_cap_bits)), grid, cfg.trials)
     samples = np.concatenate([
         (n_users / k) * np.log1p((np.abs(h[:, :k]) ** 2).sum(axis=1)) / _LN2
-        for h in _capacity_sphere_blocks(cfg.seed, cfg.trials, n_users, sum_cap_bits)])
+        for h, _ in capacity_sphere_blocks(cfg.seed, cfg.trials, n_users, sum_cap_bits)])
     return empirical_cdf(samples, grid, cfg.trials)
 
 

@@ -127,6 +127,19 @@ def test_if_sim_writes_cdf(tmp_path, capsys):
     assert all(0.0 <= y <= 1.0 for y in ys)
 
 
+def test_fig10_with_one_trial_leaves_the_stderr_empty(tmp_path, capsys):
+    # The sample standard deviation of one trial is undefined; the rows get
+    # an empty stderr, as the analytic ml rows do, and no numpy
+    # RuntimeWarning (which the test configuration turns into an error).
+    out = tmp_path / "fig10.csv"
+    assert main(["fig", "10", "--trials", "1", "--out", str(out)]) == 0
+    rows = _read_rows(out)[1:]
+    empirical = [r for r in rows if r[0] != "ml"]
+    assert len(empirical) == 32
+    assert all(r[3] == "" and 0.0 <= float(r[2]) <= 1.0 for r in empirical)
+    assert "nan" not in out.read_text()
+
+
 def test_rerun_rejects_bad_manifest(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"command": "validate", "params": {}}))

@@ -159,6 +159,16 @@ def test_results_do_not_depend_on_the_trial_block(monkeypatch):
     np.testing.assert_allclose(runs[0][3], runs[1][3], rtol=_REL, atol=0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 12])
+def test_sphere_rows_equal_the_sampler_bit_for_bit(dim):
+    # np.linalg.norm(v, axis=1) rounds differently from the 1-D norm the
+    # sampler takes on about one row in seven; the engines must not.
+    ((h, _),) = linalg.capacity_sphere_blocks(41, 3000, dim, 7.0)
+    want = np.array([sample_capacity_sphere(dim, 7.0, rng)
+                     for rng in trial_generators(41, 3000)])
+    assert np.array_equal(h, want)
+
+
 def test_all_zero_draw_is_replayed_through_the_sampler(monkeypatch):
     # The per-trial sampler redraws a zero vector from the same stream; the
     # engine replays such a row through it, so zeroing one row of the batched
@@ -167,7 +177,7 @@ def test_all_zero_draw_is_replayed_through_the_sampler(monkeypatch):
     # offset.
     cfg = SimConfig(trials=5000, seed=35)
     plain = montecarlo._conditioned_sym_samples(3, 5.0, cfg)
-    real = montecarlo.trial_normals
+    real = linalg.trial_normals
 
     def zero_rows(seed, trials, shape):
         first = 0
@@ -178,7 +188,7 @@ def test_all_zero_draw_is_replayed_through_the_sampler(monkeypatch):
             first += len(block)
             yield block
 
-    monkeypatch.setattr(montecarlo, "trial_normals", zero_rows)
+    monkeypatch.setattr(linalg, "trial_normals", zero_rows)
     patched = montecarlo._conditioned_sym_samples(3, 5.0, cfg)
     assert np.array_equal(plain[0], patched[0]) and plain[1] == patched[1]
 

@@ -6,6 +6,10 @@ selection with the floating-point ``np.linalg.matrix_rank``.  It performs the
 same floating-point operations in the same order as the scalar kernel, so the
 unimodular transforms, and every rate wherever its floating-point rank test
 is reliable (up to about C = 80 bits), must match bit for bit.
+
+The batched conditioned-rate engine is checked against a per-trial loop
+over trial_generators and if_rate, row by row, and if_rate itself against
+the reference's 2-D rate formulas.
 """
 
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fadingmac import linalg
 from fadingmac.capacity import MacChannel
 from fadingmac.errors import NumericalDomainError
 from fadingmac.integer_forcing import (
@@ -127,6 +132,17 @@ def _effective(rng, n_users, cap, kind):
     return build_effective_channel(MacChannel.from_scalar(h), pre)
 
 
+def _ref_rates(eff, mode):
+    """Per-stream rates with the reference search, one trial at a time."""
+    f = _factor(eff)
+    fa = _ref_reduce(f) @ f.T
+    if mode == "if":
+        variances = np.linalg.norm(fa, axis=1) ** 2
+    else:
+        variances = np.abs(np.diagonal(np.linalg.qr(fa.T, mode="r"))) ** 2
+    return np.maximum(0.0, -np.log(variances) / np.log(2.0))
+
+
 def _reference_samples(cap, kind, mode, seed, trials):
     out = []
     for rng in trial_generators(seed, trials):
@@ -145,7 +161,8 @@ def _reference_samples(cap, kind, mode, seed, trials):
 def test_lll_kernel_matches_numpy_reference(n_users, cap, kind, seed):
     rng = next(iter(trial_generators(seed, 1)))
     basis = _real_embedding(_factor(_effective(rng, n_users, cap, kind)))
-    assert np.array_equal(np.array(_lll_transform(basis)), _ref_lll_transform(basis))
+    r = np.linalg.qr(basis, mode="r")
+    assert np.array_equal(np.array(_lll_transform(r)), _ref_lll_transform(basis))
 
 
 @pytest.mark.parametrize("cap", [4.0, 10.0, 20.0, 40.0])
@@ -173,3 +190,78 @@ def test_exact_rank_matches_float_rank_on_small_entries(n, rows, dependent, seed
                                                   np.concatenate([r.real, r.imag])))
                for r in a)
     assert rank == np.linalg.matrix_rank(a)
+
+
+# ---------------------------------------------------------------------------
+# the batched engine against a per-trial loop
+
+def _per_trial_samples(n_users, cap, kind, mode, seed, trials):
+    return np.array([n_users * if_rate(_effective(rng, n_users, cap, kind),
+                                       mode=mode).symmetric_rate_bits
+                     for rng in trial_generators(seed, trials)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_users=st.integers(2, 4), cap=st.floats(0.5, 80.0),
+       kind=st.sampled_from(PRECODER_KINDS), mode=st.sampled_from(["if", "if-sic"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_if_rate_equals_the_reference_rates(n_users, cap, kind, mode, seed):
+    # if_rate is a one-row call into the stacked helpers of the engine; its
+    # rates must still be those of the 2-D formulation, bit for bit.
+    eff = _effective(next(iter(trial_generators(seed, 1))), n_users, cap, kind)
+    assert np.array_equal(if_rate(eff, mode=mode).per_stream_rate_bits, _ref_rates(eff, mode))
+
+
+@pytest.mark.parametrize("n_users", [2, 3, 4])
+@pytest.mark.parametrize("cap", [4.0, 10.0, 40.0])
+def test_engine_rows_equal_a_per_trial_loop(n_users, cap):
+    cfg = SimConfig(trials=12, seed=21)
+    kinds = PRECODER_KINDS if n_users == 2 else ("none", "haar")
+    for kind in kinds:
+        for mode in ("if", "if-sic"):
+            got = conditioned_rate_samples(n_users, cap, kind, mode, cfg)
+            want = _per_trial_samples(n_users, cap, kind, mode, cfg.seed, cfg.trials)
+            assert np.array_equal(got, want), (kind, mode)
+
+
+def test_engine_rows_do_not_depend_on_the_trial_block(monkeypatch):
+    cfg = SimConfig(trials=20, seed=22)
+    whole = {mode: conditioned_rate_samples(2, 10.0, "haar", mode, cfg)
+             for mode in ("if", "if-sic")}
+    monkeypatch.setattr(linalg, "_TRIAL_BLOCK", 7)
+    for mode in ("if", "if-sic"):
+        got = conditioned_rate_samples(2, 10.0, "haar", mode, cfg)
+        assert np.array_equal(got, whole[mode])
+        assert np.array_equal(got, _per_trial_samples(2, 10.0, "haar", mode, cfg.seed,
+                                                      cfg.trials))
+
+
+def test_all_zero_draw_in_a_haar_trial_is_replayed(monkeypatch):
+    # Zeroing a whole row (sphere and precoder normals) must not change the
+    # result: the sampler would redraw the sphere from the trial's stream and
+    # draw its precoders after that, and the engine replays the trial so.
+    # With blocks of 7 trials, trial 9 needs the second block's offset.
+    cfg = SimConfig(trials=12, seed=23)
+    monkeypatch.setattr(linalg, "_TRIAL_BLOCK", 7)
+    plain = conditioned_rate_samples(2, 10.0, "haar", "if-sic", cfg)
+    real = linalg.trial_normals
+
+    def zero_rows(seed, trials, shape):
+        first = 0
+        for block in real(seed, trials, shape):
+            for t in (3, 9):
+                if first <= t < first + len(block):
+                    block[t - first] = 0.0
+            first += len(block)
+            yield block
+
+    monkeypatch.setattr(linalg, "trial_normals", zero_rows)
+    assert np.array_equal(conditioned_rate_samples(2, 10.0, "haar", "if-sic", cfg), plain)
+
+
+def test_tie_sensitive_trial_keeps_its_rate():
+    # Seed 1, trial 2498 at C = 10: a size-reduction coefficient sits on
+    # -1.5 to the last bit, so one changed bit of F would flip the basis
+    # (to 9.2233 bits).
+    samples = conditioned_rate_samples(2, 10.0, "none", "if", SimConfig(trials=2499, seed=1))
+    assert samples[2498] == 9.291452334940612

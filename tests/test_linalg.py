@@ -79,6 +79,19 @@ def test_haar_unitary_is_unitary():
         assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_haar_rows_equal_the_qr_of_each_draw(n):
+    # Per matrix: unit-variance complex Gaussian, 2-D QR, column phases.
+    z = np.concatenate(list(trial_normals(9, 500, (3, 2, n, n))))
+    got = linalg.haar_unitary_rows(z)
+    for zt, ut in zip(z.reshape(-1, 2, n, n), got.reshape(-1, n, n)):
+        q, r = np.linalg.qr(math.sqrt(0.5) * (zt[0] + 1j * zt[1]))
+        d = np.diagonal(r)
+        assert np.array_equal(ut, q * (d / np.abs(d)))
+    g = RngStream(9, 0).generator()
+    assert np.array_equal(got[0], [sample_haar_unitary(n, g) for _ in range(3)])
+
+
 def test_haar_first_entry_magnitude_law():
     # for Haar 2x2, |U_00|^2 is uniform on [0, 1]
     rng = RngStream(5).generator()
