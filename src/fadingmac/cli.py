@@ -4,8 +4,10 @@ Subcommands reproduce the standard experiment set (``fig``), evaluate single
 analytic bounds (``bound``), run Monte-Carlo validations (``simulate``,
 ``if-sim``, ``validate``), and replay any previous run from its manifest
 (``rerun``).  Every data-producing run writes a CSV (curve, x, y, stderr) and
-a JSON manifest carrying the full parameter set, the seed and the library
-version; replaying a manifest reproduces the CSV byte for byte.
+a JSON manifest carrying the full parameter set, the seed, the library,
+numpy and python versions and the RNG layout id; replaying a manifest
+reproduces the CSV byte for byte, and a manifest of another RNG layout is
+refused.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 numerical-domain error.
 """
@@ -14,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import platform
 import sys
 import time
 from dataclasses import asdict
@@ -45,7 +48,7 @@ from .integer_forcing import (
     lll_search,
     ml_mean_rate_fraction,
 )
-from .linalg import hermitian_inverse, sample_complex_gaussian, trial_generators
+from .linalg import RNG_LAYOUT, hermitian_inverse, sample_complex_gaussian, trial_generators
 from .montecarlo import (
     SimConfig,
     averaged_bound_vs_snr,
@@ -96,6 +99,9 @@ def _write_manifest(path, command, params, wall_time_s, csv_path, extra=None):
         "params": params,
         "seed": params.get("seed", 0),
         "version": __version__,
+        "rng_layout": RNG_LAYOUT,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
         "wall_time_s": wall_time_s,
         "csv": csv_path,
     }
@@ -687,6 +693,12 @@ def _run_rerun(args):
     params = doc.get("params")
     if not isinstance(params, dict):
         raise InvalidParameterError("manifest is missing its parameter set")
+    # Manifests from before the layout was recorded used layout 1.
+    layout = doc.get("rng_layout", 1)
+    if layout != RNG_LAYOUT:
+        raise InvalidParameterError(
+            f"manifest was written with RNG layout {layout}; this version draws with "
+            f"layout {RNG_LAYOUT} and cannot replay it")
     out = args.out if args.out else doc.get("csv")
     if not out:
         raise InvalidParameterError("manifest records no CSV path; pass --out")

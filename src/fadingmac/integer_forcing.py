@@ -319,12 +319,18 @@ def _search(f):
     rows, and greedily assembles a basis in form order.  The unit rows
     guarantee full rank and that no selected row is worse than the worst
     column norm of F.  The QR factors of the embeddings come from one
-    stacked call; the reduction and the greedy basis run per matrix.
+    stacked call; the reduction and the greedy basis run per matrix.  A
+    factor whose diagonal is not finite and nonzero (F underflows at
+    capacities of a few hundred bits) raises NumericalDomainError.
     """
     units = _unit_rows(f.shape[-1])
+    r = np.linalg.qr(_real_embedding(f), mode="r")
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    if not np.all(np.isfinite(d) & (d != 0)):
+        raise NumericalDomainError("lattice basis is singular to working precision")
     return np.array([
         _greedy_full_rank(fi, [tuple(row) for row in _lll_transform(ri)] + units)
-        for fi, ri in zip(f, np.linalg.qr(_real_embedding(f), mode="r"))])
+        for fi, ri in zip(f, r)])
 
 
 def lll_search(gram):

@@ -3,24 +3,22 @@
 Every random draw goes through an explicit generator so that simulations are
 reproducible.  :class:`RngStream` is a small value type naming a
 (seed, stream) pair; a given stream always produces the same draws no matter
-how many workers run concurrently.  :func:`trial_generators` spells out the
-package's reproducibility layout: trial t of a run with seed s draws from
-``RngStream(s, t)``.  Every Monte-Carlo driver draws from these streams,
-which makes their aggregates independent of execution order.  The batched
-engines, the integer-forcing one included, take their draws from
-:func:`trial_normals`, which stacks each trial's first ``standard_normal``
-call into one array per block of trials, so batching changes no random
-number; :func:`capacity_sphere_blocks` and :func:`haar_unitary_rows` turn
-those rows into exactly what the per-trial samplers return.  Building one
-SeedSequence and generator per trial would cost more than most trials'
-work, so :func:`trial_normals` derives a whole block's PCG64 states at once,
-with SeedSequence's hash written over arrays of spawn keys, and loads them
-into one reused generator.
-Every block checks its first state against NumPy's own, so a NumPy that
-hashes differently raises instead of changing the draws.
+how many workers run concurrently.
+
+The reproducibility contract is RNG layout 2 (:data:`RNG_LAYOUT`): the
+trials of a run with seed s fall into streams of :data:`RNG_BLOCK`
+consecutive trials, stream b is ``RngStream(s, b)``, and trial t takes the
+next draws of stream t // RNG_BLOCK after the trials before it in that
+stream.  :func:`trial_generators` hands trial t that stream's generator, so
+a loop that makes each trial's draws in turn follows the layout; the
+batched engines, the integer-forcing one included, take the same numbers
+from :func:`trial_normals`, which draws the rows of a block of consecutive
+trials with one ``standard_normal`` call.  :func:`capacity_sphere_blocks` and
+:func:`haar_unitary_rows` turn those rows into exactly what the per-trial
+samplers return.  Because streams are fixed at RNG_BLOCK trials, the size
+of the blocks an engine works on never changes a draw.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,18 +28,14 @@ from .errors import InvalidParameterError, NumericalDomainError, check_int, chec
 
 _LN2 = math.log(2.0)
 
+# The reproducibility contract: its id, recorded in every run's manifest,
+# and the number of consecutive trials that share one stream.
+RNG_LAYOUT = 2
+RNG_BLOCK = 4096
+
 # Trials per block of trial_normals: large enough that numpy's per-call
 # overhead vanishes beside the work, small enough to keep blocks a few MB.
 _TRIAL_BLOCK = 4096
-
-# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -61,104 +55,44 @@ class RngStream:
         return np.random.default_rng(ss)
 
 
+def _stream_spans(seed, trials, chunk):
+    """(generator, rows) pairs covering trials 0 .. trials - 1 in order.
+
+    Each span lies in one stream of RNG_BLOCK trials and holds at most
+    ``chunk`` of them; a stream's generator is built once, when its first
+    trial comes up, and shared by the spans that follow.
+    """
+    for first in range(0, trials, RNG_BLOCK):
+        gen = RngStream(seed, first // RNG_BLOCK).generator()
+        stop = min(first + RNG_BLOCK, trials)
+        for start in range(first, stop, chunk):
+            yield gen, min(chunk, stop - start)
+
+
 def trial_generators(seed, trials):
     """Generators of the trials t = 0 .. trials - 1 of a seeded run, in order.
 
-    Trial t draws from ``SeedSequence(seed, spawn_key=(t,))``, the stream
-    ``RngStream(seed, t)`` names.  The seed is checked once for the run.
+    Trial t gets the generator of stream ``RngStream(seed, t // RNG_BLOCK)``,
+    shared with the other trials of that stream, so each trial must make its
+    draws before the next trial's.  The seed is checked once for the run.
     """
     seed = check_int(seed, "seed", 0)
-    return (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-            for t in range(trials))
-
-
-def _mix(x, y):
-    r = ((_MIX_MULT_L * x & _M32) - (_MIX_MULT_R * y & _M32)) & _M32
-    return r ^ r >> 16
-
-
-def _pcg64_states(seed, start, stop):
-    """Yield ``PCG64(SeedSequence(seed, spawn_key=(t,))).state`` for t in [start, stop).
-
-    SeedSequence's entropy pool mixing and ``generate_state(4, uint64)``,
-    then PCG64's seeding step.  The seed's words are mixed as Python ints
-    (they are the same for every t); the spawn-key words, which differ, as
-    uint32 arrays.  The two code paths share one spelling: masking to 32 bits
-    is a no-op on uint32 arrays.
-    """
-    if start < 1 << 32 < stop:
-        yield from _pcg64_states(seed, start, 1 << 32)
-        yield from _pcg64_states(seed, 1 << 32, stop)
-        return
-    keys = np.arange(start, stop, dtype=np.uint64)
-    spawn = [(keys & _M32).astype(np.uint32)]
-    if start >> 32:
-        spawn.append((keys >> 32).astype(np.uint32))
-    # The seed as little-endian 32-bit words, padded to the 4-word pool size
-    # as SeedSequence pads it when there is a spawn key.
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:] + spawn:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-    hash_const = _INIT_B
-    out = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _M32
-        value = value * hash_const & _M32
-        out.append((value ^ value >> 16).astype(np.uint64))
-    # generate_state pairs the words little-endian into uint64s
-    # s_hi, s_lo, inc_hi, inc_lo.
-    s_hi, s_lo, i_hi, i_lo = ((out[k] | out[k + 1] << np.uint64(32)).tolist()
-                              for k in range(0, 8, 2))
-    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
-        # pcg64_set_seed: state = 0, one LCG step, add the seed, one more step.
-        inc = ((c << 64 | d) << 1 | 1) & _M128
-        state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-               "has_uint32": 0, "uinteger": 0}
+    return (gen for gen, _ in _stream_spans(seed, trials, 1))
 
 
 def trial_normals(seed, trials, shape):
     """Yield a seeded run's standard normals as (rows, *shape) arrays.
 
-    Row t of the concatenated blocks is ``standard_normal(shape)``, the first
-    draw from trial t's generator, so an engine working on whole blocks sees
+    Row t of the concatenated blocks is ``standard_normal(shape)`` drawn by
+    trial t from its generator, so an engine working on whole blocks sees
     exactly the numbers a loop over trial_generators would.  Blocks hold at
     most _TRIAL_BLOCK trials, which bounds an engine's memory at any trial
-    count.  The trials' PCG64 states come from _pcg64_states and are loaded
-    one by one into a single generator; each block's first state is checked
-    against NumPy's.
+    count, and never span two streams; each is one ``standard_normal``
+    call.
     """
     seed = check_int(seed, "seed", 0)
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    for start in range(0, trials, _TRIAL_BLOCK):
-        out = np.empty((min(_TRIAL_BLOCK, trials - start), *shape))
-        states = _pcg64_states(seed, start, start + len(out))
-        first = next(states)
-        if first != RngStream(seed, start).generator().bit_generator.state:
-            raise RuntimeError("numpy's SeedSequence no longer hashes as linalg._pcg64_states "
-                               f"does (seed {seed}, trial {start})")
-        for row, state in zip(out, itertools.chain([first], states)):
-            bits.state = state
-            gen.standard_normal(out=row)
-        yield out
+    for gen, rows in _stream_spans(seed, trials, _TRIAL_BLOCK):
+        yield gen.standard_normal((rows, *shape))
 
 
 def _as_generator(rng):
@@ -219,6 +153,18 @@ def haar_unitary_rows(z):
     return q * ph[..., None, :]
 
 
+def _sphere_radius(sum_cap_bits):
+    """sqrt(2**C - 1), the norm of a channel whose sum capacity is C bits."""
+    if not (math.isfinite(sum_cap_bits) and sum_cap_bits >= 0):
+        raise InvalidParameterError("sum_cap_bits must be non-negative and finite")
+    try:
+        return math.sqrt(math.expm1(sum_cap_bits * _LN2))
+    except OverflowError:
+        raise InvalidParameterError(
+            f"sum_cap_bits is too large: 2**C - 1 overflows a float (got {sum_cap_bits})"
+        ) from None
+
+
 def sample_capacity_sphere(dim, sum_cap_bits, rng):
     """Scalar-user channel vector conditioned on its sum capacity.
 
@@ -227,8 +173,7 @@ def sample_capacity_sphere(dim, sum_cap_bits, rng):
     normalizing an i.i.d. complex Gaussian vector, which is isotropic.
     """
     dim = check_int(dim, "dim", 1)
-    if not (math.isfinite(sum_cap_bits) and sum_cap_bits >= 0):
-        raise InvalidParameterError("sum_cap_bits must be non-negative and finite")
+    radius = _sphere_radius(sum_cap_bits)
     g = _as_generator(rng)
     while True:
         z = g.standard_normal((2, dim))
@@ -236,7 +181,6 @@ def sample_capacity_sphere(dim, sum_cap_bits, rng):
         nrm = np.linalg.norm(v)
         if nrm > 0:
             break
-    radius = math.sqrt(math.expm1(sum_cap_bits * _LN2))
     return v * (radius / nrm)
 
 
@@ -249,11 +193,18 @@ def capacity_sphere_blocks(seed, trials, dim, sum_cap_bits, extra=0):
     squares as two strided dot products, of the real and of the imaginary
     parts; a stacked (1 x dim) @ (dim x 1) product runs that same dot on
     every row, whereas np.linalg.norm(v, axis=1) sums in another order and
-    differs in the last bit on about one row in seven.  The sampler redraws
-    an all-zero vector from the same stream, so such a trial is replayed
-    through it.
+    differs in the last bit on about one row in seven.
+
+    A row whose sphere normals are all zero (probability zero; the sampler
+    would redraw from the shared stream and shift every later trial) is
+    redrawn on its own generator: trial t = b * RNG_BLOCK + i runs
+    sample_capacity_sphere and then its ``extra`` normals on a generator of
+    ``SeedSequence(seed, spawn_key=(b, 1 + i))``, a child of stream b's seed
+    sequence.  The rule names the trial, not the block it was drawn in, so
+    block size never changes the redraw.
     """
-    radius = math.sqrt(math.expm1(sum_cap_bits * _LN2))
+    seed = check_int(seed, "seed", 0)
+    radius = _sphere_radius(sum_cap_bits)
     first = 0
     for z in trial_normals(seed, trials, (2 * dim + extra,)):
         v = z[:, :dim] + 1j * z[:, dim:2 * dim]
@@ -263,7 +214,8 @@ def capacity_sphere_blocks(seed, trials, dim, sum_cap_bits, extra=0):
         h = v * (radius / np.where(nrm > 0, nrm, 1.0))[:, None]
         rest = z[:, 2 * dim:]
         for row in np.flatnonzero(nrm == 0):
-            g = RngStream(seed, first + row).generator()
+            b, i = divmod(first + int(row), RNG_BLOCK)
+            g = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b, 1 + i)))
             h[row] = sample_capacity_sphere(dim, sum_cap_bits, g)
             rest[row] = g.standard_normal(extra)
         first += len(z)

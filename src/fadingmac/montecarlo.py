@@ -1,9 +1,9 @@
 """Monte-Carlo engines for the conditioned and unconditioned outage curves.
 
 The engines work on blocks of trials at once.  linalg.trial_normals hands
-them each trial's draws as one row of an array, taken from that trial's own
-stream; it derives a block's per-trial PCG64 states in bulk and checks them
-against NumPy's SeedSequence, so no engine builds a generator per trial.
+them each trial's draws as one row of an array, in the package's RNG layout:
+one standard_normal call per block draws the rows of consecutive trials of
+one stream, so no engine builds a generator per trial.
 Every step after the draw (sphere normalization, subset rates,
 subset-Gram eigenvalues, the averaged bounds) is an array operation over the
 block.  Results are therefore bit-reproducible, independent of scheduling and

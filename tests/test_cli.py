@@ -6,8 +6,10 @@ exit codes, CSV/manifest layout, and byte-identical replay from a manifest.
 
 import csv
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fadingmac.cli import main
@@ -146,6 +148,44 @@ def test_rerun_rejects_bad_manifest(tmp_path, capsys):
     assert main(["rerun", "--manifest", str(bad)]) == 1
     missing = tmp_path / "missing.json"
     assert main(["rerun", "--manifest", str(missing)]) == 1
+
+
+def test_manifest_records_the_rng_layout_and_versions(tmp_path, capsys):
+    assert main(["simulate", "--sum-cap", "2", "--trials", "20",
+                 "--out", str(tmp_path / "run")]) == 0
+    doc = json.loads((tmp_path / "run.json").read_text())
+    assert doc["rng_layout"] == 2
+    assert doc["numpy"] == np.__version__
+    assert doc["python"] == platform.python_version()
+
+
+@pytest.mark.parametrize("layout", [None, 1, 3])
+def test_rerun_refuses_another_rng_layout(tmp_path, capsys, layout):
+    # A manifest without a layout id was written with layout 1.
+    doc = json.loads((DATA / "simulate-scalar.json").read_text())
+    del doc["rng_layout"]
+    if layout is not None:
+        doc["rng_layout"] = layout
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "old.csv"
+    assert main(["rerun", "--manifest", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"RNG layout {layout or 1}" in err and "layout 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--users", "2", "--sum-cap", "1100", "--trials", "3"], 1),
+    (["if-sim", "--users", "2", "--sum-cap", "1100", "--trials", "3"], 1),
+    (["if-sim", "--users", "2", "--sum-cap", "500", "--trials", "3", "--precoder", "none"], 2),
+])
+def test_extreme_capacities_exit_without_a_traceback(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("fadingmac: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_analytic_suite_passes(capsys):

@@ -169,28 +169,57 @@ def test_sphere_rows_equal_the_sampler_bit_for_bit(dim):
     assert np.array_equal(h, want)
 
 
-def test_all_zero_draw_is_replayed_through_the_sampler(monkeypatch):
-    # The per-trial sampler redraws a zero vector from the same stream; the
-    # engine replays such a row through it, so zeroing one row of the batched
-    # draw must leave the result unchanged (the replay sees the real draw).
-    # Trial 4100 sits in the second block, so its replay needs the block's
-    # offset.
-    cfg = SimConfig(trials=5000, seed=35)
-    plain = montecarlo._conditioned_sym_samples(3, 5.0, cfg)
-    real = linalg.trial_normals
+def _redraw_normals(seed, t, width):
+    """The normals a redraw of trial t takes: SeedSequence(seed, spawn_key=(b, 1 + i))
+    for t = b * 4096 + i."""
+    b, i = divmod(t, 4096)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b, 1 + i))) \
+        .standard_normal(width)
 
-    def zero_rows(seed, trials, shape):
+
+def _with_rows(real, rows, fill):
+    """trial_normals with the given trials' rows overwritten by fill(seed, t, width)."""
+    def patched(seed, trials, shape):
         first = 0
         for block in real(seed, trials, shape):
-            for t in (17, 4100):
+            for t in rows:
                 if first <= t < first + len(block):
-                    block[t - first] = 0.0
+                    block[t - first] = fill(seed, t, block[0].size).reshape(shape)
             first += len(block)
             yield block
+    return patched
 
-    monkeypatch.setattr(linalg, "trial_normals", zero_rows)
-    patched = montecarlo._conditioned_sym_samples(3, 5.0, cfg)
-    assert np.array_equal(plain[0], patched[0]) and plain[1] == patched[1]
+
+def test_all_zero_draw_is_replayed_through_the_sampler(monkeypatch):
+    # An all-zero sphere row is redrawn through the sampler from a generator
+    # named by the trial's stream b and index i, so zeroing a row must give
+    # exactly what a row holding that generator's normals gives, at any block
+    # size.  Trial 4100 sits in the second stream, so its redraw needs b = 1.
+    cfg = SimConfig(trials=5000, seed=35)
+    rows = (17, 4100)
+    plain = montecarlo._conditioned_sym_samples(3, 5.0, cfg)
+    real = linalg.trial_normals
+    for block in (linalg._TRIAL_BLOCK, 7):
+        monkeypatch.setattr(linalg, "_TRIAL_BLOCK", block)
+        monkeypatch.setattr(linalg, "trial_normals",
+                            _with_rows(real, rows, lambda s, t, w: np.zeros(w)))
+        zeroed = montecarlo._conditioned_sym_samples(3, 5.0, cfg)
+        monkeypatch.setattr(linalg, "trial_normals", _with_rows(real, rows, _redraw_normals))
+        redrawn = montecarlo._conditioned_sym_samples(3, 5.0, cfg)
+        assert np.array_equal(zeroed[0], redrawn[0]) and zeroed[1] == redrawn[1]
+        assert np.array_equal(np.delete(zeroed[0], rows), np.delete(plain[0], rows))
+
+
+def test_zero_row_redraw_is_the_sampler_on_the_named_generator(monkeypatch):
+    rows = (3, 4099)
+    monkeypatch.setattr(linalg, "trial_normals",
+                        _with_rows(linalg.trial_normals, rows, lambda s, t, w: np.zeros(w)))
+    h, rest = (np.concatenate(a) for a in zip(*linalg.capacity_sphere_blocks(8, 4100, 3, 6.0, 2)))
+    for t in rows:
+        b, i = divmod(t, 4096)
+        g = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(b, 1 + i)))
+        assert np.array_equal(h[t], sample_capacity_sphere(3, 6.0, g))
+        assert np.array_equal(rest[t], g.standard_normal(2))
 
 
 # ---------------------------------------------------------------------------

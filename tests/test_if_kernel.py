@@ -30,7 +30,7 @@ from fadingmac.integer_forcing import (
     conditioned_rate_samples,
     if_rate,
 )
-from fadingmac.linalg import sample_capacity_sphere, trial_generators
+from fadingmac.linalg import RngStream, sample_capacity_sphere, trial_generators
 from fadingmac.montecarlo import SimConfig
 
 
@@ -237,31 +237,44 @@ def test_engine_rows_do_not_depend_on_the_trial_block(monkeypatch):
 
 
 def test_all_zero_draw_in_a_haar_trial_is_replayed(monkeypatch):
-    # Zeroing a whole row (sphere and precoder normals) must not change the
-    # result: the sampler would redraw the sphere from the trial's stream and
-    # draw its precoders after that, and the engine replays the trial so.
-    # With blocks of 7 trials, trial 9 needs the second block's offset.
+    # Zeroing a whole row (sphere and precoder normals) redraws the trial:
+    # the sphere through the sampler, then the precoders, from the generator
+    # of SeedSequence(seed, spawn_key=(b, 1 + i)) for trial t = 4096 b + i.
+    # So it must equal a row that holds that generator's normals.  With
+    # blocks of 7 trials, trial 9 needs the second block's offset.
     cfg = SimConfig(trials=12, seed=23)
     monkeypatch.setattr(linalg, "_TRIAL_BLOCK", 7)
-    plain = conditioned_rate_samples(2, 10.0, "haar", "if-sic", cfg)
     real = linalg.trial_normals
 
-    def zero_rows(seed, trials, shape):
-        first = 0
-        for block in real(seed, trials, shape):
-            for t in (3, 9):
-                if first <= t < first + len(block):
-                    block[t - first] = 0.0
-            first += len(block)
-            yield block
+    def with_rows(fill):
+        def patched(seed, trials, shape):
+            first = 0
+            for block in real(seed, trials, shape):
+                for t in (3, 9):
+                    if first <= t < first + len(block):
+                        block[t - first] = fill(seed, t, shape)
+                first += len(block)
+                yield block
+        return patched
 
-    monkeypatch.setattr(linalg, "trial_normals", zero_rows)
-    assert np.array_equal(conditioned_rate_samples(2, 10.0, "haar", "if-sic", cfg), plain)
+    def redraw(seed, t, shape):
+        g = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 1 + t)))
+        return g.standard_normal(shape)
+
+    plain = conditioned_rate_samples(2, 10.0, "haar", "if-sic", cfg)
+    monkeypatch.setattr(linalg, "trial_normals", with_rows(redraw))
+    redrawn = conditioned_rate_samples(2, 10.0, "haar", "if-sic", cfg)
+    monkeypatch.setattr(linalg, "trial_normals", with_rows(lambda s, t, shape: np.zeros(shape)))
+    zeroed = conditioned_rate_samples(2, 10.0, "haar", "if-sic", cfg)
+    assert np.array_equal(zeroed, redrawn)
+    assert np.array_equal(np.delete(zeroed, [3, 9]), np.delete(plain, [3, 9]))
+    assert not np.array_equal(zeroed[[3, 9]], plain[[3, 9]])
 
 
 def test_tie_sensitive_trial_keeps_its_rate():
-    # Seed 1, trial 2498 at C = 10: a size-reduction coefficient sits on
-    # -1.5 to the last bit, so one changed bit of F would flip the basis
-    # (to 9.2233 bits).
-    samples = conditioned_rate_samples(2, 10.0, "none", "if", SimConfig(trials=2499, seed=1))
-    assert samples[2498] == 9.291452334940612
+    # Trial 2498 of seed 1 under RNG layout 1 (its own stream, RngStream(1,
+    # 2498)) at C = 10: a size-reduction coefficient sits on -1.5 to the last
+    # bit, so one changed bit of F would flip the basis (to 9.2233 bits).
+    h = sample_capacity_sphere(2, 10.0, RngStream(1, 2498).generator())
+    eff = build_effective_channel(MacChannel.from_scalar(h), Precoder.identity(2))
+    assert 2 * if_rate(eff, mode="if").symmetric_rate_bits == 9.291452334940612

@@ -377,6 +377,14 @@ def test_if_rate_never_returns_non_finite_rates_at_high_capacity():
             assert 2.0 * res.symmetric_rate_bits <= 60.0 + 1e-9
 
 
+@pytest.mark.parametrize("cap", [500.0, 1023.0])
+def test_underflowing_factor_raises_a_domain_error(cap):
+    # F underflows at a few hundred bits, which leaves zeros on the diagonal
+    # of its embedding's triangular factor; LLL must not divide by them.
+    with pytest.raises(NumericalDomainError, match="singular"):
+        conditioned_rate_samples(2, cap, "none", "if", SimConfig(trials=60, seed=1))
+
+
 def test_sic_on_haar_trials_at_high_capacity_stays_within_capacity():
     # Seed 1, Haar precoders: trials whose SIC Gram A K A^H came out
     # indefinite when K was formed explicitly.

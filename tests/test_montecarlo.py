@@ -18,7 +18,7 @@ from fadingmac.bounds import (
     two_user_cdf,
 )
 from fadingmac.errors import InvalidParameterError
-from fadingmac.linalg import RngStream, sample_complex_gaussian
+from fadingmac.linalg import sample_complex_gaussian, trial_generators
 from fadingmac.montecarlo import (
     SimConfig,
     averaged_bound_vs_snr,
@@ -176,8 +176,7 @@ def test_union_average_hand_recomputed():
     for j, snr_db in enumerate(grid):
         snr = 10.0 ** (snr_db / 10.0)
         vals = []
-        for t in range(trials):
-            rng = RngStream(seed, t).generator()
+        for rng in trial_generators(seed, trials):
             mats = [sample_complex_gaussian(dims.n_rx, dims.n_tx, 1.0, rng)
                     for _ in range(dims.n_users)]
             frob = sum(float(np.sum(np.abs(m) ** 2)) for m in mats)
