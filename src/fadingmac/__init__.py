@@ -12,6 +12,7 @@ from .bounds import (
     ScenarioDims,
     atom_probability,
     incomplete_beta,
+    mimo_bounds,
     mimo_p_out_k,
     mimo_union_bound,
     p_out_k,
@@ -95,6 +96,7 @@ __all__ = [
     "if_rate_cdf_conditioned",
     "incomplete_beta",
     "lll_search",
+    "mimo_bounds",
     "mimo_p_out_k",
     "mimo_union_bound",
     "ml_mean_rate_fraction",

@@ -20,6 +20,7 @@ import platform
 import sys
 import time
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .bounds import (
     BoundPair,
     ScenarioDims,
     atom_probability,
+    mimo_bounds,
     mimo_p_out_k,
     mimo_union_bound,
     p_out_k,
@@ -215,13 +217,18 @@ def _cardinality_rows(k, users, cap, cfg):
         (f"analytic-k{k}", r, p_out_k(k, users, float(r), cap), None) for r in cdf.rates]
 
 
-def _bracket_rows(users, cap, cfg):
-    cdf = conditional_cdf_scalar(users, cap, cfg)
+def _bracket_rows(dims, cap, cfg):
+    """Conditioned empirical CDF plus the bracket at each rate: scalar users
+    (scalar_bounds, N >= 2) list lower then upper, MIMO upper then lower."""
+    cdf = conditional_cdf_mimo_frobenius(dims, cap, cfg)
     rows = _cdf_rows("empirical", cdf, atom_name="empirical-atom")
+    if dims.n_tx == dims.n_rx == 1:
+        bracket, order = partial(scalar_bounds, dims.n_users), ("lower", "upper")
+    else:
+        bracket, order = partial(mimo_bounds, dims), ("upper", "lower")
     for r in cdf.rates:
-        pair = scalar_bounds(users, float(r), cap)
-        rows.append(("lower", r, pair.lower, None))
-        rows.append(("upper", r, pair.upper, None))
+        pair = bracket(float(r), cap)
+        rows.extend((end, r, getattr(pair, end), None) for end in order)
     return rows
 
 
@@ -233,10 +240,11 @@ def _fig_3(params):
 
 
 def _fig_4(params):
-    return _bracket_rows(params["users"], params["sum_cap"], _cfg(params))
+    cfg = _cfg(params)
+    return _bracket_rows(ScenarioDims(params["users"], 1, 1), params["sum_cap"], cfg)
 
 
-def _snr_sweep_rows(params, with_simo):
+def _snr_sweep_rows(params, with_simo=True):
     dims = _dims(params)
     cfg = SimConfig(trials=params["trials"], seed=params["seed"],
                     snr_grid_db=np.asarray(params["snr_db_list"], dtype=float),
@@ -245,23 +253,17 @@ def _snr_sweep_rows(params, with_simo):
     rows = _estimate_rows("empirical", outage_vs_snr(dims, target, cfg))
     rows += _estimate_rows("union-avg",
                            averaged_bound_vs_snr(dims, target, "union", cfg))
-    if with_simo:
+    if with_simo and dims.n_users == 2 and dims.n_tx == 1:
         rows += _estimate_rows("simo-avg",
                                averaged_bound_vs_snr(dims, target, "simo", cfg))
     return rows
 
 
-def _fig_5(params):
-    return _snr_sweep_rows(params, with_simo=False)
-
-
-def _fig_6(params):
-    return _snr_sweep_rows(params, with_simo=True)
-
-
-_IF_SCHEMES_FULL = (("if", "none"), ("if-sic", "none"), ("if", "bb"),
-                    ("if-sic", "bb"), ("if", "haar"), ("if-sic", "haar"))
-_IF_SCHEMES_NO_HAAR = _IF_SCHEMES_FULL[:4]
+def _if_schemes(users, with_haar):
+    """(mode, precoder) pairs of an IF figure; bb is a two-user precoder."""
+    precoders = ("none", "bb", "haar") if with_haar else ("none", "bb")
+    return [(mode, pre) for pre in precoders if users == 2 or pre != "bb"
+            for mode in ("if", "if-sic")]
 
 
 def _ml_cdf_rows(users, cap, grid, convention):
@@ -273,8 +275,7 @@ def _ml_cdf_rows(users, cap, grid, convention):
             rows.append(("ml", r, two_user_cdf(total, cap), None))
         else:
             pair = scalar_bounds(users, total, cap)
-            rows.append(("ml-lower", r, pair.lower, None))
-            rows.append(("ml-upper", r, pair.upper, None))
+            rows.extend((f"ml-{end}", r, getattr(pair, end), None) for end in ("lower", "upper"))
     return rows
 
 
@@ -285,7 +286,7 @@ def _fig_7(params):
     top = cap if convention == "total" else cap / users
     grid = default_rate_grid(top)
     rows = _ml_cdf_rows(users, cap, grid, convention)
-    for mode, pre in _IF_SCHEMES_FULL:
+    for mode, pre in _if_schemes(users, with_haar=True):
         cdf = if_rate_cdf_conditioned(users, cap, _PRECODER_NAMES[pre], mode,
                                       cfg, rate_convention=convention)
         rows.extend(_cdf_rows(f"{mode}-{pre}", cdf))
@@ -312,7 +313,7 @@ def _fig_8(params):
     if users == 2:
         rows.extend(("ml-density", r, _two_user_density(r, cap), None) for r in centers)
         rows.append(("ml-atom", cap, atom_probability(cap), None))
-    for mode, pre in _IF_SCHEMES_NO_HAAR:
+    for mode, pre in _if_schemes(users, with_haar=False):
         samples = conditioned_rate_samples(users, cap, _PRECODER_NAMES[pre],
                                            mode, cfg)
         rows.extend(_histogram_rows(f"{mode}-{pre}", samples, edges, cfg.trials))
@@ -343,7 +344,7 @@ def _fig_10(params):
     rows = []
     if users == 2:
         rows.extend(("ml", c, ml_mean_rate_fraction(c), None) for c in caps)
-    for mode, pre in _IF_SCHEMES_NO_HAAR:
+    for mode, pre in _if_schemes(users, with_haar=False):
         for c in caps:
             samples = conditioned_rate_samples(users, c, _PRECODER_NAMES[pre],
                                                mode, cfg)
@@ -355,8 +356,9 @@ def _fig_10(params):
     return rows
 
 
-_FIG_HANDLERS = {1: _fig_1, 2: _fig_2, 3: _fig_3, 4: _fig_4, 5: _fig_5,
-                 6: _fig_6, 7: _fig_7, 8: _fig_8, 9: _fig_9, 10: _fig_10}
+_FIG_HANDLERS = {1: _fig_1, 2: _fig_2, 3: _fig_3, 4: _fig_4,
+                 5: partial(_snr_sweep_rows, with_simo=False), 6: _snr_sweep_rows,
+                 7: _fig_7, 8: _fig_8, 9: _fig_9, 10: _fig_10}
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +384,7 @@ def _rows_simulate(params):
     users = params["users"]
     if params["snr_db_list"] is not None:
         _require(params, "rate", "nt", "nr")
-        return _snr_sweep_rows(params, with_simo=(users == 2 and params["nt"] == 1))
+        return _snr_sweep_rows(params)
     _require(params, "sum_cap")
     cap = params["sum_cap"]
     cfg = _cfg(params)
@@ -390,17 +392,8 @@ def _rows_simulate(params):
         return _cardinality_rows(params["cardinality"], users, cap, cfg)
     nt, nr = (1 if params[f] is None else params[f] for f in ("nt", "nr"))
     dims = ScenarioDims(users, nt, nr)   # rejects an explicit 0
-    if nt > 1 or nr > 1:
-        cdf = conditional_cdf_mimo_frobenius(dims, cap, cfg)
-        rows = _cdf_rows("empirical", cdf, atom_name="empirical-atom")
-        for r in cdf.rates:
-            rows.append(("upper", r, mimo_union_bound(dims, float(r), cap), None))
-            rows.append(("lower", r,
-                         max(mimo_p_out_k(k, dims, float(r), cap)
-                             for k in range(1, users + 1)), None))
-        return rows
-    rows = _bracket_rows(users, cap, cfg)
-    if users == 2:
+    rows = _bracket_rows(dims, cap, cfg)
+    if (users, nt, nr) == (2, 1, 1):
         rows.append(("analytic-atom", cap, atom_probability(cap), None))
     return rows
 

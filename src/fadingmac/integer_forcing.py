@@ -30,7 +30,6 @@ fraction-free elimination over the integers, so coefficients of any size
 (about 10^7 at C = 100 bits) never make an independent row look dependent.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -464,7 +463,7 @@ def _rates(variances):
     return np.maximum(0.0, -np.log(variances) / _LN2)
 
 
-def if_rate(eff, mode="if", a=None, sic_order="natural"):
+def if_rate(eff, mode="if", a=None):
     """Integer-forcing rate of an effective channel.
 
     mode "if" uses parallel decoding: stream m gets
@@ -472,7 +471,6 @@ def if_rate(eff, mode="if", a=None, sic_order="natural"):
     mode "if-sic" decodes successively; the variances become the squared
     diagonal of the triangular factor of F A^T, which never increases any
     stream's variance, so it dominates plain IF row by row.
-    sic_order "best" tries every decode order (up to 4 streams).
     The symmetric per-user rate is streams_per_user * worst stream / T.
     A noise variance that is not finite and positive raises
     NumericalDomainError.
@@ -483,9 +481,6 @@ def if_rate(eff, mode="if", a=None, sic_order="natural"):
     f = _sqrt_factors(np.asarray(eff.matrix, dtype=complex)[None])
     a = _search(f)[0] if a is None else _validate_a(a, f.shape[-1])
     fa = a @ f[0].T
-    if mode == "if-sic":
-        order = _sic_order(fa, sic_order)
-        a, fa = a[order], fa[order]
     rates = _rates(_variances(fa, mode))
     sym = eff.streams_per_user * float(rates.min()) / eff.time_extension
     return IfResult(a_re=np.rint(a.real).astype(np.int64),
@@ -493,24 +488,6 @@ def if_rate(eff, mode="if", a=None, sic_order="natural"):
                     per_stream_rate_bits=rates,
                     symmetric_rate_bits=sym,
                     mode=mode)
-
-
-def _sic_order(fa, sic_order):
-    """Decode order of the rows of fa: natural, or the first of all orders
-    (up to 4 streams) whose worst SIC variance is smallest."""
-    if sic_order not in ("natural", "best"):
-        raise InvalidParameterError("sic_order must be 'natural' or 'best'")
-    n = fa.shape[0]
-    best_order = list(range(n))
-    if sic_order == "natural" or n > 4:
-        return best_order
-    best_min = -math.inf
-    for perm in itertools.permutations(range(n)):
-        worst = -np.log(_variances(fa[list(perm)], "if-sic").max())
-        if worst > best_min:
-            best_min = worst
-            best_order = list(perm)
-    return best_order
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +562,7 @@ def ml_rate_quantile(n_users, sum_cap_bits, outage_level):
     """Largest total rate whose conditional outage stays within outage_level
     for a joint (maximum-likelihood) receiver.
 
-    Exact CDF inversion for two users; for more users the clamped union
+    Exact CDF inversion for two users; for more users the capped union
     upper bound is inverted instead, giving a conservative quantile.
     """
     if not (0.0 < outage_level < 1.0):

@@ -119,13 +119,10 @@ def conditional_cdf_scalar(n_users, sum_cap_bits, cfg):
     """Empirical CDF of the symmetric capacity of N scalar users given C.
 
     Draws channels uniformly on the capacity sphere, so the conditioning is
-    exact rather than a rejection step.
+    exact rather than a rejection step.  Scalar users are the 1x1 case of
+    conditional_cdf_mimo_frobenius, whose draws they share.
     """
-    check_positive(sum_cap_bits, "conditioning capacity")
-    n_users = check_int(n_users, "n_users", 1)
-    grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(sum_cap_bits)
-    samples, atom = _conditioned_sym_samples(n_users, sum_cap_bits, cfg)
-    return empirical_cdf(samples, grid, cfg.trials, atom)
+    return conditional_cdf_mimo_frobenius(ScenarioDims(n_users, 1, 1), sum_cap_bits, cfg)
 
 
 def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):

@@ -14,6 +14,7 @@ from fadingmac.bounds import (
     ScenarioDims,
     atom_probability,
     incomplete_beta,
+    mimo_bounds,
     mimo_p_out_k,
     mimo_union_bound,
     p_out_k,
@@ -165,8 +166,25 @@ def test_mimo_collapse_to_scalar():
         for r in (1.0, 2.5, 4.0):
             assert abs(mimo_p_out_k(k, dims, r, 5.0)
                        - p_out_k(k, 3, r, 5.0)) < 1e-14
-    assert abs(mimo_union_bound(dims, 3.0, 5.0, clamped=False)
+    assert abs(mimo_bounds(dims, 3.0, 5.0).upper_raw
                - scalar_bounds(3, 3.0, 5.0).upper_raw) < 1e-14
+
+
+def test_mimo_bounds_bracket_the_per_cardinality_terms():
+    # lower = largest term, upper_raw = subset-count-weighted sum, upper =
+    # that sum capped at 1; R = C = 1 exercises the cap.
+    for dims in (ScenarioDims(3, 2, 2), ScenarioDims(4, 1, 2), ScenarioDims(1, 2, 2)):
+        for rate, cap in ((0.5, 5.0), (3.0, 5.0), (1.0, 1.0)):
+            terms = [mimo_p_out_k(k, dims, rate, cap) for k in range(1, dims.n_users + 1)]
+            pair = mimo_bounds(dims, rate, cap)
+            assert pair.lower == max(terms)
+            assert pair.upper_raw == sum(math.comb(dims.n_users, k) * p
+                                         for k, p in enumerate(terms, 1))
+            assert pair.upper == min(1.0, pair.upper_raw) == mimo_union_bound(dims, rate, cap)
+    assert mimo_bounds(ScenarioDims(4, 1, 2), 1.0, 1.0).upper_raw > 1.0
+    # one user has no terms, but the rate is still checked against the cap
+    with pytest.raises(InvalidParameterError):
+        mimo_bounds(ScenarioDims(1, 2, 2), 6.0, 5.0)
 
 
 def test_mimo_p_out_k_pinned_value():
@@ -192,7 +210,7 @@ def test_mimo_p_out_k_high_capacity_decay_is_diversity_six():
 
 def test_mimo_union_bound_clamps():
     dims = ScenarioDims(4, 2, 2)
-    raw = mimo_union_bound(dims, 1.0, 1.0, clamped=False)
+    raw = mimo_bounds(dims, 1.0, 1.0).upper_raw
     clamped = mimo_union_bound(dims, 1.0, 1.0)
     assert clamped <= 1.0
     assert raw >= clamped

@@ -142,6 +142,28 @@ def test_fig10_with_one_trial_leaves_the_stderr_empty(tmp_path, capsys):
     assert "nan" not in out.read_text()
 
 
+@pytest.mark.parametrize("figure, trials", [("7", "10"), ("8", "10"), ("10", "2")])
+def test_if_figures_omit_the_two_user_precoder_for_three_users(tmp_path, capsys,
+                                                                figure, trials):
+    # The golden-ratio (bb) precoder pairs two users: with three its curves
+    # are left out, as fig 8 and fig 10 leave out their two-user ML rows.
+    out = tmp_path / "fig.csv"
+    assert main(["fig", figure, "--users", "3", "--trials", trials,
+                 "--out", str(out)]) == 0
+    curves = {r[0] for r in _read_rows(out)[1:]}
+    assert {"if-none", "if-sic-none"} <= curves
+    assert not any(c.endswith("-bb") for c in curves)
+
+
+@pytest.mark.parametrize("extra", [["--users", "3"], ["--nt", "2"]])
+def test_fig6_keeps_the_simo_bound_to_two_single_antenna_users(tmp_path, capsys, extra):
+    out = tmp_path / "fig6.csv"
+    assert main(["fig", "6", "--trials", "5", "--snr-db-list=0,10", "--out", str(out)]
+                + extra) == 0
+    curves = {r[0] for r in _read_rows(out)[1:]}
+    assert curves == {"empirical", "union-avg"}
+
+
 def test_rerun_rejects_bad_manifest(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"command": "validate", "params": {}}))
@@ -203,10 +225,22 @@ def test_validate_if_suite_passes(capsys):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("stem", ["fig2", "simulate-scalar"])
+# The committed runs: `fig 2`, `fig 4` and `simulate` on scalar and MIMO
+# users.  fig4 and simulate-mimo pin the bytes and the order of the bracket
+# rows (lower then upper for scalar users, upper then lower for MIMO).
+_COMMITTED_RUNS = {
+    "fig2": ["fig", "2"],
+    "fig4": ["fig", "4", "--trials", "200", "--seed", "5"],
+    "simulate-scalar": ["simulate", "--users", "2", "--sum-cap", "2",
+                        "--trials", "200", "--seed", "5"],
+    "simulate-mimo": ["simulate", "--users", "3", "--nt", "2", "--nr", "2",
+                      "--sum-cap", "8", "--trials", "200", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("stem", sorted(_COMMITTED_RUNS))
 def test_rerun_reproduces_committed_outputs(tmp_path, capsys, stem):
-    # Manifest and CSV pairs written by an earlier release
-    # (`fig 2`; `simulate --users 2 --sum-cap 2 --trials 200 --seed 5`).
+    # Manifest and CSV pairs written by an earlier release.
     out = tmp_path / f"{stem}.csv"
     assert main(["rerun", "--manifest", str(DATA / f"{stem}.json"),
                  "--out", str(out)]) == 0
@@ -214,10 +248,7 @@ def test_rerun_reproduces_committed_outputs(tmp_path, capsys, stem):
 
 
 def test_fresh_manifests_record_the_committed_parameter_sets(tmp_path, capsys):
-    runs = {"fig2": ["fig", "2"],
-            "simulate-scalar": ["simulate", "--users", "2", "--sum-cap", "2",
-                                "--trials", "200", "--seed", "5"]}
-    for stem, argv in runs.items():
+    for stem, argv in _COMMITTED_RUNS.items():
         assert main(argv + ["--out", str(tmp_path / stem)]) == 0
         fresh = json.loads((tmp_path / f"{stem}.json").read_text())
         committed = json.loads((DATA / f"{stem}.json").read_text())

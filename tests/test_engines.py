@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from fadingmac import linalg, montecarlo
 from fadingmac.bounds import (
     ScenarioDims,
+    mimo_bounds,
     mimo_union_bound,
     mimo_union_bound_array,
     two_user_simo_bound,
@@ -264,7 +265,7 @@ def test_union_bound_array_matches_the_scalar_bound():
             got = mimo_union_bound_array(dims, rate, conds)
             np.testing.assert_allclose(got, want, rtol=_REL, atol=0.0)
     for dims in (ScenarioDims(4, 1, 2), ScenarioDims(3, 1, 1)):
-        assert mimo_union_bound(dims, 3.0, 3.0, clamped=False) > 1.0
+        assert mimo_bounds(dims, 3.0, 3.0).upper_raw > 1.0
         assert mimo_union_bound_array(dims, 3.0, np.array([3.0]))[0] == 1.0
 
 

@@ -253,22 +253,10 @@ def test_integer_matrix_validation():
     with pytest.raises(InvalidParameterError):
         if_rate(eff, mode="zf")
     with pytest.raises(InvalidParameterError):
-        if_rate(eff, mode="if-sic", sic_order="random")
-    with pytest.raises(InvalidParameterError):
         if_rate(np.eye(2))
     res = if_rate(eff, a=np.eye(2))
     assert isinstance(res, IfResult)
     assert np.array_equal(res.a_matrix, np.eye(2).astype(complex))
-
-
-def test_best_sic_order_dominates_natural():
-    rng = RngStream(8, 0).generator()
-    for _ in range(30):
-        eff = _random_scalar_eff(rng, n_users=2, scale=2.0)
-        a = lll_search(_gram_of(eff))
-        nat = if_rate(eff, mode="if-sic", a=a, sic_order="natural")
-        best = if_rate(eff, mode="if-sic", a=a, sic_order="best")
-        assert best.symmetric_rate_bits >= nat.symmetric_rate_bits - 1e-12
 
 
 def test_ml_rate_quantile_two_users():
