@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_int, check_positive
+from .errors import (InvalidParameterError, check_gain, check_int, check_positive,
+                     check_subset_size, check_type)
 
 _LN2 = math.log(2.0)
 
@@ -56,11 +57,6 @@ class BoundPair:
             raise InvalidParameterError("bounds must satisfy 0 <= lower <= upper <= 1")
 
 
-def _pow2m1(y):
-    # 2**y - 1 without cancellation for small y
-    return math.expm1(y * _LN2)
-
-
 def _binomial_tail(x, a, b):
     # P(Bin(a+b-1, x) >= a) term by term, for a float or an array of x;
     # the caller clamps the sum to 1
@@ -86,13 +82,11 @@ def regularized_incomplete_beta(x, a, b):
 
 def incomplete_beta(x, a, b):
     """Unnormalized incomplete beta integral of u^(a-1) (1-u)^(b-1) on [0, x]."""
-    a = check_int(a, "a")
-    b = check_int(b, "b")
-    if a < 1 or b < 1:
-        raise InvalidParameterError("beta parameters must be >= 1")
+    regularized = regularized_incomplete_beta(x, a, b)   # checks x, a and b
+    a, b = int(a), int(b)
     # B(a, b) = (a-1)! (b-1)! / (a+b-1)! exactly, via one integer binomial
     complete = 1.0 / (math.comb(a + b - 2, a - 1) * (a + b - 1))
-    return regularized_incomplete_beta(x, a, b) * complete
+    return regularized * complete
 
 
 def two_user_cdf(rate_bits, sum_cap_bits):
@@ -102,13 +96,12 @@ def two_user_cdf(rate_bits, sum_cap_bits):
     has an atom at R = C, so the CDF stays strictly below 1 on [0, C].
     """
     _check_rate_cap(rate_bits, sum_cap_bits)
-    return 2.0 * _pow2m1(rate_bits / 2.0) / _pow2m1(sum_cap_bits)
+    return 2.0 * check_gain(rate_bits / 2.0, "rate") / check_gain(sum_cap_bits, "sum_cap_bits")
 
 
 def atom_probability(sum_cap_bits):
     """Mass of the atom at R = C: the chance the symmetric-rate point lies on
     the dominant face of the capacity pentagon (two scalar users)."""
-    check_positive(sum_cap_bits, "sum capacity")
     return 1.0 - two_user_cdf(sum_cap_bits, sum_cap_bits)
 
 
@@ -143,9 +136,9 @@ def scalar_bounds(n_users, rate_bits, sum_cap_bits):
     return mimo_bounds(ScenarioDims(n_users, 1, 1), rate_bits, sum_cap_bits)
 
 
-def _p_out_term(k, n_users, m, rate_bits, cap_bits):
+def _p_out_term(k, n_users, m, rate_bits, cap_gain):
     # P((N/k) C_F(S) < R | C_F) for 1 <= k < N users of m sphere coordinates each
-    x = _pow2m1(rate_bits * k / n_users) / _pow2m1(cap_bits)
+    x = check_gain(rate_bits * k / n_users, "rate") / cap_gain
     return min(1.0, _binomial_tail(min(x, 1.0), k * m, (n_users - k) * m))
 
 
@@ -156,15 +149,13 @@ def mimo_p_out_k(k, dims, rate_bits, frob_cap_bits):
     like aggregated coordinates of a sphere of dimension N*N_r*N_t, inflating
     the beta parameters to (k N_r N_t, (N-k) N_r N_t).
     """
-    if not isinstance(dims, ScenarioDims):
-        raise InvalidParameterError("dims must be a ScenarioDims")
-    k = check_int(k, "k")
-    if k < 1 or k > dims.n_users:
-        raise InvalidParameterError("k must lie in [1, n_users]")
+    check_type(dims, ScenarioDims, "dims")
+    k = check_subset_size(k, dims.n_users)
     _check_rate_cap(rate_bits, frob_cap_bits)
+    gain = check_gain(frob_cap_bits, "sum_cap_bits")
     if k == dims.n_users:
         return 0.0
-    return _p_out_term(k, dims.n_users, dims.n_rx * dims.n_tx, rate_bits, frob_cap_bits)
+    return _p_out_term(k, dims.n_users, dims.n_rx * dims.n_tx, rate_bits, gain)
 
 
 def mimo_bounds(dims, rate_bits, frob_cap_bits):
@@ -174,13 +165,13 @@ def mimo_bounds(dims, rate_bits, frob_cap_bits):
     sum of the terms weighted by binomial subset counts, capped at 1;
     upper_raw keeps the uncapped sum.
     """
-    if not isinstance(dims, ScenarioDims):
-        raise InvalidParameterError("dims must be a ScenarioDims")
+    check_type(dims, ScenarioDims, "dims")
     _check_rate_cap(rate_bits, frob_cap_bits)
+    gain = check_gain(frob_cap_bits, "sum_cap_bits")
     n, m = dims.n_users, dims.n_rx * dims.n_tx
     lower = raw = 0.0
     for k in range(1, n):
-        p = _p_out_term(k, n, m, rate_bits, frob_cap_bits)
+        p = _p_out_term(k, n, m, rate_bits, gain)
         lower = max(lower, p)
         raw += math.comb(n, k) * p
     return BoundPair(lower=lower, upper=min(1.0, raw), upper_raw=raw)
@@ -232,14 +223,13 @@ def mimo_union_bound_array(dims, rate_bits, frob_caps_bits):
     Agrees with the scalar function to rounding: numpy's powers and
     logarithms may differ from Python's in the last digit.
     """
-    if not isinstance(dims, ScenarioDims):
-        raise InvalidParameterError("dims must be a ScenarioDims")
+    check_type(dims, ScenarioDims, "dims")
     caps = _check_rate_caps(rate_bits, frob_caps_bits)
     n, m = dims.n_users, dims.n_rx * dims.n_tx
     denom = np.expm1(caps * _LN2)
     raw = np.zeros_like(caps)
     for k in range(1, n):
-        x = np.minimum(_pow2m1(rate_bits * k / n) / denom, 1.0)
+        x = np.minimum(check_gain(rate_bits * k / n, "rate") / denom, 1.0)
         raw += math.comb(n, k) * np.minimum(_binomial_tail(x, k * m, (n - k) * m), 1.0)
     return np.minimum(raw, 1.0)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_matrix
 from .linalg import cholesky_lower
 
 _LN2 = math.log(2.0)
@@ -37,15 +37,13 @@ class MacChannel:
     """One realization of an N-user MIMO MAC, all users with equal antenna counts."""
 
     def __init__(self, user_matrices):
-        mats = tuple(np.atleast_2d(np.asarray(m, dtype=complex)) for m in user_matrices)
+        mats = tuple(check_matrix(np.atleast_2d(m), "channel matrix") for m in user_matrices)
         if len(mats) == 0:
             raise InvalidParameterError("at least one user required")
         shape = mats[0].shape
         for m in mats:
             if m.shape != shape:
                 raise InvalidParameterError("all user matrices must share one shape")
-            if not np.all(np.isfinite(m.view(float))):
-                raise InvalidParameterError("channel matrices must be finite")
         self.user_matrices = mats
 
     @classmethod

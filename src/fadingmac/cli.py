@@ -39,7 +39,8 @@ from .bounds import (
     two_user_simo_bound,
 )
 from .dmt import single_user_dmt, symmetric_mac_dmt, symmetric_mac_dmt_curve
-from .errors import InvalidParameterError, NumericalDomainError, check_int
+from .errors import InvalidParameterError, NumericalDomainError, check_gain, check_int, \
+    check_positive
 from .integer_forcing import (
     EffectiveChannel,
     brute_force_search,
@@ -184,7 +185,8 @@ def _fig_1(params):
 
 def _fig_2(params):
     cap = params["sum_cap"]
-    gain_total = math.expm1(cap * _LN2)
+    check_positive(cap, "sum capacity")
+    gain_total = check_gain(cap, "sum_cap_bits")
     rows = []
     for u in (0.1, 0.5, 0.8):
         c1 = math.log1p(u * gain_total) / _LN2
@@ -200,7 +202,7 @@ def _fig_2(params):
 
 def _two_user_density(r, cap):
     """Density of the two-user symmetric capacity below C, given C."""
-    return _LN2 * 2.0 ** (r / 2.0) / math.expm1(cap * _LN2)
+    return _LN2 * 2.0 ** (r / 2.0) / check_gain(cap, "sum_cap_bits")
 
 
 def _cfg(params):
@@ -247,9 +249,9 @@ def _fig_4(params):
 def _snr_sweep_rows(params, with_simo=True):
     dims = _dims(params)
     cfg = SimConfig(trials=params["trials"], seed=params["seed"],
-                    snr_grid_db=np.asarray(params["snr_db_list"], dtype=float),
-                    per_user_target=params.get("rate_convention") == "per-user")
-    target = params["rate"]
+                    snr_grid_db=np.asarray(params["snr_db_list"], dtype=float))
+    per_user = params.get("rate_convention") == "per-user"
+    target = params["rate"] * (dims.n_users if per_user else 1)
     rows = _estimate_rows("empirical", outage_vs_snr(dims, target, cfg))
     rows += _estimate_rows("union-avg",
                            averaged_bound_vs_snr(dims, target, "union", cfg))
@@ -282,6 +284,7 @@ def _ml_cdf_rows(users, cap, grid, convention):
 def _fig_7(params):
     users, cap = params["users"], params["sum_cap"]
     convention = params["rate_convention"]
+    check_positive(cap, "sum capacity")   # before the rate grid is built on it
     cfg = _cfg(params)
     top = cap if convention == "total" else cap / users
     grid = default_rate_grid(top)
@@ -306,6 +309,8 @@ def _histogram_rows(curve_name, samples, edges, trials):
 
 def _fig_8(params):
     users, cap = params["users"], params["sum_cap"]
+    # Checked before the bins are laid out, in the words of the first rows' check.
+    check_positive(cap, "sum capacity" if users == 2 else "conditioning capacity")
     cfg = _cfg(params)
     edges = np.linspace(0.0, cap, 51)
     centers = (edges[:-1] + edges[1:]) / 2.0
@@ -429,13 +434,19 @@ def _suite_analytic():
             pair = scalar_bounds(2, float(r), cap)
             dev = max(dev, abs(pair.upper_raw - two_user_cdf(float(r), cap)))
     checks.append(("two-user union equals exact cdf", dev, 1e-12))
+    # The Beta(k, N - k) CDF by N-node Gauss-Legendre quadrature, exact for its
+    # polynomial density; k C(N - 1, k) = 1 / B(k, N - k).
     dev = 0.0
     for users in (2, 3, 4):
         dims = ScenarioDims(users, 1, 1)
-        for k in range(1, users + 1):
+        t, w = np.polynomial.legendre.leggauss(users)
+        for k in range(1, users):
             for r in (1.0, 3.0, 5.0):
-                dev = max(dev, abs(mimo_p_out_k(k, dims, r, 6.0)
-                                   - p_out_k(k, users, r, 6.0)))
+                x = check_gain(r * k / users, "rate") / check_gain(6.0, "sum_cap_bits")
+                u = 0.5 * x * (t + 1.0)
+                beta = 0.5 * x * k * math.comb(users - 1, k) * float(
+                    w @ (u ** (k - 1) * (1.0 - u) ** (users - k - 1)))
+                dev = max(dev, abs(mimo_p_out_k(k, dims, r, 6.0) - beta))
     checks.append(("per-antenna law collapses to scalar at 1x1", dev, 1e-12))
     dev = 0.0
     for a in range(1, 7):

@@ -10,7 +10,7 @@ transmitter running N times the per-user multiplexing gain.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, check_int
+from .errors import InvalidParameterError, check_int, check_interval
 
 _TOL = 1e-12
 
@@ -23,9 +23,7 @@ def single_user_dmt(n_t, n_r, r):
     """
     n_t, n_r = check_int(n_t, "n_t", 1), check_int(n_r, "n_r", 1)
     rmax = min(n_t, n_r)
-    if not (math.isfinite(r) and -_TOL <= r <= rmax + _TOL):
-        raise InvalidParameterError(f"multiplexing gain must lie in [0, {rmax}]")
-    r = min(max(r, 0.0), float(rmax))
+    r = check_interval(r, "multiplexing gain", 0, rmax, _TOL)
     k = min(int(math.floor(r)), rmax - 1)
     frac = r - k
     d_k = (n_t - k) * (n_r - k)
@@ -44,9 +42,7 @@ def symmetric_mac_dmt(n_users, n_t, n_r, r):
     n_users = check_int(n_users, "n_users", 1)
     n_t, n_r = check_int(n_t, "n_t", 1), check_int(n_r, "n_r", 1)
     rmax = min(n_users * n_t, n_r) / n_users
-    if not (math.isfinite(r) and -_TOL <= r <= rmax + _TOL):
-        raise InvalidParameterError(f"multiplexing gain must lie in [0, {rmax}]")
-    r = min(max(r, 0.0), rmax)
+    r = check_interval(r, "multiplexing gain", 0, rmax, _TOL)
     threshold = min(n_t, n_r / (n_users + 1))
     if r <= threshold:
         return single_user_dmt(n_t, n_r, r)
@@ -70,14 +66,11 @@ class DmtCurve:
             raise InvalidParameterError("diversity must be non-increasing")
 
     def evaluate(self, r):
-        rs = [p[0] for p in self.breakpoints]
-        ds = [p[1] for p in self.breakpoints]
-        if not rs[0] <= r <= rs[-1]:
-            raise InvalidParameterError("gain outside curve domain")
+        r = check_interval(r, "multiplexing gain", self.breakpoints[0][0],
+                           self.breakpoints[-1][0], 0.0)
         for (r1, d1), (r2, d2) in zip(self.breakpoints, self.breakpoints[1:]):
             if r <= r2:
                 return d1 + (r - r1) * (d2 - d1) / (r2 - r1)
-        return ds[-1]
 
 
 def symmetric_mac_dmt_curve(n_users, n_t, n_r):

@@ -36,7 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import MacChannel
-from .errors import InvalidParameterError, NumericalDomainError, check_int, check_positive
+from .bounds import scalar_bounds
+from .errors import (InvalidParameterError, NumericalDomainError, check_choice, check_fraction,
+                     check_gain, check_int, check_matrix, check_positive, check_type)
 from .linalg import capacity_sphere_blocks, cholesky_lower, haar_unitary_rows, \
     sample_haar_unitary
 from .montecarlo import default_rate_grid, empirical_cdf
@@ -45,7 +47,9 @@ _LN2 = math.log(2.0)
 _SQRT5 = math.sqrt(5.0)
 
 PRECODER_KINDS = ("none", "haar", "badr_belfiore")
+_MODES = ("if", "if-sic")
 BRUTE_FORCE_MAX_DIM = 4
+_LLL_DELTA = 0.75   # the Lovasz condition parameter of the lattice reduction
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +72,6 @@ def badr_belfiore_precoders():
     return p1, p2
 
 
-def _check_unitary(mats):
-    """Raise unless every matrix of the stack (..., T, T) is unitary to 1e-12."""
-    gram = mats.conj().swapaxes(-1, -2) @ mats
-    if np.max(np.abs(gram - np.eye(mats.shape[-1]))) > 1e-12:
-        raise InvalidParameterError("precoder matrices must be unitary")
-
-
 @dataclass(frozen=True)
 class Precoder:
     """Per-user unitary spreading matrices over a common time extension."""
@@ -83,15 +80,16 @@ class Precoder:
     matrices: tuple
 
     def __post_init__(self):
-        if self.kind not in PRECODER_KINDS:
-            raise InvalidParameterError(f"kind must be one of {PRECODER_KINDS}")
+        check_choice(self.kind, PRECODER_KINDS, "kind")
         if len(self.matrices) == 0:
             raise InvalidParameterError("at least one user required")
         t = self.matrices[0].shape[0]
         for m in self.matrices:
             if m.shape != (t, t):
                 raise InvalidParameterError("precoder matrices must be square, equal size")
-        _check_unitary(np.array(self.matrices))
+        mats = np.array(self.matrices)
+        if np.max(np.abs(mats.conj().swapaxes(-1, -2) @ mats - np.eye(t))) > 1e-12:
+            raise InvalidParameterError("precoder matrices must be unitary")
 
     @property
     def time_extension(self):
@@ -107,7 +105,7 @@ class Precoder:
     def badr_belfiore(cls, n_users=2):
         if n_users != 2:
             raise InvalidParameterError(
-                "the golden-ratio pair is a two-user construction; use haar_t2")
+                "the golden-ratio pair is a two-user construction; use the haar precoder")
         return cls(kind="badr_belfiore", matrices=badr_belfiore_precoders())
 
     @classmethod
@@ -127,9 +125,7 @@ class EffectiveChannel:
     time_extension: int
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or not np.all(np.isfinite(m.view(float))):
-            raise InvalidParameterError("effective matrix must be 2-D and finite")
+        m = check_matrix(self.matrix, "effective matrix")
         if m.shape[1] != self.n_users * self.streams_per_user:
             raise InvalidParameterError("column count must be n_users * streams_per_user")
         if m.shape[0] % self.time_extension != 0:
@@ -143,8 +139,7 @@ def build_effective_channel(ch, precoder):
     (user, stream).  Time-extended precoders assume single-antenna
     transmitters, which is the regime they are designed for.
     """
-    if not isinstance(ch, MacChannel):
-        raise InvalidParameterError("ch must be a MacChannel")
+    check_type(ch, MacChannel, "ch")
     if len(precoder.matrices) != ch.n_users:
         raise InvalidParameterError("precoder user count does not match the channel")
     t = precoder.time_extension
@@ -178,7 +173,7 @@ def _real_embedding(k):
     return np.block([[k.real, -k.imag], [k.imag, k.real]])
 
 
-def _lll_transform(r, delta=0.75):
+def _lll_transform(r):
     """LLL-reduce the lattice spanned by the columns of a full-rank real
     matrix B, given the triangular factor r of its QR decomposition; return
     the unimodular integer U, as rows of Python ints, whose rows are the
@@ -211,7 +206,7 @@ def _lll_transform(r, delta=0.75):
                     mk[i] -= q * mj[i]
                 mk[j] -= q
         mu_val = mk[k - 1]
-        if norms[k] >= (delta - mu_val ** 2) * norms[k - 1]:
+        if norms[k] >= (_LLL_DELTA - mu_val ** 2) * norms[k - 1]:
             k += 1
             continue
         # swap vectors k-1 and k, updating the orthogonalization in place
@@ -312,7 +307,7 @@ def _search(f):
     """Full-rank Gaussian-integer matrices with small forms ||F a||^2, one
     per F of the stack f (rows, n, n).
 
-    LLL-reduces the real embedding of each F (delta = 0.75), whose columns
+    LLL-reduces the real embedding of each F (delta = _LLL_DELTA), whose columns
     span a lattice with Gram matrix the real embedding of F^H F, lifts the 2n
     reduced coefficient rows back to Gaussian-integer rows, adds the unit
     rows, and greedily assembles a basis in form order.  The unit rows
@@ -426,11 +421,6 @@ def _validate_a(a, n):
     return ints[:, :n] + 1j * ints[:, n:]
 
 
-def _check_mode(mode):
-    if mode not in ("if", "if-sic"):
-        raise InvalidParameterError("mode must be 'if' or 'if-sic'")
-
-
 def _sqrt_factors(h):
     """F = R^-H for a stack of effective channels h (..., rows, n), where R
     is the triangular factor of a QR decomposition of [H; I], so that
@@ -475,9 +465,8 @@ def if_rate(eff, mode="if", a=None):
     A noise variance that is not finite and positive raises
     NumericalDomainError.
     """
-    if not isinstance(eff, EffectiveChannel):
-        raise InvalidParameterError("eff must be an EffectiveChannel")
-    _check_mode(mode)
+    check_type(eff, EffectiveChannel, "eff")
+    check_choice(mode, _MODES, "mode")
     f = _sqrt_factors(np.asarray(eff.matrix, dtype=complex)[None])
     a = _search(f)[0] if a is None else _validate_a(a, f.shape[-1])
     fa = a @ f[0].T
@@ -493,16 +482,6 @@ def if_rate(eff, mode="if", a=None):
 # ---------------------------------------------------------------------------
 # conditioned simulations and capacity fractions
 
-def _fixed_precoder(kind, n_users):
-    if kind == "none":
-        return Precoder.identity(n_users)
-    if kind == "badr_belfiore":
-        return Precoder.badr_belfiore(n_users)
-    if kind == "haar":
-        return None
-    raise InvalidParameterError(f"precoder kind must be one of {PRECODER_KINDS}")
-
-
 def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     """Total symmetric IF rate (N users x per-user rate) for channels drawn
     conditioned on the sum capacity.  Haar precoders are redrawn per trial
@@ -514,25 +493,20 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     """
     check_positive(sum_cap_bits, "conditioning capacity")
     n_users = check_int(n_users, "n_users", 1)
-    fixed = _fixed_precoder(precoder_kind, n_users)
-    # A Haar trial draws one 2x2 unitary per user after its sphere draw;
-    # standard_normal keeps no state between calls, so those are the next
-    # 8N normals of the trial's stream.
-    extra = 8 * n_users if fixed is None else 0
+    check_choice(precoder_kind, PRECODER_KINDS, "precoder kind")
+    check_choice(mode, _MODES, "mode")
+    haar = precoder_kind == "haar"
+    if not haar:
+        fixed = Precoder.identity if precoder_kind == "none" else Precoder.badr_belfiore
+        p = np.array(fixed(n_users).matrices)[None]
+    # A Haar trial draws one 2x2 unitary per user after its sphere draw; as
+    # standard_normal keeps no state, those are its stream's next 8N normals.
+    extra = 8 * n_users if haar else 0
     samples = []
     for h, z in capacity_sphere_blocks(cfg.seed, cfg.trials, n_users, sum_cap_bits, extra):
-        if fixed is None:
+        if haar:
             p = haar_unitary_rows(z.reshape(-1, n_users, 2, 2, 2))
-            _check_unitary(p)
-        else:
-            p = np.array(fixed.matrices)[None]
-        if not np.all(np.isfinite(h.view(float))):
-            raise InvalidParameterError("channel matrices must be finite")
-        eff = _effective_matrices(p, h[:, :, None, None])
-        if not np.all(np.isfinite(eff.view(float))):
-            raise InvalidParameterError("effective matrix must be 2-D and finite")
-        _check_mode(mode)   # where if_rate checks it, after the channel checks
-        f = _sqrt_factors(eff)
+        f = _sqrt_factors(_effective_matrices(p, h[:, :, None, None]))
         a = _search(f)
         rates = _rates(_variances(a @ f.swapaxes(-1, -2), mode))
         t = p.shape[-1]
@@ -548,13 +522,10 @@ def if_rate_cdf_conditioned(n_users, sum_cap_bits, precoder_kind, mode, cfg,
     natural axis for comparing against the sum capacity); "per-user" divides
     by N.
     """
-    if rate_convention not in ("total", "per-user"):
-        raise InvalidParameterError("rate_convention must be 'total' or 'per-user'")
-    samples = conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg)
-    top = sum_cap_bits if rate_convention == "total" else sum_cap_bits / n_users
-    if rate_convention == "per-user":
-        samples = samples / n_users
-    grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(top)
+    check_choice(rate_convention, ("total", "per-user"), "rate_convention")
+    scale = 1 if rate_convention == "total" else n_users
+    samples = conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg) / scale
+    grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(sum_cap_bits / scale)
     return empirical_cdf(samples, grid, cfg.trials)
 
 
@@ -565,13 +536,11 @@ def ml_rate_quantile(n_users, sum_cap_bits, outage_level):
     Exact CDF inversion for two users; for more users the capped union
     upper bound is inverted instead, giving a conservative quantile.
     """
-    if not (0.0 < outage_level < 1.0):
-        raise InvalidParameterError("outage_level must lie in (0, 1)")
+    check_fraction(outage_level, "outage_level")
     check_positive(sum_cap_bits, "sum capacity")
     if n_users == 2:
-        r = 2.0 * math.log1p(0.5 * outage_level * math.expm1(sum_cap_bits * _LN2)) / _LN2
-        return min(sum_cap_bits, r)
-    from .bounds import scalar_bounds
+        gain = check_gain(sum_cap_bits, "sum_cap_bits")
+        return min(sum_cap_bits, 2.0 * math.log1p(0.5 * outage_level * gain) / _LN2)
     if scalar_bounds(n_users, sum_cap_bits, sum_cap_bits).upper <= outage_level:
         return sum_cap_bits
     lo, hi = 0.0, sum_cap_bits
@@ -592,10 +561,8 @@ def fraction_of_capacity(n_users, cap_grid, outage_level, scheme, cfg=None,
     empirical quantile of the conditioned rate samples.  Returns a list of
     (sum capacity, fraction) pairs.
     """
-    if not (0.0 < outage_level < 1.0):
-        raise InvalidParameterError("outage_level must lie in (0, 1)")
-    if scheme not in ("ml", "if", "if-sic"):
-        raise InvalidParameterError("scheme must be 'ml', 'if' or 'if-sic'")
+    check_fraction(outage_level, "outage_level")
+    check_choice(scheme, ("ml", *_MODES), "scheme")
     if scheme != "ml" and cfg is None:
         raise InvalidParameterError("empirical schemes need a SimConfig")
     out = []
@@ -619,6 +586,6 @@ def ml_mean_rate_fraction(sum_cap_bits):
     """
     c = sum_cap_bits
     check_positive(c, "sum capacity")
-    denom = math.expm1(c * _LN2)
-    integral = 2.0 * ((2.0 / _LN2) * math.expm1(c * _LN2 / 2.0) - c) / denom
+    denom = check_gain(c, "sum_cap_bits")
+    integral = 2.0 * ((2.0 / _LN2) * check_gain(c / 2.0, "sum_cap_bits") - c) / denom
     return (c - integral) / c

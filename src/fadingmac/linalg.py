@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalDomainError, check_int, check_positive
-
-_LN2 = math.log(2.0)
+from .errors import (InvalidParameterError, NumericalDomainError, check_gain, check_int,
+                     check_matrix, check_positive)
 
 # The reproducibility contract: its id, recorded in every run's manifest,
 # and the number of consecutive trials that share one stream.
@@ -103,15 +102,6 @@ def _as_generator(rng):
     raise InvalidParameterError("rng must be an RngStream or numpy Generator")
 
 
-def _check_matrix(k, name="matrix"):
-    k = np.asarray(k, dtype=complex)
-    if k.ndim != 2:
-        raise InvalidParameterError(f"{name} must be two-dimensional")
-    if not np.all(np.isfinite(k.view(float))):
-        raise InvalidParameterError(f"{name} has non-finite entries")
-    return k
-
-
 def sample_complex_gaussian(rows, cols, variance, rng):
     """Matrix of i.i.d. circularly-symmetric complex Gaussian entries.
 
@@ -153,18 +143,6 @@ def haar_unitary_rows(z):
     return q * ph[..., None, :]
 
 
-def _sphere_radius(sum_cap_bits):
-    """sqrt(2**C - 1), the norm of a channel whose sum capacity is C bits."""
-    if not (math.isfinite(sum_cap_bits) and sum_cap_bits >= 0):
-        raise InvalidParameterError("sum_cap_bits must be non-negative and finite")
-    try:
-        return math.sqrt(math.expm1(sum_cap_bits * _LN2))
-    except OverflowError:
-        raise InvalidParameterError(
-            f"sum_cap_bits is too large: 2**C - 1 overflows a float (got {sum_cap_bits})"
-        ) from None
-
-
 def sample_capacity_sphere(dim, sum_cap_bits, rng):
     """Scalar-user channel vector conditioned on its sum capacity.
 
@@ -173,7 +151,7 @@ def sample_capacity_sphere(dim, sum_cap_bits, rng):
     normalizing an i.i.d. complex Gaussian vector, which is isotropic.
     """
     dim = check_int(dim, "dim", 1)
-    radius = _sphere_radius(sum_cap_bits)
+    radius = math.sqrt(check_gain(sum_cap_bits, "sum_cap_bits"))
     g = _as_generator(rng)
     while True:
         z = g.standard_normal((2, dim))
@@ -204,7 +182,7 @@ def capacity_sphere_blocks(seed, trials, dim, sum_cap_bits, extra=0):
     block size never changes the redraw.
     """
     seed = check_int(seed, "seed", 0)
-    radius = _sphere_radius(sum_cap_bits)
+    radius = math.sqrt(check_gain(sum_cap_bits, "sum_cap_bits"))
     first = 0
     for z in trial_normals(seed, trials, (2 * dim + extra,)):
         v = z[:, :dim] + 1j * z[:, dim:2 * dim]
@@ -224,7 +202,7 @@ def capacity_sphere_blocks(seed, trials, dim, sum_cap_bits, extra=0):
 
 def cholesky_lower(k):
     """Lower-triangular Cholesky factor of a Hermitian positive-definite matrix."""
-    k = _check_matrix(k)
+    k = check_matrix(k, "matrix")
     if k.shape[0] != k.shape[1]:
         raise InvalidParameterError("matrix must be square")
     if not np.allclose(k, k.conj().T, rtol=1e-10, atol=1e-12):

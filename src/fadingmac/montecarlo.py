@@ -21,7 +21,8 @@ import numpy as np
 
 from .bounds import ScenarioDims, mimo_union_bound_array, two_user_simo_bound_array
 from .capacity import scaled_subset_rates
-from .errors import InvalidParameterError, check_int, check_positive
+from .errors import (InvalidParameterError, check_choice, check_int, check_positive,
+                     check_subset_size, check_type)
 from .linalg import capacity_sphere_blocks, trial_normals
 
 _LN2 = math.log(2.0)
@@ -35,7 +36,6 @@ class SimConfig:
     seed: int = 0
     rate_grid: np.ndarray = None
     snr_grid_db: np.ndarray = None
-    per_user_target: bool = False
 
     def __post_init__(self):
         self.trials = check_int(self.trials, "trials", 1)
@@ -134,9 +134,7 @@ def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):
     """
     check_positive(sum_cap_bits, "conditioning capacity")
     n_users = check_int(n_users, "n_users", 1)
-    k = check_int(k, "k", 1)
-    if k > n_users:
-        raise InvalidParameterError("k must lie in [1, n_users]")
+    k = check_subset_size(k, n_users)
     grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(sum_cap_bits)
     if k == n_users:
         # The full set's rate is C on every draw; summing the sphere would
@@ -152,8 +150,7 @@ def conditional_cdf_mimo_frobenius(dims, frob_cap_bits, cfg):
     """Empirical CDF of the Frobenius-surrogate symmetric capacity given the
     Frobenius sum rate.  Validates the inflated-parameter beta law: each
     user's squared norm aggregates N_r*N_t coordinates of one big sphere."""
-    if not isinstance(dims, ScenarioDims):
-        raise InvalidParameterError("dims must be a ScenarioDims")
+    check_type(dims, ScenarioDims, "dims")
     check_positive(frob_cap_bits, "conditioning capacity")
     grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(frob_cap_bits)
     samples, atom = _conditioned_sym_samples(
@@ -210,14 +207,12 @@ def outage_vs_snr(dims, target_rate_bits, cfg):
     smooth in SNR and comparable with averaged_bound_vs_snr run on the same
     seed.
     """
-    if not isinstance(dims, ScenarioDims):
-        raise InvalidParameterError("dims must be a ScenarioDims")
+    check_type(dims, ScenarioDims, "dims")
     check_positive(target_rate_bits, "target rate")
     grid_db, grid_lin = _snr_grid_linear(cfg)
-    threshold = target_rate_bits * (dims.n_users if cfg.per_user_target else 1)
     counts = np.zeros(grid_lin.size, dtype=int)
     for mats in _user_matrix_blocks(dims, cfg):
-        counts += np.count_nonzero(_symmetric_capacity(mats, grid_lin) < threshold, axis=0)
+        counts += (_symmetric_capacity(mats, grid_lin) < target_rate_bits).sum(axis=0)
     return [OutageEstimate(point=float(db), p_hat=c / cfg.trials,
                            stderr=binomial_stderr(c / cfg.trials, cfg.trials),
                            trials=cfg.trials)
@@ -233,15 +228,12 @@ def averaged_bound_vs_snr(dims, target_rate_bits, which, cfg):
     Draws with conditioning value below the target contribute probability 1.
     stderr is the standard error of the mean of the averaged bound values.
     """
-    if not isinstance(dims, ScenarioDims):
-        raise InvalidParameterError("dims must be a ScenarioDims")
-    if which not in ("union", "simo"):
-        raise InvalidParameterError("which must be 'union' or 'simo'")
+    check_type(dims, ScenarioDims, "dims")
+    check_choice(which, ("union", "simo"), "which")
     if which == "simo" and (dims.n_users != 2 or dims.n_tx != 1):
         raise InvalidParameterError("the SIMO bound needs 2 users with one tx antenna")
     check_positive(target_rate_bits, "target rate")
     grid_db, grid_lin = _snr_grid_linear(cfg)
-    target = target_rate_bits * (dims.n_users if cfg.per_user_target else 1)
     bound = partial(mimo_union_bound_array, dims) if which == "union" \
         else two_user_simo_bound_array
     acc = np.zeros(grid_lin.size)
@@ -254,9 +246,9 @@ def averaged_bound_vs_snr(dims, target_rate_bits, which, cfg):
             stack = mats.transpose(0, 2, 1, 3).reshape(len(mats), dims.n_rx, -1)
             lam = np.clip(np.linalg.eigvalsh(stack @ stack.conj().swapaxes(-1, -2)), 0.0, None)
             conds = _rates_at_snrs(lam, grid_lin)
-        above = target < conds
+        above = target_rate_bits < conds
         values = np.ones_like(conds)
-        values[above] = bound(target, conds[above])
+        values[above] = bound(target_rate_bits, conds[above])
         acc += values.sum(axis=0)
         acc_sq += (values * values).sum(axis=0)
     means = acc / cfg.trials

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import scipy.integrate
+import scipy.special
 
 from fadingmac.bounds import (
     ScenarioDims,
@@ -197,14 +198,15 @@ def test_criterion_07_analytic_identities(acceptance_log):
         for r in np.linspace(0.0, cap, 21):
             worst_pair = max(worst_pair, abs(
                 two_user_cdf(float(r), cap) - 2.0 * p_out_k(1, 2, float(r), cap)))
+    # The single-antenna law is Beta(k, N - k) at x = (2^(Rk/N) - 1) / (2^C - 1).
     worst_collapse = 0.0
     for n in (2, 3, 5):
         dims = ScenarioDims(n, 1, 1)
         for k in range(1, n):
             for r in np.linspace(0.5, 7.5, 8):
+                x = math.expm1(float(r) * k / n * _LN2) / math.expm1(8.0 * _LN2)
                 worst_collapse = max(worst_collapse, abs(
-                    mimo_p_out_k(k, dims, float(r), 8.0)
-                    - p_out_k(k, n, float(r), 8.0)))
+                    mimo_p_out_k(k, dims, float(r), 8.0) - scipy.special.betainc(k, n - k, x)))
     rng = RngStream(70, 0).generator()
     worst_beta = 0.0
     for _ in range(25):

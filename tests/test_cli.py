@@ -210,6 +210,64 @@ def test_extreme_capacities_exit_without_a_traceback(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
+# Every command that reads --sum-cap, at each capacity outside the domain:
+# C must be positive and 2^C - 1 a finite double, which holds up to 1024 bits.
+_CAPACITY_COMMANDS = [
+    ["fig", "2"], ["fig", "3", "--trials", "5"], ["fig", "4", "--trials", "5"],
+    ["fig", "7", "--trials", "3"], ["fig", "8", "--trials", "3"],
+    ["fig", "8", "--users", "3", "--trials", "3"],
+    ["bound", "two-user", "--rate", "1"], ["bound", "atom"],
+    ["bound", "scalar-bracket", "--users", "3", "--rate", "1"],
+    ["bound", "frobenius-union", "--users", "2", "--nt", "2", "--nr", "2", "--rate", "1"],
+    ["bound", "frobenius-union", "--users", "1", "--nt", "2", "--nr", "2", "--rate", "1"],
+    ["bound", "simo", "--rate", "1"],
+    ["simulate", "--users", "2", "--trials", "5"],
+    ["simulate", "--users", "2", "--nt", "2", "--nr", "2", "--trials", "5"],
+    ["simulate", "--users", "1", "--nt", "2", "--nr", "2", "--trials", "5"],
+    ["simulate", "--users", "3", "--cardinality", "1", "--trials", "5"],
+    ["simulate", "--users", "3", "--cardinality", "3", "--trials", "5"],
+    ["if-sim", "--trials", "3"], ["if-sim", "--trials", "3", "--precoder", "bb"],
+    ["if-sim", "--trials", "3", "--precoder", "haar"],
+]
+
+
+@pytest.mark.parametrize("cap", ["-1", "0", "nan", "inf", "1100"])
+@pytest.mark.parametrize("argv", _CAPACITY_COMMANDS, ids=" ".join)
+def test_every_capacity_command_rejects_a_capacity_outside_the_domain(
+        tmp_path, monkeypatch, capsys, argv, cap):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv + [f"--sum-cap={cap}"])
+    captured = capsys.readouterr()
+    if argv[:2] == ["bound", "simo"] and cap == "1100":
+        # The SIMO bound never forms 2^C - 1: at R = 1 it is 0 to double precision.
+        assert code == 0 and captured.out == "0\n"
+        return
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fadingmac: error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_golden_ratio_precoder_for_three_users_names_the_haar_kind(tmp_path, monkeypatch,
+                                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["if-sim", "--users", "3", "--sum-cap", "8", "--trials", "3",
+                 "--precoder", "bb"]) == 1
+    err = capsys.readouterr().err
+    assert "haar" in err and "haar_t2" not in err
+
+
+def test_per_user_sweep_equals_the_total_sweep_at_the_scaled_rate(tmp_path, capsys):
+    sweep = ["simulate", "--users", "2", "--nt", "1", "--nr", "3", "--trials", "40",
+             "--snr-db-list=-10,0,10"]
+    assert main(sweep + ["--rate", "1.5", "--rate-convention", "per-user",
+                         "--out", str(tmp_path / "per-user")]) == 0
+    assert main(sweep + ["--rate", "3", "--out", str(tmp_path / "total")]) == 0
+    per_user = (tmp_path / "per-user.csv").read_bytes()
+    assert per_user == (tmp_path / "total.csv").read_bytes()
+    assert b"simo-avg" in per_user
+
+
 def test_validate_analytic_suite_passes(capsys):
     assert main(["validate", "analytic"]) == 0
     out = capsys.readouterr().out
@@ -222,15 +280,29 @@ def test_validate_if_suite_passes(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_validate_montecarlo_suite_passes(capsys):
+    assert main(["validate", "montecarlo", "--trials", "2000"]) == 0
+    out = capsys.readouterr().out
+    assert "3/3 checks passed" in out and "FAIL" not in out
+
+
 DATA = Path(__file__).parent / "data"
 
 
-# The committed runs: `fig 2`, `fig 4` and `simulate` on scalar and MIMO
-# users.  fig4 and simulate-mimo pin the bytes and the order of the bracket
-# rows (lower then upper for scalar users, upper then lower for MIMO).
+# The committed runs: `fig 2`, `fig 3`, `fig 4`, `fig 6`, `fig 8`, `fig 9`
+# and `simulate` on scalar and MIMO users and on one cardinality.  fig4 and
+# simulate-mimo pin the bytes and the order of the bracket rows (lower then
+# upper for scalar users, upper then lower for MIMO); fig6 pins the simo-avg
+# rows of two single-antenna users, and fig8 the two-user ML density and atom.
 _COMMITTED_RUNS = {
     "fig2": ["fig", "2"],
+    "fig3": ["fig", "3", "--trials", "200", "--seed", "5"],
     "fig4": ["fig", "4", "--trials", "200", "--seed", "5"],
+    "fig6": ["fig", "6", "--trials", "50", "--seed", "5"],
+    "fig8": ["fig", "8", "--trials", "20", "--seed", "5"],
+    "fig9": ["fig", "9", "--trials", "100", "--seed", "5"],
+    "simulate-cardinality": ["simulate", "--users", "4", "--sum-cap", "8", "--cardinality", "2",
+                             "--trials", "200", "--seed", "5"],
     "simulate-scalar": ["simulate", "--users", "2", "--sum-cap", "2",
                         "--trials", "200", "--seed", "5"],
     "simulate-mimo": ["simulate", "--users", "3", "--nt", "2", "--nr", "2",

@@ -231,11 +231,10 @@ def test_outage_counts_equal_the_per_trial_reference(dims):
     dims = ScenarioDims(*dims)
     trials, seed = 120, 36
     sym = _reference_symmetric_capacity(dims, seed, trials, 10.0 ** (_SNR_DB / 10.0))
-    for target, per_user in ((3.0, False), (1.0, True)):
-        cfg = SimConfig(trials=trials, seed=seed, snr_grid_db=_SNR_DB,
-                        per_user_target=per_user)
-        got = [e.p_hat for e in outage_vs_snr(dims, target, cfg)]
-        threshold = target * (dims.n_users if per_user else 1)
+    cfg = SimConfig(trials=trials, seed=seed, snr_grid_db=_SNR_DB)
+    # The second target is 1 bit per user, passed as its total.
+    for threshold in (3.0, 1.0 * dims.n_users):
+        got = [e.p_hat for e in outage_vs_snr(dims, threshold, cfg)]
         want = list(np.sum(sym < threshold, axis=0) / trials)
         assert got == want
         assert 0.0 < got[1] and got[-1] < 1.0

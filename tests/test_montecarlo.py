@@ -158,12 +158,12 @@ def test_outage_curve_monotone_and_deterministic():
 
 
 def test_per_user_target_rescales_threshold():
+    # A per-user target of 1 bit is a total target of 1 bit times the users.
     dims = ScenarioDims(3, 1, 2)
     grid = np.array([0.0, 6.0, 12.0])
-    total = outage_vs_snr(dims, 3.0, SimConfig(trials=300, seed=9, snr_grid_db=grid))
-    per_user = outage_vs_snr(
-        dims, 1.0,
-        SimConfig(trials=300, seed=9, snr_grid_db=grid, per_user_target=True))
+    cfg = SimConfig(trials=300, seed=9, snr_grid_db=grid)
+    total = outage_vs_snr(dims, 3.0, cfg)
+    per_user = outage_vs_snr(dims, 1.0 * dims.n_users, cfg)
     assert [p.p_hat for p in total] == [p.p_hat for p in per_user]
 
 
