@@ -8,12 +8,13 @@ CDF here is therefore an incomplete beta function that reduces to a finite
 binomial sum, evaluated exactly (no continued fractions).
 
 Scalar users are the 1x1 Frobenius case: p_out_k, scalar_bounds and
-mimo_union_bound wrap mimo_p_out_k and mimo_bounds.  The union and SIMO
-bounds have array forms too (one binomial tail serves both union forms); the
-scalar forms stay on Python floats as their reference, as a one-row array
-call differs in the last bit (2 of 50 union rates, 2x3 at C = 8; 2 of 200
-SIMO rates; numpy 2.4, AVX-512) and np.minimum on a float costs 1.5 us
-against 0.3 us for min.
+mimo_union_bound wrap mimo_p_out_k and mimo_bounds for any N >= 1 (one user
+is the trivial MAC, whose bracket is 0).  The union and SIMO bounds have
+array forms too (one binomial tail serves both union forms); the scalar
+forms stay on Python floats as their reference, as a one-row array call
+differs in the last bit (2 of 50 union rates, 2x3 at C = 8; 2 of 200 SIMO
+rates; numpy 2.4, AVX-512) and np.minimum on a float costs 1.5 us against
+0.3 us for min.
 """
 
 import math
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, check_gain, check_int, check_positive,
+from .errors import (InvalidParameterError, check_capacity, check_gain, check_int,
                      check_subset_size, check_type)
 
 _LN2 = math.log(2.0)
@@ -95,8 +96,8 @@ def two_user_cdf(rate_bits, sum_cap_bits):
     Exact for R <= C: 2 (2^(R/2) - 1) / (2^C - 1).  The distribution also
     has an atom at R = C, so the CDF stays strictly below 1 on [0, C].
     """
-    _check_rate_cap(rate_bits, sum_cap_bits)
-    return 2.0 * check_gain(rate_bits / 2.0, "rate") / check_gain(sum_cap_bits, "sum_cap_bits")
+    gain = _check_rate_cap(rate_bits, sum_cap_bits)
+    return 2.0 * check_gain(rate_bits / 2.0, "rate") / gain
 
 
 def atom_probability(sum_cap_bits):
@@ -106,11 +107,13 @@ def atom_probability(sum_cap_bits):
 
 
 def _check_rate_cap(rate_bits, sum_cap_bits):
-    check_positive(sum_cap_bits, "sum capacity")
+    """2^C - 1 once C and 0 <= R <= C are checked."""
+    gain = check_capacity(sum_cap_bits)
     if not (math.isfinite(rate_bits) and rate_bits >= 0):
         raise InvalidParameterError("rate must be non-negative")
     if rate_bits > sum_cap_bits:
         raise InvalidParameterError("rate must not exceed the conditioning capacity")
+    return gain
 
 
 def p_out_k(k, n_users, rate_bits, sum_cap_bits):
@@ -128,11 +131,8 @@ def scalar_bounds(n_users, rate_bits, sum_cap_bits):
 
     Lower bound: the largest single per-cardinality term.  Upper bound: the
     union bound sum over cardinalities weighted by binomial subset counts,
-    capped at 1.  For N = 2 the upper bound is exact.
+    capped at 1.  For N = 2 the upper bound is exact; for N = 1 both are 0.
     """
-    n_users = check_int(n_users, "n_users")
-    if n_users < 2:
-        raise InvalidParameterError("n_users must be >= 2")
     return mimo_bounds(ScenarioDims(n_users, 1, 1), rate_bits, sum_cap_bits)
 
 
@@ -151,8 +151,7 @@ def mimo_p_out_k(k, dims, rate_bits, frob_cap_bits):
     """
     check_type(dims, ScenarioDims, "dims")
     k = check_subset_size(k, dims.n_users)
-    _check_rate_cap(rate_bits, frob_cap_bits)
-    gain = check_gain(frob_cap_bits, "sum_cap_bits")
+    gain = _check_rate_cap(rate_bits, frob_cap_bits)
     if k == dims.n_users:
         return 0.0
     return _p_out_term(k, dims.n_users, dims.n_rx * dims.n_tx, rate_bits, gain)
@@ -166,8 +165,7 @@ def mimo_bounds(dims, rate_bits, frob_cap_bits):
     upper_raw keeps the uncapped sum.
     """
     check_type(dims, ScenarioDims, "dims")
-    _check_rate_cap(rate_bits, frob_cap_bits)
-    gain = check_gain(frob_cap_bits, "sum_cap_bits")
+    gain = _check_rate_cap(rate_bits, frob_cap_bits)
     n, m = dims.n_users, dims.n_rx * dims.n_tx
     lower = raw = 0.0
     for k in range(1, n):
@@ -213,7 +211,7 @@ def _check_rate_caps(rate_bits, caps_bits):
     caps = np.asarray(caps_bits, dtype=float)
     if caps.size:
         _check_rate_cap(rate_bits, float(caps.min()))
-        check_positive(float(caps.max()), "sum capacity")
+        check_capacity(float(caps.max()))
     return caps
 
 

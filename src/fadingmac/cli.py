@@ -39,8 +39,8 @@ from .bounds import (
     two_user_simo_bound,
 )
 from .dmt import single_user_dmt, symmetric_mac_dmt, symmetric_mac_dmt_curve
-from .errors import InvalidParameterError, NumericalDomainError, check_gain, check_int, \
-    check_positive
+from .errors import InvalidParameterError, NumericalDomainError, check_capacity, check_gain, \
+    check_int
 from .integer_forcing import (
     EffectiveChannel,
     brute_force_search,
@@ -185,8 +185,7 @@ def _fig_1(params):
 
 def _fig_2(params):
     cap = params["sum_cap"]
-    check_positive(cap, "sum capacity")
-    gain_total = check_gain(cap, "sum_cap_bits")
+    gain_total = check_capacity(cap)
     rows = []
     for u in (0.1, 0.5, 0.8):
         c1 = math.log1p(u * gain_total) / _LN2
@@ -202,7 +201,7 @@ def _fig_2(params):
 
 def _two_user_density(r, cap):
     """Density of the two-user symmetric capacity below C, given C."""
-    return _LN2 * 2.0 ** (r / 2.0) / check_gain(cap, "sum_cap_bits")
+    return _LN2 * 2.0 ** (r / 2.0) / check_capacity(cap)
 
 
 def _cfg(params):
@@ -221,15 +220,12 @@ def _cardinality_rows(k, users, cap, cfg):
 
 def _bracket_rows(dims, cap, cfg):
     """Conditioned empirical CDF plus the bracket at each rate: scalar users
-    (scalar_bounds, N >= 2) list lower then upper, MIMO upper then lower."""
+    list lower then upper, MIMO users upper then lower."""
     cdf = conditional_cdf_mimo_frobenius(dims, cap, cfg)
     rows = _cdf_rows("empirical", cdf, atom_name="empirical-atom")
-    if dims.n_tx == dims.n_rx == 1:
-        bracket, order = partial(scalar_bounds, dims.n_users), ("lower", "upper")
-    else:
-        bracket, order = partial(mimo_bounds, dims), ("upper", "lower")
+    order = ("lower", "upper") if dims.n_tx == dims.n_rx == 1 else ("upper", "lower")
     for r in cdf.rates:
-        pair = bracket(float(r), cap)
+        pair = mimo_bounds(dims, float(r), cap)
         rows.extend((end, r, getattr(pair, end), None) for end in order)
     return rows
 
@@ -284,7 +280,7 @@ def _ml_cdf_rows(users, cap, grid, convention):
 def _fig_7(params):
     users, cap = params["users"], params["sum_cap"]
     convention = params["rate_convention"]
-    check_positive(cap, "sum capacity")   # before the rate grid is built on it
+    check_capacity(cap)   # before the rate grid is built on it
     cfg = _cfg(params)
     top = cap if convention == "total" else cap / users
     grid = default_rate_grid(top)
@@ -309,8 +305,7 @@ def _histogram_rows(curve_name, samples, edges, trials):
 
 def _fig_8(params):
     users, cap = params["users"], params["sum_cap"]
-    # Checked before the bins are laid out, in the words of the first rows' check.
-    check_positive(cap, "sum capacity" if users == 2 else "conditioning capacity")
+    check_capacity(cap)   # before the bins are laid out on it
     cfg = _cfg(params)
     edges = np.linspace(0.0, cap, 51)
     centers = (edges[:-1] + edges[1:]) / 2.0
@@ -442,7 +437,7 @@ def _suite_analytic():
         t, w = np.polynomial.legendre.leggauss(users)
         for k in range(1, users):
             for r in (1.0, 3.0, 5.0):
-                x = check_gain(r * k / users, "rate") / check_gain(6.0, "sum_cap_bits")
+                x = check_gain(r * k / users, "rate") / check_capacity(6.0)
                 u = 0.5 * x * (t + 1.0)
                 beta = 0.5 * x * k * math.comb(users - 1, k) * float(
                     w @ (u ** (k - 1) * (1.0 - u) ** (users - k - 1)))

@@ -1,8 +1,9 @@
 """Exception types and the parameter validators shared across the package.
 
 Each input rule is written once, here: check_int, check_positive, check_type,
-check_choice, check_fraction, check_subset_size, check_interval, check_matrix
-and check_gain, the one place a scalar 2^C - 1 is formed.
+check_choice, check_fraction, check_subset_size, check_interval, check_matrix,
+check_gain, the one place a scalar 2^x - 1 is formed, and check_capacity, the
+domain of the sum capacity C every bound and engine conditions on.
 """
 
 import math
@@ -96,3 +97,11 @@ def check_gain(bits, name):
     except OverflowError:
         raise InvalidParameterError(
             f"{name} is too large: 2**C - 1 overflows a float (got {bits})") from None
+
+
+def check_capacity(bits):
+    """2^C - 1 for a sum capacity C, which must be positive with 2^C - 1 a
+    finite float (up to 1024 bits)."""
+    if not (math.isfinite(bits) and bits > 0):
+        raise InvalidParameterError("sum capacity must be positive")
+    return check_gain(bits, "sum capacity")

@@ -37,8 +37,8 @@ import numpy as np
 
 from .capacity import MacChannel
 from .bounds import scalar_bounds
-from .errors import (InvalidParameterError, NumericalDomainError, check_choice, check_fraction,
-                     check_gain, check_int, check_matrix, check_positive, check_type)
+from .errors import (InvalidParameterError, NumericalDomainError, check_capacity, check_choice,
+                     check_fraction, check_gain, check_int, check_matrix, check_type)
 from .linalg import capacity_sphere_blocks, cholesky_lower, haar_unitary_rows, \
     sample_haar_unitary
 from .montecarlo import default_rate_grid, empirical_cdf
@@ -491,7 +491,7 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     greedy basis is a stacked numpy call, and row t equals
     N * if_rate(...).symmetric_rate_bits of trial t's channel.
     """
-    check_positive(sum_cap_bits, "conditioning capacity")
+    check_capacity(sum_cap_bits)
     n_users = check_int(n_users, "n_users", 1)
     check_choice(precoder_kind, PRECODER_KINDS, "precoder kind")
     check_choice(mode, _MODES, "mode")
@@ -509,8 +509,7 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
         f = _sqrt_factors(_effective_matrices(p, h[:, :, None, None]))
         a = _search(f)
         rates = _rates(_variances(a @ f.swapaxes(-1, -2), mode))
-        t = p.shape[-1]
-        samples.append(n_users * (t * rates.min(axis=-1) / t))
+        samples.append(n_users * rates.min(axis=-1))
     return np.concatenate(samples)
 
 
@@ -537,9 +536,8 @@ def ml_rate_quantile(n_users, sum_cap_bits, outage_level):
     upper bound is inverted instead, giving a conservative quantile.
     """
     check_fraction(outage_level, "outage_level")
-    check_positive(sum_cap_bits, "sum capacity")
+    gain = check_capacity(sum_cap_bits)
     if n_users == 2:
-        gain = check_gain(sum_cap_bits, "sum_cap_bits")
         return min(sum_cap_bits, 2.0 * math.log1p(0.5 * outage_level * gain) / _LN2)
     if scalar_bounds(n_users, sum_cap_bits, sum_cap_bits).upper <= outage_level:
         return sum_cap_bits
@@ -585,7 +583,6 @@ def ml_mean_rate_fraction(sum_cap_bits):
     F(R) = 2 (2^(R/2) - 1) / (2^C - 1).
     """
     c = sum_cap_bits
-    check_positive(c, "sum capacity")
-    denom = check_gain(c, "sum_cap_bits")
-    integral = 2.0 * ((2.0 / _LN2) * check_gain(c / 2.0, "sum_cap_bits") - c) / denom
+    denom = check_capacity(c)
+    integral = 2.0 * ((2.0 / _LN2) * check_gain(c / 2.0, "sum capacity") - c) / denom
     return (c - integral) / c

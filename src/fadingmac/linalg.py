@@ -151,7 +151,7 @@ def sample_capacity_sphere(dim, sum_cap_bits, rng):
     normalizing an i.i.d. complex Gaussian vector, which is isotropic.
     """
     dim = check_int(dim, "dim", 1)
-    radius = math.sqrt(check_gain(sum_cap_bits, "sum_cap_bits"))
+    radius = math.sqrt(check_gain(sum_cap_bits, "sum capacity"))
     g = _as_generator(rng)
     while True:
         z = g.standard_normal((2, dim))
@@ -182,7 +182,7 @@ def capacity_sphere_blocks(seed, trials, dim, sum_cap_bits, extra=0):
     block size never changes the redraw.
     """
     seed = check_int(seed, "seed", 0)
-    radius = math.sqrt(check_gain(sum_cap_bits, "sum_cap_bits"))
+    radius = math.sqrt(check_gain(sum_cap_bits, "sum capacity"))
     first = 0
     for z in trial_normals(seed, trials, (2 * dim + extra,)):
         v = z[:, :dim] + 1j * z[:, dim:2 * dim]

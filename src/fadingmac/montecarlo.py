@@ -21,8 +21,8 @@ import numpy as np
 
 from .bounds import ScenarioDims, mimo_union_bound_array, two_user_simo_bound_array
 from .capacity import scaled_subset_rates
-from .errors import (InvalidParameterError, check_choice, check_int, check_positive,
-                     check_subset_size, check_type)
+from .errors import (InvalidParameterError, check_capacity, check_choice, check_int,
+                     check_positive, check_subset_size, check_type)
 from .linalg import capacity_sphere_blocks, trial_normals
 
 _LN2 = math.log(2.0)
@@ -85,7 +85,7 @@ def empirical_cdf(samples, grid, trials, atom_count=None):
     s = np.sort(samples)
     counts = np.searchsorted(s, grid, side="left")
     probs = counts / trials
-    stderr = np.array([binomial_stderr(p, trials) for p in probs])
+    stderr = np.sqrt(np.maximum(probs * (1 - probs), 0) / trials)
     atom_mass = atom_stderr = None
     if atom_count is not None:
         atom_mass = atom_count / trials
@@ -132,7 +132,7 @@ def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):
     not of the weakest one), which is what the per-cardinality beta formula
     describes.
     """
-    check_positive(sum_cap_bits, "conditioning capacity")
+    check_capacity(sum_cap_bits)
     n_users = check_int(n_users, "n_users", 1)
     k = check_subset_size(k, n_users)
     grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(sum_cap_bits)
@@ -151,7 +151,7 @@ def conditional_cdf_mimo_frobenius(dims, frob_cap_bits, cfg):
     Frobenius sum rate.  Validates the inflated-parameter beta law: each
     user's squared norm aggregates N_r*N_t coordinates of one big sphere."""
     check_type(dims, ScenarioDims, "dims")
-    check_positive(frob_cap_bits, "conditioning capacity")
+    check_capacity(frob_cap_bits)
     grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(frob_cap_bits)
     samples, atom = _conditioned_sym_samples(
         dims.n_users, frob_cap_bits, cfg, block_dim=dims.n_rx * dims.n_tx)

@@ -135,6 +135,13 @@ def test_scalar_bounds_pinned_four_user_values():
     assert abs(pair.upper_raw - 0.2596832892326481) < 1e-15
 
 
+@pytest.mark.parametrize("rate", [0.0, 1.0, 4.0])
+def test_scalar_bounds_at_one_user_are_the_1x1_frobenius_bounds(rate):
+    pair = scalar_bounds(1, rate, 4.0)
+    assert pair == mimo_bounds(ScenarioDims(1, 1, 1), rate, 4.0)
+    assert pair == BoundPair(lower=0.0, upper=0.0, upper_raw=0.0)
+
+
 def test_scalar_bounds_clamping():
     # push the union sum beyond 1 with many users near R = C
     pair = scalar_bounds(10, 6.0, 6.0)

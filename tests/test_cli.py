@@ -212,6 +212,11 @@ def test_extreme_capacities_exit_without_a_traceback(tmp_path, monkeypatch, caps
 
 # Every command that reads --sum-cap, at each capacity outside the domain:
 # C must be positive and 2^C - 1 a finite double, which holds up to 1024 bits.
+# Each capacity gets one error line, whichever command reads it.
+_CAPACITY_ERRORS = {
+    **dict.fromkeys(["-1", "0", "nan", "inf"], "sum capacity must be positive"),
+    "1100": "sum capacity is too large: 2**C - 1 overflows a float (got 1100.0)",
+}
 _CAPACITY_COMMANDS = [
     ["fig", "2"], ["fig", "3", "--trials", "5"], ["fig", "4", "--trials", "5"],
     ["fig", "7", "--trials", "3"], ["fig", "8", "--trials", "3"],
@@ -231,21 +236,42 @@ _CAPACITY_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("cap", ["-1", "0", "nan", "inf", "1100"])
+@pytest.mark.parametrize("cap", list(_CAPACITY_ERRORS))
 @pytest.mark.parametrize("argv", _CAPACITY_COMMANDS, ids=" ".join)
 def test_every_capacity_command_rejects_a_capacity_outside_the_domain(
         tmp_path, monkeypatch, capsys, argv, cap):
     monkeypatch.chdir(tmp_path)
-    code = main(argv + [f"--sum-cap={cap}"])
+    assert main(argv + [f"--sum-cap={cap}"]) == 1
     captured = capsys.readouterr()
-    if argv[:2] == ["bound", "simo"] and cap == "1100":
-        # The SIMO bound never forms 2^C - 1: at R = 1 it is 0 to double precision.
-        assert code == 0 and captured.out == "0\n"
-        return
-    assert code == 1
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("fadingmac: error:")
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"fadingmac: error: {_CAPACITY_ERRORS[cap]}"]
     assert list(tmp_path.iterdir()) == []
+
+
+# One user is the trivial MAC: scalar and MIMO users alike run, with bracket 0.
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--users", "1", "--sum-cap", "4", "--trials", "20"],
+    ["fig", "4", "--users", "1", "--trials", "20"],
+    ["fig", "7", "--users", "1", "--trials", "5"],
+    ["if-sim", "--users", "1", "--sum-cap", "4", "--trials", "5"],
+])
+def test_one_user_runs_with_a_zero_bracket(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    (csv_path,) = tmp_path.glob("*.csv")
+    with open(csv_path) as fh:
+        bracket = [float(row["y"]) for row in csv.DictReader(fh)
+                   if row["curve"] in ("lower", "upper", "ml-lower", "ml-upper")]
+    assert bracket and set(bracket) == {0.0}
+
+
+def test_one_user_bracket_is_the_1x1_frobenius_bound(capsys):
+    assert main(["bound", "scalar-bracket", "--users", "1", "--rate", "1",
+                 "--sum-cap", "4"]) == 0
+    assert capsys.readouterr().out == "lower=0 upper=0 upper_raw=0\n"
+    assert main(["bound", "frobenius-union", "--users", "1", "--nt", "1", "--nr", "1",
+                 "--rate", "1", "--sum-cap", "4"]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_golden_ratio_precoder_for_three_users_names_the_haar_kind(tmp_path, monkeypatch,

@@ -8,6 +8,7 @@ import pytest
 from fadingmac.bounds import ScenarioDims
 from fadingmac.errors import (
     InvalidParameterError,
+    check_capacity,
     check_choice,
     check_fraction,
     check_gain,
@@ -63,6 +64,17 @@ def test_check_gain_is_expm1_of_c_ln2_while_finite(bits):
 def test_check_gain_rejects_capacities_outside_its_domain(bits, message):
     with pytest.raises(InvalidParameterError, match=message):
         check_gain(bits, "C")
+
+
+def test_check_capacity_has_one_domain_and_one_name():
+    assert check_capacity(np.float64(1024.0)) == check_gain(1024.0, "C")
+    assert check_capacity(1e-300) == check_gain(1e-300, "C")
+    for bits in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError, match="^sum capacity must be positive$"):
+            check_capacity(bits)
+    with pytest.raises(InvalidParameterError, match=r"^sum capacity is too large: 2\*\*C - 1 "
+                       r"overflows a float \(got 1024.5\)$"):
+        check_capacity(1024.5)
 
 
 def test_check_type_and_check_choice_messages():
