@@ -112,7 +112,7 @@ def _check_rate_cap(rate_bits, sum_cap_bits):
     if not (math.isfinite(rate_bits) and rate_bits >= 0):
         raise InvalidParameterError("rate must be non-negative")
     if rate_bits > sum_cap_bits:
-        raise InvalidParameterError("rate must not exceed the conditioning capacity")
+        raise InvalidParameterError("rate must not exceed the sum capacity")
     return gain
 
 

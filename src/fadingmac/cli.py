@@ -20,7 +20,8 @@ import platform
 import sys
 import time
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -156,23 +157,6 @@ def _parse_snr_list(text):
 # ---------------------------------------------------------------------------
 # figure handlers: each takes the resolved parameter dict and returns rows
 
-_SNR_GRID_DB = [float(s) for s in range(-10, 21, 2)]
-
-# Per-figure defaults, applied on top of the "fig" entry of _DEFAULTS.
-_FIG_DEFAULTS = {
-    1: {},
-    2: {"sum_cap": 2.0},
-    3: {"users": 4, "sum_cap": 8.0, "trials": 100000},
-    4: {"users": 4, "sum_cap": 8.0, "trials": 100000},
-    5: {"nt": 2, "nr": 3, "rate": 3.0, "snr_db_list": _SNR_GRID_DB},
-    6: {"nr": 6, "rate": 3.0, "snr_db_list": _SNR_GRID_DB},
-    7: {"sum_cap": 10.0},
-    8: {"sum_cap": 10.0},
-    9: {"trials": 2000},
-    10: {"trials": 2000},
-}
-
-
 def _fig_1(params):
     users, nt, nr = params["users"], params["nt"], params["nr"]
     rows = []
@@ -231,7 +215,8 @@ def _bracket_rows(dims, cap, cfg):
 
 
 def _fig_3(params):
-    users, cap = params["users"], params["sum_cap"]
+    # The curves run over subset sizes k = 1 .. N - 1.
+    users, cap = check_int(params["users"], "n_users", 2), params["sum_cap"]
     cfg = _cfg(params)
     return [row for k in range(1, users)
             for row in _cardinality_rows(k, users, cap, cfg)]
@@ -277,19 +262,24 @@ def _ml_cdf_rows(users, cap, grid, convention):
     return rows
 
 
-def _fig_7(params):
+def _if_cdf_rows(params, schemes):
+    """The ML conditional CDF, then the IF rate CDF of each (mode, precoder)
+    scheme, on the IF CDFs' rate grid."""
     users, cap = params["users"], params["sum_cap"]
     convention = params["rate_convention"]
-    check_capacity(cap)   # before the rate grid is built on it
     cfg = _cfg(params)
-    top = cap if convention == "total" else cap / users
-    grid = default_rate_grid(top)
-    rows = _ml_cdf_rows(users, cap, grid, convention)
-    for mode, pre in _if_schemes(users, with_haar=True):
-        cdf = if_rate_cdf_conditioned(users, cap, _PRECODER_NAMES[pre], mode,
-                                      cfg, rate_convention=convention)
-        rows.extend(_cdf_rows(f"{mode}-{pre}", cdf))
+    cdfs = {f"{mode}-{pre}": if_rate_cdf_conditioned(users, cap, _PRECODER_NAMES[pre], mode,
+                                                      cfg, rate_convention=convention)
+            for mode, pre in schemes}
+    rows = _ml_cdf_rows(users, cap, next(iter(cdfs.values())).rates, convention)
+    for name, cdf in cdfs.items():
+        rows.extend(_cdf_rows(name, cdf))
     return rows
+
+
+def _fig_7(params):
+    check_capacity(params["sum_cap"])   # reported before the trial count, as in fig 8
+    return _if_cdf_rows(params, _if_schemes(params["users"], with_haar=True))
 
 
 def _histogram_rows(curve_name, samples, edges, trials):
@@ -356,9 +346,22 @@ def _fig_10(params):
     return rows
 
 
-_FIG_HANDLERS = {1: _fig_1, 2: _fig_2, 3: _fig_3, 4: _fig_4,
-                 5: partial(_snr_sweep_rows, with_simo=False), 6: _snr_sweep_rows,
-                 7: _fig_7, 8: _fig_8, 9: _fig_9, 10: _fig_10}
+_SNR_GRID_DB = [float(s) for s in range(-10, 21, 2)]
+
+# figure -> (its rows, its defaults on top of the "fig" defaults of _COMMANDS)
+_FIGURES = {
+    1: (_fig_1, {}),
+    2: (_fig_2, {"sum_cap": 2.0}),
+    3: (_fig_3, {"users": 4, "sum_cap": 8.0, "trials": 100000}),
+    4: (_fig_4, {"users": 4, "sum_cap": 8.0, "trials": 100000}),
+    5: (partial(_snr_sweep_rows, with_simo=False),
+        {"nt": 2, "nr": 3, "rate": 3.0, "snr_db_list": _SNR_GRID_DB}),
+    6: (_snr_sweep_rows, {"nr": 6, "rate": 3.0, "snr_db_list": _SNR_GRID_DB}),
+    7: (_fig_7, {"sum_cap": 10.0}),
+    8: (_fig_8, {"sum_cap": 10.0}),
+    9: (_fig_9, {"trials": 2000}),
+    10: (_fig_10, {"trials": 2000}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +403,7 @@ def _rows_simulate(params):
 
 def _rows_ifsim(params):
     _require(params, "sum_cap")
-    users, cap = params["users"], params["sum_cap"]
-    convention = params["rate_convention"]
-    cdf = if_rate_cdf_conditioned(users, cap, _PRECODER_NAMES[params["precoder"]],
-                                  params["mode"], _cfg(params),
-                                  rate_convention=convention)
-    rows = _ml_cdf_rows(users, cap, cdf.rates, convention)
-    rows.extend(_cdf_rows(f"{params['mode']}-{params['precoder']}", cdf))
-    return rows
-
-
-_ROW_HANDLERS = {"fig": lambda p: _FIG_HANDLERS[p["figure"]](p),
-                 "simulate": _rows_simulate, "if-sim": _rows_ifsim}
+    return _if_cdf_rows(params, [(params["mode"], params["precoder"])])
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +530,7 @@ def _suite_if(instances, seed):
     return checks
 
 
-def _run_validate(params):
+def _run_validate(_command, params, _out):
     suite, trials, seed = params["suite"], params["trials"], params["seed"]
     if trials is not None:
         check_int(trials, "trials", 1)
@@ -560,7 +552,67 @@ def _run_validate(params):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# runners: each takes the command name, its parameter set and --out, and
+# returns the exit code
+
+def _run_rows(command, params, out):
+    """Write a CSV command's rows and its manifest, named after --out or the
+    command's stem."""
+    start = time.perf_counter()
+    rows = _COMMANDS[command].rows(params)
+    wall = time.perf_counter() - start
+    csv_path, manifest_path = _out_paths(out or _COMMANDS[command].stem.format(**params))
+    _write_csv(csv_path, rows)
+    _write_manifest(manifest_path, command, params, wall, csv_path)
+    print(f"wrote {csv_path} and {manifest_path}")
+    return 0
+
+
+def _run_bound(command, params, out):
+    required, value_of = _BOUNDS[params["which"]]
+    start = time.perf_counter()
+    _require(params, *required)
+    result = value_of(params)
+    values = asdict(result) if isinstance(result, BoundPair) else {"value": result}
+    wall = time.perf_counter() - start
+    if set(values) == {"value"}:
+        print(f"{values['value']:.6g}")
+    else:
+        print(" ".join(f"{k}={v:.6g}" for k, v in values.items()))
+    if out:
+        _, manifest_path = _out_paths(out)
+        _write_manifest(manifest_path, command, params, wall, None, extra={"result": values})
+        print(f"wrote {manifest_path}")
+    return 0
+
+
+def _run_rerun(_command, params, out):
+    try:
+        with open(params["manifest"]) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InvalidParameterError(f"cannot read manifest: {exc}") from exc
+    command = doc.get("command")
+    if command not in _COMMANDS or _COMMANDS[command].rows is None:
+        raise InvalidParameterError(
+            f"manifest command {command!r} does not produce a CSV")
+    recorded = doc.get("params")
+    if not isinstance(recorded, dict):
+        raise InvalidParameterError("manifest is missing its parameter set")
+    # Manifests from before the layout was recorded used layout 1.
+    layout = doc.get("rng_layout", 1)
+    if layout != RNG_LAYOUT:
+        raise InvalidParameterError(
+            f"manifest was written with RNG layout {layout}; this version draws with "
+            f"layout {RNG_LAYOUT} and cannot replay it")
+    out = out or doc.get("csv")
+    if not out:
+        raise InvalidParameterError("manifest records no CSV path; pass --out")
+    return _run_rows(command, recorded, out)
+
+
+# ---------------------------------------------------------------------------
+# the command table and its parser
 
 _FLAGS = {
     "trials": dict(type=int, help="Monte-Carlo trial count"),
@@ -582,145 +634,88 @@ _FLAGS = {
 }
 
 
-def _add_flags(p, *names):
-    for name in names:
-        p.add_argument("--" + name, **_FLAGS[name])
+class _Command(NamedTuple):
+    """One subcommand.  ``arguments``: its positional and flags in parser
+    order, each a _FLAGS name or a (name, add_argument keywords) pair.
+    ``defaults(params)``: the values of its unset flags.  ``rows``: the CSV
+    rows of a command that writes one, by default to ``stem``."""
+    help: str
+    arguments: tuple
+    description: str = None
+    defaults: Callable = lambda params: {}
+    rows: Callable = None
+    stem: str = None
+    run: Callable = _run_rows
 
 
+_RUN_DEFAULTS = {"users": 2, "trials": 10000, "rate_convention": "total"}
+
+_COMMANDS = {
+    "fig": _Command(
+        "emit the data behind a standard figure",
+        (("figure", dict(type=int, choices=sorted(_FIGURES), help="figure id")),
+         "trials", "seed", "out", "users", "nr", "nt", "sum-cap", "rate", "snr-db-list",
+         "rate-convention"),
+        description="Write one figure's curves as CSV plus a JSON manifest.",
+        defaults=lambda p: {**_RUN_DEFAULTS, "nt": 1, "nr": 1, **_FIGURES[p["figure"]][1]},
+        rows=lambda p: _FIGURES[p["figure"]][0](p), stem="fig{figure}"),
+    "bound": _Command(
+        "evaluate one analytic quantity",
+        (("which", dict(choices=list(_BOUNDS), help="which quantity")),
+         "users", "nr", "nt", "rate", "sum-cap", "mux", "seed", "out"),
+        description="Print a single bound value; with --out, also record it in a JSON "
+                    "manifest.",
+        run=_run_bound),
+    "simulate": _Command(
+        "Monte-Carlo conditional CDFs and outage sweeps",
+        ("trials", "seed", "out", "users", "nr", "nt", "sum-cap", "rate", "snr-db-list",
+         "rate-convention", "cardinality"),
+        defaults=lambda p: _RUN_DEFAULTS, rows=_rows_simulate, stem="simulate"),
+    "if-sim": _Command(
+        "conditioned integer-forcing rate CDF",
+        ("trials", "seed", "out", "users", "sum-cap", "precoder", "mode", "rate-convention"),
+        defaults=lambda p: _RUN_DEFAULTS, rows=_rows_ifsim, stem="if-sim"),
+    "validate": _Command(
+        "run a self-check suite",
+        (("suite", dict(choices=list(VALIDATE_SUITES), help="which suite")), "trials", "seed"),
+        run=_run_validate),
+    "rerun": _Command(
+        "replay a run from its manifest",
+        (("--manifest", dict(required=True, help="path to a JSON manifest")),
+         ("--out", dict(help="override the output path recorded in the manifest"))),
+        run=_run_rerun),
+}
+
+
+@cache
 def build_parser():
+    """The parser of _COMMANDS, built on first use; every later call returns
+    the same parser, which callers must not change."""
     parser = _Parser(prog="fadingmac",
                      description="Bounds, simulations and integer-forcing rates "
                                  "for the Rayleigh-fading multiple access channel.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("fig", help="emit the data behind a standard figure",
-                       description="Write one figure's curves as CSV plus a "
-                                   "JSON manifest.")
-    p.add_argument("figure", type=int, choices=sorted(_FIG_HANDLERS),
-                   help="figure id")
-    _add_flags(p, "trials", "seed", "out", "users", "nr", "nt", "sum-cap",
-               "rate", "snr-db-list", "rate-convention")
-
-    p = sub.add_parser("bound", help="evaluate one analytic quantity",
-                       description="Print a single bound value; with --out, "
-                                   "also record it in a JSON manifest.")
-    p.add_argument("which", choices=list(_BOUNDS), help="which quantity")
-    _add_flags(p, "users", "nr", "nt", "rate", "sum-cap", "mux", "seed", "out")
-
-    p = sub.add_parser("simulate", help="Monte-Carlo conditional CDFs and outage sweeps")
-    _add_flags(p, "trials", "seed", "out", "users", "nr", "nt", "sum-cap",
-               "rate", "snr-db-list", "rate-convention", "cardinality")
-
-    p = sub.add_parser("if-sim", help="conditioned integer-forcing rate CDF")
-    _add_flags(p, "trials", "seed", "out", "users", "sum-cap", "precoder",
-               "mode", "rate-convention")
-
-    p = sub.add_parser("validate", help="run a self-check suite")
-    p.add_argument("suite", choices=list(VALIDATE_SUITES), help="which suite")
-    _add_flags(p, "trials", "seed")
-
-    p = sub.add_parser("rerun", help="replay a run from its manifest")
-    p.add_argument("--manifest", required=True, help="path to a JSON manifest")
-    p.add_argument("--out", default=None,
-                   help="override the output path recorded in the manifest")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.description)
+        for arg in command.arguments:
+            flag, spec = arg if isinstance(arg, tuple) else ("--" + arg, _FLAGS[arg])
+            p.add_argument(flag, **spec)
     return parser
 
 
-# Values a command's parameters take when their flag is not given.
-_DEFAULTS = {
-    "fig": {"users": 2, "nt": 1, "nr": 1, "trials": 10000, "rate_convention": "total"},
-    "simulate": {"users": 2, "trials": 10000, "rate_convention": "total"},
-    "if-sim": {"users": 2, "trials": 10000, "rate_convention": "total"},
-}
-
-
-def _params(args):
-    """The parameter set a command runs with and its manifest records."""
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
-    if params.get("snr_db_list") is not None:
-        params["snr_db_list"] = _parse_snr_list(params["snr_db_list"])
-    defaults = dict(_DEFAULTS.get(args.command, {}))
-    if args.command == "fig":
-        defaults.update(_FIG_DEFAULTS[args.figure])
-    for name, value in defaults.items():
-        if params[name] is None:
-            params[name] = value
-    return params
-
-
-def _run_and_write(command, params, out):
-    start = time.perf_counter()
-    rows = _ROW_HANDLERS[command](params)
-    wall = time.perf_counter() - start
-    csv_path, manifest_path = _out_paths(out)
-    _write_csv(csv_path, rows)
-    _write_manifest(manifest_path, command, params, wall, csv_path)
-    print(f"wrote {csv_path} and {manifest_path}")
-    return 0
-
-
-def _run_bound(params, out):
-    required, value_of = _BOUNDS[params["which"]]
-    start = time.perf_counter()
-    _require(params, *required)
-    result = value_of(params)
-    values = asdict(result) if isinstance(result, BoundPair) else {"value": result}
-    wall = time.perf_counter() - start
-    if set(values) == {"value"}:
-        print(f"{values['value']:.6g}")
-    else:
-        print(" ".join(f"{k}={v:.6g}" for k, v in values.items()))
-    if out:
-        path = out if out.endswith(".json") else out + ".json"
-        _write_manifest(path, "bound", params, wall, None, extra={"result": values})
-        print(f"wrote {path}")
-    return 0
-
-
-def _run_rerun(args):
-    try:
-        with open(args.manifest) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidParameterError(f"cannot read manifest: {exc}") from exc
-    command = doc.get("command")
-    if command not in _ROW_HANDLERS:
-        raise InvalidParameterError(
-            f"manifest command {command!r} does not produce a CSV")
-    params = doc.get("params")
-    if not isinstance(params, dict):
-        raise InvalidParameterError("manifest is missing its parameter set")
-    # Manifests from before the layout was recorded used layout 1.
-    layout = doc.get("rng_layout", 1)
-    if layout != RNG_LAYOUT:
-        raise InvalidParameterError(
-            f"manifest was written with RNG layout {layout}; this version draws with "
-            f"layout {RNG_LAYOUT} and cannot replay it")
-    out = args.out if args.out else doc.get("csv")
-    if not out:
-        raise InvalidParameterError("manifest records no CSV path; pass --out")
-    return _run_and_write(command, params, out)
-
-
-def _dispatch(args):
-    if args.command == "rerun":
-        return _run_rerun(args)
-    params = _params(args)
-    if args.command == "bound":
-        return _run_bound(params, args.out)
-    if args.command == "validate":
-        return _run_validate(params)
-    stem = f"fig{args.figure}" if args.command == "fig" else args.command
-    return _run_and_write(args.command, params, args.out or stem)
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parameter set a command runs with and its manifest records.
+    params = vars(build_parser().parse_args(argv))
+    name, out = params.pop("command"), params.pop("out", None)
+    command = _COMMANDS[name]
     try:
-        return _dispatch(args)
+        if params.get("snr_db_list") is not None:
+            params["snr_db_list"] = _parse_snr_list(params["snr_db_list"])
+        params.update({key: value for key, value in command.defaults(params).items()
+                       if params[key] is None})
+        return command.run(name, params, out)
     except InvalidParameterError as exc:
         print(f"fadingmac: error: {exc}", file=sys.stderr)
         return 1

@@ -445,11 +445,14 @@ def _variances(fa, mode):
     return np.abs(np.diagonal(r, axis1=-2, axis2=-1)) ** 2
 
 
-def _rates(variances):
-    """Per-stream rates max(0, -log2 variance); a variance that is not
-    finite and positive raises NumericalDomainError."""
-    if not np.all(np.isfinite(variances) & (variances > 0)):
-        raise NumericalDomainError("integer-forcing noise variance is not positive")
+def _rates(variances, where=None):
+    """Per-stream rates max(0, -log2 variance).  A variance that is not
+    finite and positive raises NumericalDomainError; for a stack of trials
+    (trials, streams), where(row) names the first such row's trial."""
+    ok = np.isfinite(variances) & (variances > 0)
+    if not np.all(ok):
+        at = where(int(np.argmin(ok.all(axis=-1)))) if where else ""
+        raise NumericalDomainError("integer-forcing noise variance is not positive" + at)
     return np.maximum(0.0, -np.log(variances) / _LN2)
 
 
@@ -508,7 +511,8 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
             p = haar_unitary_rows(z.reshape(-1, n_users, 2, 2, 2))
         f = _sqrt_factors(_effective_matrices(p, h[:, :, None, None]))
         a = _search(f)
-        rates = _rates(_variances(a @ f.swapaxes(-1, -2), mode))
+        rates = _rates(_variances(a @ f.swapaxes(-1, -2), mode), lambda row: (
+            f" in trial {sum(map(len, samples)) + row} (C = {sum_cap_bits} bits)"))
         samples.append(n_users * rates.min(axis=-1))
     return np.concatenate(samples)
 

@@ -6,13 +6,18 @@ exit codes, CSV/manifest layout, and byte-identical replay from a manifest.
 
 import csv
 import json
+import os
 import platform
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fadingmac.cli import main
+import fadingmac
+from fadingmac.cli import build_parser, main
 
 
 def test_bound_two_user_prints_value(capsys):
@@ -34,10 +39,12 @@ def test_bound_bracket_prints_both_ends(capsys):
     assert out.startswith("lower=") and "upper=" in out
 
 
-def test_bound_writes_manifest(tmp_path, capsys):
-    stem = tmp_path / "atom"
-    code = main(["bound", "atom", "--sum-cap", "2", "--out", str(stem)])
+@pytest.mark.parametrize("out", ["atom", "atom.json", "atom.csv"])
+def test_bound_writes_manifest(tmp_path, capsys, out):
+    # Every --out form names the manifest atom.json, as for the CSV commands.
+    code = main(["bound", "atom", "--sum-cap", "2", "--out", str(tmp_path / out)])
     assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["atom.json"]
     doc = json.loads((tmp_path / "atom.json").read_text())
     assert doc["command"] == "bound"
     assert abs(doc["result"]["value"] - 1.0 / 3.0) < 1e-12
@@ -53,6 +60,13 @@ def test_bound_missing_parameter_exits_one(capsys):
 def test_bound_invalid_parameter_exits_one(capsys):
     assert main(["bound", "two-user", "--rate", "3", "--sum-cap", "2"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_rate_above_the_sum_capacity_names_the_sum_capacity(capsys):
+    assert main(["bound", "two-user", "--rate", "5", "--sum-cap", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fadingmac: error: rate must not exceed the sum capacity\n"
 
 
 def test_usage_error_exits_one():
@@ -411,3 +425,94 @@ def test_simulate_rejects_zero_antenna_counts(tmp_path, monkeypatch, capsys, nt,
     assert captured.out == ""
     assert captured.err.startswith("fadingmac: error:")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("users", ["1", "0"])
+def test_fig3_needs_two_users(tmp_path, monkeypatch, capsys, users):
+    # Figure 3's curves run over subset sizes k = 1 .. N - 1: none at one user.
+    monkeypatch.chdir(tmp_path)
+    assert main(["fig", "3", "--users", users, "--trials", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fadingmac: error: n_users must be an integer >= 2\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_if_sic_abort_names_the_trial_and_capacity(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["if-sim", "--users", "2", "--sum-cap", "150", "--trials", "60", "--seed", "1",
+            "--precoder", "haar", "--mode", "if-sic"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fadingmac: numerical error: integer-forcing noise variance "
+                            "is not positive in trial 0 (C = 150.0 bits)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# The flags, in order, and the choices each subcommand's --help lists.
+_HELP = {
+    "fig": (["--trials", "--seed", "--out", "--users", "--nr", "--nt", "--sum-cap", "--rate",
+             "--snr-db-list", "--rate-convention"],
+            ["{total,per-user}", "{1,2,3,4,5,6,7,8,9,10}"]),
+    "bound": (["--users", "--nr", "--nt", "--rate", "--sum-cap", "--mux", "--seed", "--out"],
+              ["{two-user,atom,scalar-bracket,frobenius-union,simo,dmt}"]),
+    "simulate": (["--trials", "--seed", "--out", "--users", "--nr", "--nt", "--sum-cap",
+                  "--rate", "--snr-db-list", "--rate-convention", "--cardinality"],
+                 ["{total,per-user}"]),
+    "if-sim": (["--trials", "--seed", "--out", "--users", "--sum-cap", "--precoder", "--mode",
+                "--rate-convention"],
+               ["{bb,haar,none}", "{if,if-sic}", "{total,per-user}"]),
+    "validate": (["--trials", "--seed"], ["{analytic,montecarlo,if,all}"]),
+    "rerun": (["--manifest", "--out"], []),
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP))
+def test_help_lists_each_command_flags_and_choices(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    options = text.split("options:\n")[1]
+    flags, choices = _HELP[command]
+    assert re.findall(r"(?m)^  (--?[a-z-]+)", options) == ["-h"] + flags
+    assert list(dict.fromkeys(re.findall(r"\{[^}]*\}", text))) == choices
+
+
+def _fresh_process(code, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(fadingmac.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_parser_is_built_on_first_use_and_shared():
+    assert _fresh_process("import fadingmac.cli as c; print(c.build_parser.cache_info())",
+                          ".").strip().endswith("currsize=0)")
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # A usage error and a parameter error, then two runs, in one process ...
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    with pytest.raises(SystemExit):
+        main(["fig", "11"])
+    assert main(["bound", "two-user", "--rate", "5", "--sum-cap", "4"]) == 1
+    capsys.readouterr()
+    runs = [["fig", "1", "--out", str(shared / "fig1")],
+            ["bound", "atom", "--sum-cap", "2", "--out", str(shared / "atom")]]
+    assert [main(argv) for argv in runs] == [0, 0]
+    out = capsys.readouterr().out
+    # ... print and write what the two runs alone write in a fresh process.
+    code = ("from fadingmac.cli import main; "
+            f"assert [main(a) for a in {runs!r}] == [0, 0]").replace(str(shared), str(fresh))
+    assert _fresh_process(code, tmp_path) == out.replace(str(shared), str(fresh))
+    assert (shared / "fig1.csv").read_bytes() == (fresh / "fig1.csv").read_bytes()
+    for name in ("fig1.json", "atom.json"):
+        docs = [json.loads((d / name).read_text()) for d in (shared, fresh)]
+        for doc in docs:
+            del doc["wall_time_s"]
+            doc["csv"] = doc["csv"] and Path(doc["csv"]).name
+        assert docs[0] == docs[1]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fadingmac import integer_forcing
 from fadingmac.bounds import scalar_bounds, two_user_cdf
 from fadingmac.capacity import MacChannel, sum_capacity
 from fadingmac.errors import InvalidParameterError, NumericalDomainError
@@ -371,6 +372,36 @@ def test_underflowing_factor_raises_a_domain_error(cap):
     # of its embedding's triangular factor; LLL must not divide by them.
     with pytest.raises(NumericalDomainError, match="singular"):
         conditioned_rate_samples(2, cap, "none", "if", SimConfig(trials=60, seed=1))
+
+
+def test_if_sic_abort_names_the_trial_and_capacity():
+    # At C = 150 bits (seed 1) Haar SIC variances underflow to zero: the run
+    # still raises rather than drop a trial, and names the first such trial.
+    with pytest.raises(NumericalDomainError,
+                       match=r"is not positive in trial 0 \(C = 150 bits\)$"):
+        conditioned_rate_samples(2, 150, "haar", "if-sic", SimConfig(trials=60, seed=1))
+
+
+def test_if_sic_abort_counts_the_trials_of_earlier_blocks(monkeypatch):
+    # At C = 140 bits (seed 1, Haar) four trials run and the fifth raises.
+    # Cut into blocks of three rows, the rates are the same and the index
+    # still counts from the first trial of the run.
+    def run(trials):
+        return conditioned_rate_samples(2, 140.0, "haar", "if-sic",
+                                        SimConfig(trials=trials, seed=1))
+    four = run(4)
+    blocks = integer_forcing.capacity_sphere_blocks
+
+    def blocks_of_three(*args):
+        for h, z in blocks(*args):
+            for i in range(0, len(h), 3):
+                yield h[i:i + 3], z[i:i + 3]
+
+    for _ in range(2):
+        assert np.array_equal(run(4), four)
+        with pytest.raises(NumericalDomainError, match=r"in trial 4 \(C = 140.0 bits\)$"):
+            run(5)
+        monkeypatch.setattr(integer_forcing, "capacity_sphere_blocks", blocks_of_three)
 
 
 def test_sic_on_haar_trials_at_high_capacity_stays_within_capacity():
