@@ -592,6 +592,8 @@ def _run_rerun(_command, params, out):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidParameterError(f"cannot read manifest: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidParameterError("manifest is not a JSON object")
     command = doc.get("command")
     if command not in _COMMANDS or _COMMANDS[command].rows is None:
         raise InvalidParameterError(
@@ -606,9 +608,19 @@ def _run_rerun(_command, params, out):
             f"manifest was written with RNG layout {layout}; this version draws with "
             f"layout {RNG_LAYOUT} and cannot replay it")
     out = out or doc.get("csv")
-    if not out:
+    if not out or not isinstance(out, str):
         raise InvalidParameterError("manifest records no CSV path; pass --out")
-    return _run_rows(command, recorded, out)
+    argv = [command]   # the recorded parameters, run as a fresh command line
+    for arg in _COMMANDS[command].arguments:
+        name = arg[0] if isinstance(arg, tuple) else "--" + arg
+        value = recorded.pop(name.lstrip("-").replace("-", "_"), None)
+        value = ",".join(map(repr, value)) if isinstance(value, list) else value
+        if value is not None:
+            argv.append(f"{name}={value}" if name[0] == "-" else f"{value}")
+    if recorded:
+        raise InvalidParameterError(f"manifest parameters unknown to {command}: "
+                                    + ", ".join(sorted(recorded)))
+    return main(argv + [f"--out={out}"])
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +728,7 @@ def main(argv=None):
         params.update({key: value for key, value in command.defaults(params).items()
                        if params[key] is None})
         return command.run(name, params, out)
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, OSError) as exc:
         print(f"fadingmac: error: {exc}", file=sys.stderr)
         return 1
     except NumericalDomainError as exc:

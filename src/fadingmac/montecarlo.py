@@ -46,6 +46,8 @@ class SimConfig:
             grid = np.asarray(grid, dtype=float)
             if grid.ndim != 1 or grid.size == 0:
                 raise InvalidParameterError(f"{name} must be a non-empty vector")
+            if not np.all(np.isfinite(grid)):
+                raise InvalidParameterError(f"{name} must be finite")
             if np.any(np.diff(grid) < 0):
                 raise InvalidParameterError(f"{name} must be sorted ascending")
             setattr(self, name, grid)

@@ -11,13 +11,18 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fadingmac
 from fadingmac.cli import build_parser, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_bound_two_user_prints_value(capsys):
@@ -211,6 +216,95 @@ def test_rerun_refuses_another_rng_layout(tmp_path, capsys, layout):
     assert not out.exists()
 
 
+def _exit_code(argv):
+    """main's exit code, whether it returns it or a usage error raises it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _with(stem, **params):
+    doc = json.loads((DATA / f"{stem}.json").read_text())
+    doc["params"].update(params)
+    return doc
+
+
+def _without(stem, key):
+    doc = json.loads((DATA / f"{stem}.json").read_text())
+    del doc["params"][key]
+    return doc
+
+
+_IF_SIM = {"command": "if-sim", "rng_layout": 2, "csv": "if-sim.csv",
+           "params": {"users": 2, "sum_cap": 4.0, "trials": 3, "seed": 0, "precoder": "zz",
+                      "mode": "if", "rate_convention": "total"}}
+
+
+# A replayed manifest passes the parser's checks, as a fresh command line does:
+# each bad manifest exits 1 with one error line (after the usage line for a
+# usage error) and writes no file.
+@pytest.mark.parametrize("doc, error", [
+    (["fig"], "fadingmac: error: manifest is not a JSON object"),
+    (_without("fig2", "figure"),
+     "fadingmac fig: error: the following arguments are required: figure"),
+    (_with("fig2", figure=11), "fadingmac fig: error: argument figure: invalid choice: 11 "),
+    (_IF_SIM, "fadingmac if-sim: error: argument --precoder: invalid choice: 'zz' "),
+    (_with("fig2", sum_cap="x"), "fadingmac fig: error: argument --sum-cap: invalid float "
+                                 "value: 'x'"),
+    (_with("fig6", snr_db_list="abc"),
+     "fadingmac: error: --snr-db-list must be comma-separated numbers"),
+    (_with("fig2", bogus=1, also=2), "fadingmac: error: manifest parameters unknown to fig: "
+                                     "also, bogus"),
+    ({**_with("fig2"), "csv": ["a", "b"]},
+     "fadingmac: error: manifest records no CSV path; pass --out"),
+], ids=["list", "no-figure", "figure-11", "precoder-zz", "sum-cap-x", "snr-abc", "bogus",
+        "csv-list"])
+def test_rerun_rejects_a_malformed_manifest(tmp_path, monkeypatch, capsys, doc, error):
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text(json.dumps(doc))
+    assert _exit_code(["rerun", "--manifest", "m.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    *usage, last = captured.err.splitlines()
+    assert last.startswith(error)
+    assert not usage or usage[0].startswith("usage: fadingmac ")
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_manifests_record_the_packaged_version():
+    # Manifests record __version__; a release must bump it with the package's.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'(?m)^version = "([^"]+)"$', text).group(1) == fadingmac.__version__
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig", "1"], ["bound", "atom", "--sum-cap", "2"],
+    ["rerun", "--manifest", str(DATA / "fig2.json")],
+], ids=["fig", "bound", "rerun"])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out   # bound has printed its value by then
+    # bound writes only its manifest; the CSV commands write the CSV first.
+    first = f"{out}.json" if argv[0] == "bound" else f"{out}.csv"
+    assert captured.err.splitlines() == [
+        f"fadingmac: error: [Errno 2] No such file or directory: '{first}'"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("point", ["nan", "inf"])
+def test_snr_list_rejects_non_finite_points(tmp_path, monkeypatch, capsys, point):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--users", "2", "--nt", "1", "--nr", "2", "--rate", "2",
+                 f"--snr-db-list=0,{point}", "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["fadingmac: error: snr_grid_db must be finite"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, code", [
     (["simulate", "--users", "2", "--sum-cap", "1100", "--trials", "3"], 1),
     (["if-sim", "--users", "2", "--sum-cap", "1100", "--trials", "3"], 1),
@@ -326,9 +420,6 @@ def test_validate_montecarlo_suite_passes(capsys):
     assert "3/3 checks passed" in out and "FAIL" not in out
 
 
-DATA = Path(__file__).parent / "data"
-
-
 # The committed runs: `fig 2`, `fig 3`, `fig 4`, `fig 6`, `fig 8`, `fig 9`
 # and `simulate` on scalar and MIMO users and on one cardinality.  fig4 and
 # simulate-mimo pin the bytes and the order of the bracket rows (lower then
@@ -366,6 +457,84 @@ def test_fresh_manifests_record_the_committed_parameter_sets(tmp_path, capsys):
         committed = json.loads((DATA / f"{stem}.json").read_text())
         assert fresh["params"] == committed["params"]
         assert (tmp_path / f"{stem}.csv").read_bytes() == (DATA / f"{stem}.csv").read_bytes()
+
+
+def _flag(draw, name, values):
+    """``--name=value`` for a drawn value, or nothing, so that the command's
+    default applies."""
+    value = draw(st.none() | values)
+    return [] if value is None else [f"--{name}={value}"]
+
+
+_USERS = st.integers(1, 3)
+_CAPS = st.floats(0.5, 12.0)
+_SNR_LISTS = st.lists(st.floats(-20.0, 30.0), min_size=1, max_size=4).map(
+    lambda snrs: ",".join(map(repr, sorted(snrs))))
+_CONVENTIONS = st.sampled_from(["total", "per-user"])
+
+# Each figure's flags beyond --trials and --seed, drawn or left to the default.
+_FIGURE_FLAGS = {
+    1: {"users": st.integers(1, 4), "nt": st.integers(1, 3), "nr": st.integers(1, 3)},
+    2: {"sum-cap": _CAPS},
+    3: {"users": st.integers(2, 4), "sum-cap": _CAPS},
+    4: {"users": _USERS, "sum-cap": _CAPS},
+    5: {"users": _USERS, "snr-db-list": _SNR_LISTS},
+    6: {"users": _USERS, "snr-db-list": _SNR_LISTS},
+    7: {"users": _USERS, "sum-cap": _CAPS, "rate-convention": _CONVENTIONS},
+    8: {"users": _USERS, "sum-cap": _CAPS},
+    9: {},
+    10: {"users": _USERS},
+}
+
+
+@st.composite
+def _fresh_line(draw, kind):
+    """A valid command line of one kind of CSV run, with a few trials."""
+    line = [f"--trials={draw(st.integers(1, 4))}", f"--seed={draw(st.integers(0, 99))}"]
+    command, _, variant = kind.partition(" ")
+    if command == "fig":
+        flags = _FIGURE_FLAGS[int(variant)]
+        return ["fig", variant] + line + [f for name, values in flags.items()
+                                          for f in _flag(draw, name, values)]
+    if variant == "sweep":
+        return ["simulate", f"--users={draw(_USERS)}", f"--nt={draw(st.integers(1, 2))}",
+                f"--nr={draw(st.integers(1, 3))}", f"--rate={draw(st.floats(0.1, 4.0))}",
+                f"--snr-db-list={draw(_SNR_LISTS)}"] + line + _flag(
+                    draw, "rate-convention", _CONVENTIONS)
+    if variant == "bracket":
+        return (["simulate", f"--users={draw(_USERS)}", f"--sum-cap={draw(_CAPS)}"] + line
+                + _flag(draw, "nt", st.integers(1, 2)) + _flag(draw, "nr", st.integers(1, 3)))
+    if variant == "cardinality":
+        n = draw(st.integers(1, 4))
+        return ["simulate", f"--users={n}", f"--cardinality={draw(st.integers(1, n))}",
+                f"--sum-cap={draw(_CAPS)}"] + line
+    precoder, mode = variant.split("/")
+    users = st.just(2) if precoder == "bb" else _USERS   # bb pairs two users
+    return ["if-sim", f"--users={draw(users)}", f"--sum-cap={draw(_CAPS)}",
+            f"--precoder={precoder}", f"--mode={mode}"] + line + _flag(
+                draw, "rate-convention", _CONVENTIONS)
+
+
+def _manifest_text(path):
+    """A manifest's bytes without its wall time and CSV path."""
+    return re.sub(r'(?m)^  "(csv|wall_time_s)": .*\n', "", Path(path).read_text())
+
+
+# fig 1-10, each simulate branch, and if-sim with each precoder and mode.
+@pytest.mark.parametrize("kind", [f"fig {n}" for n in _FIGURE_FLAGS]
+                         + [f"simulate {b}" for b in ("sweep", "bracket", "cardinality")]
+                         + [f"if-sim {p}/{m}" for p in ("none", "bb", "haar")
+                            for m in ("if", "if-sic")])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_rerun_reproduces_a_fresh_run_byte_for_byte(kind, data):
+    argv = data.draw(_fresh_line(kind), label="argv")
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh, replay = Path(tmp) / "fresh", Path(tmp) / "replay"
+        assert main(argv + [f"--out={fresh}"]) == 0
+        assert main(["rerun", f"--manifest={fresh}.json", f"--out={replay}"]) == 0
+        assert Path(f"{replay}.csv").read_bytes() == Path(f"{fresh}.csv").read_bytes()
+        assert _manifest_text(f"{replay}.json") == _manifest_text(f"{fresh}.json")
 
 
 _PARAM_KEYS = {

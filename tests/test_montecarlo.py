@@ -76,6 +76,16 @@ def test_simconfig_validation():
     assert cfg.rate_grid.dtype == float
 
 
+# nan passes the sort check (every comparison with it is false), and a sorted
+# grid may end in inf: the finiteness check must catch both.
+@pytest.mark.parametrize("name", ["rate_grid", "snr_grid_db"])
+@pytest.mark.parametrize("grid", [[0.0, math.nan], [math.nan, 1.0], [0.0, math.inf],
+                                  [-math.inf, 0.0], [math.nan]])
+def test_simconfig_rejects_non_finite_grid_points(name, grid):
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be finite$"):
+        SimConfig(trials=10, **{name: grid})
+
+
 def test_scalar_cdf_matches_two_user_closed_form():
     cap = 2.0
     grid = np.array([0.5, 1.0, 1.5, cap])
