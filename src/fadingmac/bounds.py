@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, check_capacity, check_gain, check_int,
-                     check_subset_size, check_type)
+from .errors import (InvalidParameterError, check_binomial, check_capacity, check_gain,
+                     check_int, check_subset_size, check_type)
 
 _LN2 = math.log(2.0)
 
@@ -62,6 +62,7 @@ def _binomial_tail(x, a, b):
     # P(Bin(a+b-1, x) >= a) term by term, for a float or an array of x;
     # the caller clamps the sum to 1
     n = a + b - 1
+    check_binomial(n, max(a, n // 2))   # the largest coefficient of the sum
     return sum(math.comb(n, j) * x ** j * (1.0 - x) ** (n - j) for j in range(a, n + 1))
 
 
@@ -167,6 +168,7 @@ def mimo_bounds(dims, rate_bits, frob_cap_bits):
     check_type(dims, ScenarioDims, "dims")
     gain = _check_rate_cap(rate_bits, frob_cap_bits)
     n, m = dims.n_users, dims.n_rx * dims.n_tx
+    check_binomial(n, n // 2)   # the largest union weight
     lower = raw = 0.0
     for k in range(1, n):
         p = _p_out_term(k, n, m, rate_bits, gain)
@@ -224,6 +226,7 @@ def mimo_union_bound_array(dims, rate_bits, frob_caps_bits):
     check_type(dims, ScenarioDims, "dims")
     caps = _check_rate_caps(rate_bits, frob_caps_bits)
     n, m = dims.n_users, dims.n_rx * dims.n_tx
+    check_binomial(n, n // 2)   # the largest union weight
     denom = np.expm1(caps * _LN2)
     raw = np.zeros_like(caps)
     for k in range(1, n):

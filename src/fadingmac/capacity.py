@@ -24,6 +24,11 @@ _LN2 = math.log(2.0)
 MAX_ENUM_USERS = 20
 
 
+def check_enumerable(n_users):
+    if n_users > MAX_ENUM_USERS:
+        raise InvalidParameterError(f"subset enumeration is limited to {MAX_ENUM_USERS} users")
+
+
 @dataclass(frozen=True)
 class SubsetReport:
     """Bottleneck subset of a symmetric-capacity evaluation (0-based indices)."""
@@ -107,10 +112,7 @@ def symmetric_capacity(ch):
     implementation the scalar shortcut is checked against.
     """
     n = ch.n_users
-    if n > MAX_ENUM_USERS:
-        raise InvalidParameterError(
-            f"subset enumeration limited to {MAX_ENUM_USERS} users; "
-            "use scalar_symmetric_capacity for 1x1 channels")
+    check_enumerable(n)
     best = None
     for k in range(1, n + 1):
         scale = n / k

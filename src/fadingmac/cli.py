@@ -610,17 +610,20 @@ def _run_rerun(_command, params, out):
     out = out or doc.get("csv")
     if not out or not isinstance(out, str):
         raise InvalidParameterError("manifest records no CSV path; pass --out")
-    argv = [command]   # the recorded parameters, run as a fresh command line
+    flags, positionals = [], []   # the recorded parameters, run as a fresh command line
     for arg in _COMMANDS[command].arguments:
         name = arg[0] if isinstance(arg, tuple) else "--" + arg
         value = recorded.pop(name.lstrip("-").replace("-", "_"), None)
         value = ",".join(map(repr, value)) if isinstance(value, list) else value
-        if value is not None:
-            argv.append(f"{name}={value}" if name[0] == "-" else f"{value}")
+        if value is not None and name[0] == "-":
+            flags.append(f"{name}={value}")
+        elif value is not None:
+            positionals.append(f"{value}")
     if recorded:
         raise InvalidParameterError(f"manifest parameters unknown to {command}: "
                                     + ", ".join(sorted(recorded)))
-    return main(argv + [f"--out={out}"])
+    # After "--", no recorded positional is read as an option.
+    return main([command, *flags, f"--out={out}", *(["--", *positionals] if positionals else [])])
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Each input rule is written once, here: check_int, check_positive, check_type,
 check_choice, check_fraction, check_subset_size, check_interval, check_matrix,
-check_gain, the one place a scalar 2^x - 1 is formed, and check_capacity, the
-domain of the sum capacity C every bound and engine conditions on.
+check_gain and check_binomial, where 2^x - 1 and C(n, k) must be floats, and
+check_capacity, the domain of the sum capacity C every bound and engine uses.
 """
 
 import math
@@ -97,6 +97,15 @@ def check_gain(bits, name):
     except OverflowError:
         raise InvalidParameterError(
             f"{name} is too large: 2**C - 1 overflows a float (got {bits})") from None
+
+
+def check_binomial(n, k):
+    """math.comb(n, k) as a float; below 2^1024, as for every k up to n = 1029."""
+    try:
+        return float(math.comb(n, k))
+    except OverflowError:
+        raise InvalidParameterError(f"binomial coefficient C({n}, {k}) is too large: it "
+                                    "overflows a float (limit 2**1024)") from None
 
 
 def check_capacity(bits):

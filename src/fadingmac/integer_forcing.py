@@ -17,7 +17,7 @@ bits.  An exhaustive bounded-box search provides the oracle the reduction is
 validated against.
 
 conditioned_rate_samples works on blocks of trials, drawn through
-linalg.capacity_sphere_blocks as the conditioned Monte-Carlo engines are:
+linalg.trial_normals and capacity_sphere_rows as the conditioned engines are:
 each trial's sphere and Haar normals are one row.  The sphere normalization,
 the Haar QRs, the effective channels, F, the QR factors of F's real
 embeddings, F A^T, the variances and the rates are stacked numpy calls over
@@ -39,8 +39,8 @@ from .capacity import MacChannel
 from .bounds import scalar_bounds
 from .errors import (InvalidParameterError, NumericalDomainError, check_capacity, check_choice,
                      check_fraction, check_gain, check_int, check_matrix, check_type)
-from .linalg import capacity_sphere_blocks, cholesky_lower, haar_unitary_rows, \
-    sample_haar_unitary
+from .linalg import capacity_sphere_rows, cholesky_lower, haar_unitary_rows, \
+    sample_haar_unitary, trial_normals
 from .montecarlo import default_rate_grid, empirical_cdf
 
 _LN2 = math.log(2.0)
@@ -504,11 +504,11 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
         p = np.array(fixed(n_users).matrices)[None]
     # A Haar trial draws one 2x2 unitary per user after its sphere draw; as
     # standard_normal keeps no state, those are its stream's next 8N normals.
-    extra = 8 * n_users if haar else 0
     samples = []
-    for h, z in capacity_sphere_blocks(cfg.seed, cfg.trials, n_users, sum_cap_bits, extra):
+    for z in trial_normals(cfg.seed, cfg.trials, ((10 if haar else 2) * n_users,)):
+        h = capacity_sphere_rows(z[:, :2 * n_users].reshape(-1, 2, n_users), sum_cap_bits)
         if haar:
-            p = haar_unitary_rows(z.reshape(-1, n_users, 2, 2, 2))
+            p = haar_unitary_rows(z[:, 2 * n_users:].reshape(-1, n_users, 2, 2, 2))
         f = _sqrt_factors(_effective_matrices(p, h[:, :, None, None]))
         a = _search(f)
         rates = _rates(_variances(a @ f.swapaxes(-1, -2), mode), lambda row: (

@@ -13,7 +13,7 @@ stream.  :func:`trial_generators` hands trial t that stream's generator, so
 a loop that makes each trial's draws in turn follows the layout; the
 batched engines, the integer-forcing one included, take the same numbers
 from :func:`trial_normals`, which draws the rows of a block of consecutive
-trials with one ``standard_normal`` call.  :func:`capacity_sphere_blocks` and
+trials with one ``standard_normal`` call.  :func:`capacity_sphere_rows` and
 :func:`haar_unitary_rows` turn those rows into exactly what the per-trial
 samplers return.  Because streams are fixed at RNG_BLOCK trials, the size
 of the blocks an engine works on never changes a draw.
@@ -152,52 +152,32 @@ def sample_capacity_sphere(dim, sum_cap_bits, rng):
     """
     dim = check_int(dim, "dim", 1)
     radius = math.sqrt(check_gain(sum_cap_bits, "sum capacity"))
-    g = _as_generator(rng)
-    while True:
-        z = g.standard_normal((2, dim))
-        v = z[0] + 1j * z[1]
-        nrm = np.linalg.norm(v)
-        if nrm > 0:
-            break
+    z = _as_generator(rng).standard_normal((2, dim))
+    v = z[0] + 1j * z[1]
+    nrm = np.linalg.norm(v)
+    if nrm == 0:   # no direction: raise, as capacity_sphere_rows does
+        raise NumericalDomainError("capacity-sphere normals are all zero")
     return v * (radius / nrm)
 
 
-def capacity_sphere_blocks(seed, trials, dim, sum_cap_bits, extra=0):
-    """Yield a seeded run's capacity-sphere draws in blocks of rows (h, rest).
+def capacity_sphere_rows(z, sum_cap_bits):
+    """Capacity-sphere points from stacked standard normals z, shape (rows, 2, dim).
 
-    Row t of h is sample_capacity_sphere(dim, sum_cap_bits, g) for trial t's
-    generator g, bit for bit, and row t of rest holds the ``extra`` standard
-    normals g draws next.  The 1-D np.linalg.norm the sampler takes sums the
-    squares as two strided dot products, of the real and of the imaginary
-    parts; a stacked (1 x dim) @ (dim x 1) product runs that same dot on
-    every row, whereas np.linalg.norm(v, axis=1) sums in another order and
-    differs in the last bit on about one row in seven.
-
-    A row whose sphere normals are all zero (probability zero; the sampler
-    would redraw from the shared stream and shift every later trial) is
-    redrawn on its own generator: trial t = b * RNG_BLOCK + i runs
-    sample_capacity_sphere and then its ``extra`` normals on a generator of
-    ``SeedSequence(seed, spawn_key=(b, 1 + i))``, a child of stream b's seed
-    sequence.  The rule names the trial, not the block it was drawn in, so
-    block size never changes the redraw.
+    Row t is what sample_capacity_sphere returns from the draw z[t], bit for
+    bit, and an all-zero row raises NumericalDomainError as there.  The
+    sampler's 1-D np.linalg.norm sums the squares as two strided dot products,
+    of the real and of the imaginary parts; a stacked (1 x dim) @ (dim x 1)
+    product runs that same dot on every row, whereas np.linalg.norm(v, axis=1)
+    sums in another order and differs in the last bit on about one row in seven.
     """
-    seed = check_int(seed, "seed", 0)
     radius = math.sqrt(check_gain(sum_cap_bits, "sum capacity"))
-    first = 0
-    for z in trial_normals(seed, trials, (2 * dim + extra,)):
-        v = z[:, :dim] + 1j * z[:, dim:2 * dim]
-        re, im = v.real, v.imag
-        sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-        nrm = np.sqrt(sq[:, 0, 0])
-        h = v * (radius / np.where(nrm > 0, nrm, 1.0))[:, None]
-        rest = z[:, 2 * dim:]
-        for row in np.flatnonzero(nrm == 0):
-            b, i = divmod(first + int(row), RNG_BLOCK)
-            g = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b, 1 + i)))
-            h[row] = sample_capacity_sphere(dim, sum_cap_bits, g)
-            rest[row] = g.standard_normal(extra)
-        first += len(z)
-        yield h, rest
+    v = z[:, 0] + 1j * z[:, 1]
+    re, im = v.real, v.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    nrm = np.sqrt(sq[:, 0, 0])
+    if not np.all(nrm > 0):
+        raise NumericalDomainError("capacity-sphere normals are all zero")
+    return v * (radius / nrm)[:, None]
 
 
 def cholesky_lower(k):

@@ -20,10 +20,10 @@ from functools import partial
 import numpy as np
 
 from .bounds import ScenarioDims, mimo_union_bound_array, two_user_simo_bound_array
-from .capacity import scaled_subset_rates
+from .capacity import check_enumerable, scaled_subset_rates
 from .errors import (InvalidParameterError, check_capacity, check_choice, check_int,
                      check_positive, check_subset_size, check_type)
-from .linalg import capacity_sphere_blocks, trial_normals
+from .linalg import capacity_sphere_rows, trial_normals
 
 _LN2 = math.log(2.0)
 
@@ -107,8 +107,8 @@ def _conditioned_sym_samples(n_users, sum_cap_bits, cfg, block_dim=1):
         return np.full(cfg.trials, float(sum_cap_bits)), cfg.trials
     samples = []
     atom = 0
-    for h, _ in capacity_sphere_blocks(cfg.seed, cfg.trials, n_users * block_dim,
-                                       sum_cap_bits):
+    for z in trial_normals(cfg.seed, cfg.trials, (2, n_users * block_dim)):
+        h = capacity_sphere_rows(z, sum_cap_bits)
         gains = (np.abs(h) ** 2).reshape(len(h), n_users, block_dim).sum(axis=2)
         partial_min = scaled_subset_rates(np.sort(gains, axis=1))[:, :-1].min(axis=1)
         in_atom = partial_min >= sum_cap_bits
@@ -143,8 +143,9 @@ def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):
         # only add rounding noise around it.
         return empirical_cdf(np.full(cfg.trials, float(sum_cap_bits)), grid, cfg.trials)
     samples = np.concatenate([
-        (n_users / k) * np.log1p((np.abs(h[:, :k]) ** 2).sum(axis=1)) / _LN2
-        for h, _ in capacity_sphere_blocks(cfg.seed, cfg.trials, n_users, sum_cap_bits)])
+        (n_users / k) * np.log1p((np.abs(capacity_sphere_rows(z, sum_cap_bits)[:, :k]) ** 2)
+                                 .sum(axis=1)) / _LN2
+        for z in trial_normals(cfg.seed, cfg.trials, (2, n_users))])
     return empirical_cdf(samples, grid, cfg.trials)
 
 
@@ -210,6 +211,7 @@ def outage_vs_snr(dims, target_rate_bits, cfg):
     seed.
     """
     check_type(dims, ScenarioDims, "dims")
+    check_enumerable(dims.n_users)
     check_positive(target_rate_bits, "target rate")
     grid_db, grid_lin = _snr_grid_linear(cfg)
     counts = np.zeros(grid_lin.size, dtype=int)

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fadingmac.bounds import (
     mimo_bounds,
     mimo_p_out_k,
     mimo_union_bound,
+    mimo_union_bound_array,
     p_out_k,
     regularized_incomplete_beta,
     scalar_bounds,
@@ -68,6 +70,25 @@ def test_beta_rejects_bad_parameters():
         incomplete_beta(0.5, 0, 1)
     with pytest.raises(InvalidParameterError):
         incomplete_beta(0.5, 1.5, 1)
+
+
+@pytest.mark.parametrize("call, coefficient", [
+    (lambda: scalar_bounds(1030, 4.0, 8.0), "C(1030, 515)"),
+    (lambda: regularized_incomplete_beta(0.3, 515, 516), "C(1030, 515)"),
+    (lambda: mimo_union_bound_array(ScenarioDims(2, 1, 516), 3.0, [8.0]), "C(1031, 516)"),
+    (lambda: mimo_union_bound_array(ScenarioDims(2, 1, 1100), 3.0, [8.0]), "C(2199, 1100)"),
+], ids=["scalar-1030", "beta-515-516", "union-array-516", "union-array-1100"])
+def test_binomials_beyond_a_float_are_a_parameter_error(call, coefficient):
+    with pytest.raises(InvalidParameterError, match=re.escape(
+            f"binomial coefficient {coefficient} is too large: it overflows a float")):
+        call()
+
+
+def test_the_last_binomials_that_are_floats_keep_their_values():
+    # Next to the first sizes that overflow.  1029 scalar users work too, but
+    # their bracket sums a million terms: test_errors pins C(1029, 514).
+    assert regularized_incomplete_beta(0.3, 515, 515) == 3.1187199815382094e-41
+    assert mimo_union_bound_array(ScenarioDims(2, 1, 515), 3.0, [8.0]).tolist() == [0.0]
 
 
 def test_two_user_cdf_pinned_values():

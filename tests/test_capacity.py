@@ -149,6 +149,12 @@ def test_channel_validation():
     assert MacChannel.from_scalar([1.0, 1.0]).scalar_gains().shape == (2,)
     with pytest.raises(InvalidParameterError):
         MacChannel([np.eye(2)]).scalar_gains()
+    for gains in ([], [[1.0, 2.0]]):
+        with pytest.raises(InvalidParameterError, match="gains must be a non-empty vector"):
+            scalar_symmetric_capacity(gains)
+    for gains in ([1.0, -0.5], [1.0, math.nan], [math.inf, 1.0]):
+        with pytest.raises(InvalidParameterError, match="gains must be finite and non-negative"):
+            scalar_symmetric_capacity(gains)
 
 
 @settings(max_examples=150, deadline=None)

@@ -258,8 +258,14 @@ _IF_SIM = {"command": "if-sim", "rng_layout": 2, "csv": "if-sim.csv",
                                      "also, bogus"),
     ({**_with("fig2"), "csv": ["a", "b"]},
      "fadingmac: error: manifest records no CSV path; pass --out"),
+    (_with("fig2", figure="-h"), "fadingmac fig: error: argument figure: invalid int value: "
+                                 "'-h'"),
+    (_without("fig2", "figure") | {"params": None},
+     "fadingmac: error: manifest is missing its parameter set"),
+    (_without("fig2", "figure") | {"params": [2]},
+     "fadingmac: error: manifest is missing its parameter set"),
 ], ids=["list", "no-figure", "figure-11", "precoder-zz", "sum-cap-x", "snr-abc", "bogus",
-        "csv-list"])
+        "csv-list", "figure-help", "no-params", "params-list"])
 def test_rerun_rejects_a_malformed_manifest(tmp_path, monkeypatch, capsys, doc, error):
     monkeypatch.chdir(tmp_path)
     Path("m.json").write_text(json.dumps(doc))
@@ -353,6 +359,38 @@ def test_every_capacity_command_rejects_a_capacity_outside_the_domain(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"fadingmac: error: {_CAPACITY_ERRORS[cap]}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+# Inputs past a float's binomial coefficients or past subset enumeration are
+# refused with one line, before any trial runs.  A bound's binomial
+# coefficient must stay below 2^1024: the union weight C(N, N/2) passes it
+# from N = 1030 users on, the beta tail's at about 1030 sphere coordinates
+# (N n_t n_r).  Enumeration stops at 20 users (2^20 - 1 subsets a trial).
+_BINOMIAL = "binomial coefficient {} is too large: it overflows a float (limit 2**1024)"
+_ENUMERATION = "subset enumeration is limited to 20 users"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["bound", "scalar-bracket", "--users", "1030", "--rate", "4", "--sum-cap", "8"],
+     _BINOMIAL.format("C(1030, 515)")),
+    (["bound", "frobenius-union", "--users", "40", "--nt", "8", "--nr", "8", "--rate", "4",
+      "--sum-cap", "8"], _BINOMIAL.format("C(2559, 1279)")),
+    (["simulate", "--users", "40", "--nt", "8", "--nr", "8", "--sum-cap", "8", "--trials", "10"],
+     _BINOMIAL.format("C(2559, 1279)")),
+    (["simulate", "--users", "25", "--nt", "1", "--nr", "2", "--rate", "2", "--snr-db-list=0",
+      "--trials", "1"], _ENUMERATION),
+    (["fig", "5", "--users", "21", "--trials", "1"], _ENUMERATION),
+    (["fig", "6", "--users", "21", "--trials", "1"], _ENUMERATION),
+], ids=["scalar-bracket-1030", "frobenius-union-40x8x8", "simulate-40x8x8", "simulate-25",
+        "fig5-21", "fig6-21"])
+def test_inputs_past_a_float_binomial_or_the_enumeration_limit_exit_one(
+        tmp_path, monkeypatch, capsys, argv, error):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"fadingmac: error: {error}"]
     assert list(tmp_path.iterdir()) == []
 
 

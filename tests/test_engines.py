@@ -31,7 +31,7 @@ from fadingmac.capacity import (
     sum_capacity,
     symmetric_capacity,
 )
-from fadingmac.errors import InvalidParameterError
+from fadingmac.errors import InvalidParameterError, NumericalDomainError
 from fadingmac.linalg import sample_capacity_sphere, sample_complex_gaussian, trial_generators
 from fadingmac.montecarlo import (
     SimConfig,
@@ -164,67 +164,54 @@ def test_results_do_not_depend_on_the_trial_block(monkeypatch):
 def test_sphere_rows_equal_the_sampler_bit_for_bit(dim):
     # np.linalg.norm(v, axis=1) rounds differently from the 1-D norm the
     # sampler takes on about one row in seven; the engines must not.
-    ((h, _),) = linalg.capacity_sphere_blocks(41, 3000, dim, 7.0)
+    h = linalg.capacity_sphere_rows(next(linalg.trial_normals(41, 3000, (2, dim))), 7.0)
     want = np.array([sample_capacity_sphere(dim, 7.0, rng)
                      for rng in trial_generators(41, 3000)])
     assert np.array_equal(h, want)
 
 
-def _redraw_normals(seed, t, width):
-    """The normals a redraw of trial t takes: SeedSequence(seed, spawn_key=(b, 1 + i))
-    for t = b * 4096 + i."""
-    b, i = divmod(t, 4096)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b, 1 + i))) \
-        .standard_normal(width)
-
-
-def _with_rows(real, rows, fill):
-    """trial_normals with the given trials' rows overwritten by fill(seed, t, width)."""
+def _zeroed(real, rows):
+    """trial_normals with the given trials' rows set to zero."""
     def patched(seed, trials, shape):
         first = 0
         for block in real(seed, trials, shape):
-            for t in rows:
-                if first <= t < first + len(block):
-                    block[t - first] = fill(seed, t, block[0].size).reshape(shape)
+            block[[t - first for t in rows if first <= t < first + len(block)]] = 0.0
             first += len(block)
             yield block
     return patched
 
 
-def test_all_zero_draw_is_replayed_through_the_sampler(monkeypatch):
-    # An all-zero sphere row is redrawn through the sampler from a generator
-    # named by the trial's stream b and index i, so zeroing a row must give
-    # exactly what a row holding that generator's normals gives, at any block
-    # size.  Trial 4100 sits in the second stream, so its redraw needs b = 1.
-    cfg = SimConfig(trials=5000, seed=35)
-    rows = (17, 4100)
-    plain = montecarlo._conditioned_sym_samples(3, 5.0, cfg)
-    real = linalg.trial_normals
+@pytest.mark.parametrize("engine", [
+    lambda cfg: conditional_cdf_scalar(3, 5.0, cfg),
+    lambda cfg: conditional_cdf_mimo_frobenius(ScenarioDims(2, 2, 3), 8.0, cfg),
+    lambda cfg: conditional_cdf_cardinality(2, 4, 8.0, cfg),
+], ids=["scalar", "frobenius", "cardinality"])
+def test_an_all_zero_sphere_draw_raises(monkeypatch, engine):
+    # An all-zero row has no direction on the sphere.  Every engine raises on
+    # it, as the sampler does, at any block size; trial 4100 sits in the
+    # second stream.  The engines bind trial_normals by name, so the patch
+    # goes on montecarlo.
+    cfg = SimConfig(trials=4200, seed=35)
+    engine(cfg)
     for block in (linalg._TRIAL_BLOCK, 7):
         monkeypatch.setattr(linalg, "_TRIAL_BLOCK", block)
-        monkeypatch.setattr(linalg, "trial_normals",
-                            _with_rows(real, rows, lambda s, t, w: np.zeros(w)))
-        zeroed = montecarlo._conditioned_sym_samples(3, 5.0, cfg)
-        monkeypatch.setattr(linalg, "trial_normals", _with_rows(real, rows, _redraw_normals))
-        redrawn = montecarlo._conditioned_sym_samples(3, 5.0, cfg)
-        assert np.array_equal(zeroed[0], redrawn[0]) and zeroed[1] == redrawn[1]
-        assert np.array_equal(np.delete(zeroed[0], rows), np.delete(plain[0], rows))
-
-
-def test_zero_row_redraw_is_the_sampler_on_the_named_generator(monkeypatch):
-    rows = (3, 4099)
-    monkeypatch.setattr(linalg, "trial_normals",
-                        _with_rows(linalg.trial_normals, rows, lambda s, t, w: np.zeros(w)))
-    h, rest = (np.concatenate(a) for a in zip(*linalg.capacity_sphere_blocks(8, 4100, 3, 6.0, 2)))
-    for t in rows:
-        b, i = divmod(t, 4096)
-        g = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(b, 1 + i)))
-        assert np.array_equal(h[t], sample_capacity_sphere(3, 6.0, g))
-        assert np.array_equal(rest[t], g.standard_normal(2))
+        monkeypatch.setattr(montecarlo, "trial_normals", _zeroed(linalg.trial_normals, (4100,)))
+        with pytest.raises(NumericalDomainError, match="all zero"):
+            engine(cfg)
 
 
 # ---------------------------------------------------------------------------
 # SNR sweeps
+
+def test_outage_shares_the_subset_enumeration_limit_of_the_reference():
+    # 2^21 - 1 subsets a trial: both refuse at once, with one message.
+    cfg = SimConfig(trials=1, snr_grid_db=np.array([0.0]))
+    message = "^subset enumeration is limited to 20 users$"
+    with pytest.raises(InvalidParameterError, match=message):
+        outage_vs_snr(ScenarioDims(21, 1, 2), 2.0, cfg)
+    with pytest.raises(InvalidParameterError, match=message):
+        symmetric_capacity(MacChannel.from_scalar([1.0] * 21))
+
 
 @pytest.mark.parametrize("dims", [(2, 2, 3), (4, 1, 2), (2, 1, 6), (3, 2, 2)])
 def test_outage_counts_equal_the_per_trial_reference(dims):

@@ -8,6 +8,7 @@ import pytest
 from fadingmac.bounds import ScenarioDims
 from fadingmac.errors import (
     InvalidParameterError,
+    check_binomial,
     check_capacity,
     check_choice,
     check_fraction,
@@ -75,6 +76,16 @@ def test_check_capacity_has_one_domain_and_one_name():
     with pytest.raises(InvalidParameterError, match=r"^sum capacity is too large: 2\*\*C - 1 "
                        r"overflows a float \(got 1024.5\)$"):
         check_capacity(1024.5)
+
+
+def test_check_binomial_is_the_coefficient_while_it_is_a_float():
+    # C(1029, 514) is the largest coefficient below 2^1024 of any n; C(1030, 515)
+    # is the first above it.
+    assert check_binomial(1029, 514) == float(math.comb(1029, 514))
+    assert check_binomial(3000, 2) == 4498500.0
+    with pytest.raises(InvalidParameterError, match=r"^binomial coefficient C\(1030, 515\) is "
+                       r"too large: it overflows a float \(limit 2\*\*1024\)$"):
+        check_binomial(1030, 515)
 
 
 def test_check_type_and_check_choice_messages():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fadingmac import linalg
+from fadingmac import integer_forcing, linalg
 from fadingmac.capacity import MacChannel
 from fadingmac.errors import NumericalDomainError
 from fadingmac.integer_forcing import (
@@ -236,39 +236,25 @@ def test_engine_rows_do_not_depend_on_the_trial_block(monkeypatch):
                                                       cfg.trials))
 
 
-def test_all_zero_draw_in_a_haar_trial_is_replayed(monkeypatch):
-    # Zeroing a whole row (sphere and precoder normals) redraws the trial:
-    # the sphere through the sampler, then the precoders, from the generator
-    # of SeedSequence(seed, spawn_key=(b, 1 + i)) for trial t = 4096 b + i.
-    # So it must equal a row that holds that generator's normals.  With
-    # blocks of 7 trials, trial 9 needs the second block's offset.
+@pytest.mark.parametrize("kind", ["none", "haar"])
+def test_an_all_zero_sphere_draw_raises(monkeypatch, kind):
+    # A trial whose sphere normals are all zero raises, whatever its Haar
+    # normals hold.  With blocks of 7 trials, trial 9 is in the second block.
+    # The engine binds trial_normals by name, so the patch goes on
+    # integer_forcing.
     cfg = SimConfig(trials=12, seed=23)
     monkeypatch.setattr(linalg, "_TRIAL_BLOCK", 7)
-    real = linalg.trial_normals
+    real = integer_forcing.trial_normals
 
-    def with_rows(fill):
-        def patched(seed, trials, shape):
-            first = 0
-            for block in real(seed, trials, shape):
-                for t in (3, 9):
-                    if first <= t < first + len(block):
-                        block[t - first] = fill(seed, t, shape)
-                first += len(block)
-                yield block
-        return patched
+    def zero_sphere(seed, trials, shape):
+        for first, block in zip(range(0, trials, 7), real(seed, trials, shape)):
+            if first <= 9 < first + len(block):
+                block[9 - first, :4] = 0.0
+            yield block
 
-    def redraw(seed, t, shape):
-        g = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 1 + t)))
-        return g.standard_normal(shape)
-
-    plain = conditioned_rate_samples(2, 10.0, "haar", "if-sic", cfg)
-    monkeypatch.setattr(linalg, "trial_normals", with_rows(redraw))
-    redrawn = conditioned_rate_samples(2, 10.0, "haar", "if-sic", cfg)
-    monkeypatch.setattr(linalg, "trial_normals", with_rows(lambda s, t, shape: np.zeros(shape)))
-    zeroed = conditioned_rate_samples(2, 10.0, "haar", "if-sic", cfg)
-    assert np.array_equal(zeroed, redrawn)
-    assert np.array_equal(np.delete(zeroed, [3, 9]), np.delete(plain, [3, 9]))
-    assert not np.array_equal(zeroed[[3, 9]], plain[[3, 9]])
+    monkeypatch.setattr(integer_forcing, "trial_normals", zero_sphere)
+    with pytest.raises(NumericalDomainError, match="all zero"):
+        conditioned_rate_samples(2, 10.0, kind, "if-sic", cfg)
 
 
 def test_tie_sensitive_trial_keeps_its_rate():

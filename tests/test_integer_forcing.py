@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fadingmac import integer_forcing
+from fadingmac import linalg
 from fadingmac.bounds import scalar_bounds, two_user_cdf
 from fadingmac.capacity import MacChannel, sum_capacity
 from fadingmac.errors import InvalidParameterError, NumericalDomainError
@@ -74,6 +74,13 @@ def test_precoder_validation():
         Precoder(kind="golden", matrices=(np.eye(2, dtype=complex),))
     with pytest.raises(InvalidParameterError):
         Precoder(kind="none", matrices=())
+    for matrices in ((np.eye(2), np.eye(1)), (np.ones((2, 1)),)):
+        with pytest.raises(InvalidParameterError, match="must be square, equal size"):
+            Precoder(kind="none", matrices=matrices)
+    with pytest.raises(InvalidParameterError, match="column count must be n_users"):
+        EffectiveChannel(matrix=np.eye(2), n_users=2, streams_per_user=2, time_extension=1)
+    with pytest.raises(InvalidParameterError, match="multiple of the time extension"):
+        EffectiveChannel(matrix=np.ones((3, 4)), n_users=2, streams_per_user=2, time_extension=2)
     assert Precoder.identity(3).time_extension == 1
     rng = RngStream(0, 0).generator()
     haar = Precoder.haar_t2(4, rng)
@@ -390,18 +397,11 @@ def test_if_sic_abort_counts_the_trials_of_earlier_blocks(monkeypatch):
         return conditioned_rate_samples(2, 140.0, "haar", "if-sic",
                                         SimConfig(trials=trials, seed=1))
     four = run(4)
-    blocks = integer_forcing.capacity_sphere_blocks
-
-    def blocks_of_three(*args):
-        for h, z in blocks(*args):
-            for i in range(0, len(h), 3):
-                yield h[i:i + 3], z[i:i + 3]
-
     for _ in range(2):
         assert np.array_equal(run(4), four)
         with pytest.raises(NumericalDomainError, match=r"in trial 4 \(C = 140.0 bits\)$"):
             run(5)
-        monkeypatch.setattr(integer_forcing, "capacity_sphere_blocks", blocks_of_three)
+        monkeypatch.setattr(linalg, "_TRIAL_BLOCK", 3)
 
 
 def test_sic_on_haar_trials_at_high_capacity_stays_within_capacity():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fadingmac import linalg
-from fadingmac.errors import InvalidParameterError, NumericalDomainError
+from fadingmac.errors import InvalidParameterError, NumericalDomainError, check_gain
 from fadingmac.linalg import (
     RngStream,
     cholesky_lower,
@@ -130,13 +130,52 @@ def test_capacity_sphere_rejects_capacities_whose_radius_overflows(cap):
     with pytest.raises(InvalidParameterError, match="too large"):
         sample_capacity_sphere(2, cap, RngStream(0))
     with pytest.raises(InvalidParameterError, match="too large"):
-        next(linalg.capacity_sphere_blocks(0, 3, 2, cap))
+        linalg.capacity_sphere_rows(np.ones((3, 2, 2)), cap)
     assert np.all(np.isfinite(sample_capacity_sphere(2, 1023.0, RngStream(0))))
 
 
 def test_capacity_sphere_zero_cap():
     h = sample_capacity_sphere(3, 0.0, RngStream(0))
     assert np.max(np.abs(h)) == 0.0
+
+
+class _ZeroNormals(np.random.Generator):
+    """A generator whose standard normals are all zero."""
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        return np.zeros(size)
+
+
+def test_an_all_zero_draw_raises_in_the_sampler():
+    # Such a draw has no direction on the sphere; the sampler raises rather
+    # than redraw, as every engine does on an all-zero row.
+    with pytest.raises(NumericalDomainError, match="all zero"):
+        sample_capacity_sphere(3, 6.0, _ZeroNormals(np.random.PCG64(0)))
+    with pytest.raises(NumericalDomainError, match="all zero"):
+        linalg.capacity_sphere_rows(np.array([np.ones((2, 3)), np.zeros((2, 3))]), 6.0)
+
+
+_MAGNITUDE = st.floats(1e-3, 10.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda dim: st.lists(
+           st.lists(st.one_of(_MAGNITUDE, _MAGNITUDE.map(lambda x: -x), st.just(0.0)),
+                    min_size=2 * dim, max_size=2 * dim), min_size=1, max_size=20)),
+       st.floats(0.0, 1023.0))
+def test_sphere_rows_equal_the_sampler_normalization(rows, cap):
+    # Row by row, bit for bit: v * (radius / ||v||) with the sampler's
+    # radius and its 1-D norm.
+    z = np.array(rows).reshape(len(rows), 2, -1)
+    radius = math.sqrt(check_gain(cap, "sum capacity"))
+    vs = [zt[0] + 1j * zt[1] for zt in z]
+    norms = [np.linalg.norm(v) for v in vs]
+    if min(norms) == 0.0:
+        with pytest.raises(NumericalDomainError):
+            linalg.capacity_sphere_rows(z, cap)
+        return
+    want = np.array([v * (radius / nrm) for v, nrm in zip(vs, norms)])
+    assert np.array_equal(linalg.capacity_sphere_rows(z, cap), want)
 
 
 def test_capacity_sphere_partial_sums_follow_beta_law():
@@ -171,6 +210,8 @@ def test_cholesky_rejects_non_hermitian_and_indefinite():
         cholesky_lower(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(InvalidParameterError):
         cholesky_lower(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidParameterError, match="square"):
+        cholesky_lower(np.ones((2, 3)))
 
 
 def test_trial_generators_follow_the_seed_sequence_layout():
