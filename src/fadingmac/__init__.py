@@ -11,7 +11,6 @@ from .bounds import (
     BoundPair,
     ScenarioDims,
     atom_probability,
-    incomplete_beta,
     mimo_bounds,
     mimo_p_out_k,
     mimo_union_bound,
@@ -94,7 +93,6 @@ __all__ = [
     "hermitian_inverse",
     "if_rate",
     "if_rate_cdf_conditioned",
-    "incomplete_beta",
     "lll_search",
     "mimo_bounds",
     "mimo_p_out_k",

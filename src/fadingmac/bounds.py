@@ -60,10 +60,15 @@ class BoundPair:
 
 def _binomial_tail(x, a, b):
     # P(Bin(a+b-1, x) >= a) term by term, for a float or an array of x;
-    # the caller clamps the sum to 1
+    # the caller clamps the sum to 1.  C(n, j) steps from term to term as
+    # an exact integer, so each weight is math.comb's without its cost.
     n = a + b - 1
     check_binomial(n, max(a, n // 2))   # the largest coefficient of the sum
-    return sum(math.comb(n, j) * x ** j * (1.0 - x) ** (n - j) for j in range(a, n + 1))
+    total, w = 0, math.comb(n, a)
+    for j in range(a, n + 1):
+        total += w * x ** j * (1.0 - x) ** (n - j)
+        w = w * (n - j) // (j + 1)
+    return total
 
 
 def regularized_incomplete_beta(x, a, b):
@@ -80,15 +85,6 @@ def regularized_incomplete_beta(x, a, b):
     if not (0.0 <= x <= 1.0):
         raise InvalidParameterError("x must lie in [0, 1]")
     return min(1.0, _binomial_tail(x, a, b))
-
-
-def incomplete_beta(x, a, b):
-    """Unnormalized incomplete beta integral of u^(a-1) (1-u)^(b-1) on [0, x]."""
-    regularized = regularized_incomplete_beta(x, a, b)   # checks x, a and b
-    a, b = int(a), int(b)
-    # B(a, b) = (a-1)! (b-1)! / (a+b-1)! exactly, via one integer binomial
-    complete = 1.0 / (math.comb(a + b - 2, a - 1) * (a + b - 1))
-    return regularized * complete
 
 
 def two_user_cdf(rate_bits, sum_cap_bits):

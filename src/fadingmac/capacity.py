@@ -155,8 +155,3 @@ def frobenius_subset_info(ch, subset):
     idx = _validate_subset(ch, subset)
     total = sum(float(np.sum(np.abs(ch.user_matrices[i]) ** 2)) for i in idx)
     return math.log1p(total) / _LN2
-
-
-def frobenius_sum(ch):
-    """Frobenius-norm mutual information of the full user set."""
-    return frobenius_subset_info(ch, range(ch.n_users))

@@ -384,15 +384,19 @@ _BOUNDS = {
 
 
 def _rows_simulate(params):
-    users = params["users"]
+    users, k = params["users"], params["cardinality"]
     if params["snr_db_list"] is not None:
+        if k is not None:
+            raise InvalidParameterError("--cardinality does not apply to an --snr-db-list sweep")
         _require(params, "rate", "nt", "nr")
         return _snr_sweep_rows(params)
     _require(params, "sum_cap")
     cap = params["sum_cap"]
     cfg = _cfg(params)
-    if params["cardinality"] is not None:
-        return _cardinality_rows(params["cardinality"], users, cap, cfg)
+    if k is not None:
+        if any(params[f] not in (None, 1) for f in ("nt", "nr")):
+            raise InvalidParameterError("--cardinality needs scalar users: --nt and --nr must be 1")
+        return _cardinality_rows(k, users, cap, cfg)
     nt, nr = (1 if params[f] is None else params[f] for f in ("nt", "nr"))
     dims = ScenarioDims(users, nt, nr)   # rejects an explicit 0
     rows = _bracket_rows(dims, cap, cfg)

@@ -96,27 +96,6 @@ def empirical_cdf(samples, grid, trials, atom_count=None):
                     trials=trials, atom_mass=atom_mass, atom_stderr=atom_stderr)
 
 
-def _conditioned_sym_samples(n_users, sum_cap_bits, cfg, block_dim=1):
-    """Symmetric-capacity draws conditioned on the (Frobenius) sum rate.
-
-    block_dim > 1 groups that many sphere coordinates per user, which turns
-    the scalar sampler into the Frobenius-norm MIMO sampler.  Returns the
-    samples (capped at the conditioning value) and the exact atom count.
-    """
-    if n_users == 1:
-        return np.full(cfg.trials, float(sum_cap_bits)), cfg.trials
-    samples = []
-    atom = 0
-    for z in trial_normals(cfg.seed, cfg.trials, (2, n_users * block_dim)):
-        h = capacity_sphere_rows(z, sum_cap_bits)
-        gains = (np.abs(h) ** 2).reshape(len(h), n_users, block_dim).sum(axis=2)
-        partial_min = scaled_subset_rates(np.sort(gains, axis=1))[:, :-1].min(axis=1)
-        in_atom = partial_min >= sum_cap_bits
-        atom += int(np.count_nonzero(in_atom))
-        samples.append(np.where(in_atom, sum_cap_bits, partial_min))
-    return np.concatenate(samples), atom
-
-
 def conditional_cdf_scalar(n_users, sum_cap_bits, cfg):
     """Empirical CDF of the symmetric capacity of N scalar users given C.
 
@@ -152,13 +131,26 @@ def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):
 def conditional_cdf_mimo_frobenius(dims, frob_cap_bits, cfg):
     """Empirical CDF of the Frobenius-surrogate symmetric capacity given the
     Frobenius sum rate.  Validates the inflated-parameter beta law: each
-    user's squared norm aggregates N_r*N_t coordinates of one big sphere."""
+    user's squared norm aggregates N_r*N_t coordinates of one big sphere.
+    Samples are capped at the conditioning value, whose atom is counted
+    exactly; one user (the trivial MAC) draws nothing."""
     check_type(dims, ScenarioDims, "dims")
     check_capacity(frob_cap_bits)
     grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(frob_cap_bits)
-    samples, atom = _conditioned_sym_samples(
-        dims.n_users, frob_cap_bits, cfg, block_dim=dims.n_rx * dims.n_tx)
-    return empirical_cdf(samples, grid, cfg.trials, atom)
+    n, m = dims.n_users, dims.n_rx * dims.n_tx
+    if n == 1:
+        return empirical_cdf(np.full(cfg.trials, float(frob_cap_bits)), grid, cfg.trials,
+                             cfg.trials)
+    samples = []
+    atom = 0
+    for z in trial_normals(cfg.seed, cfg.trials, (2, n * m)):
+        h = capacity_sphere_rows(z, frob_cap_bits)
+        gains = (np.abs(h) ** 2).reshape(len(h), n, m).sum(axis=2)
+        partial_min = scaled_subset_rates(np.sort(gains, axis=1))[:, :-1].min(axis=1)
+        in_atom = partial_min >= frob_cap_bits
+        atom += int(np.count_nonzero(in_atom))
+        samples.append(np.where(in_atom, frob_cap_bits, partial_min))
+    return empirical_cdf(np.concatenate(samples), grid, cfg.trials, atom)
 
 
 def _user_matrix_blocks(dims, cfg):
@@ -244,12 +236,13 @@ def averaged_bound_vs_snr(dims, target_rate_bits, which, cfg):
     acc_sq = np.zeros(grid_lin.size)
     for mats in _user_matrix_blocks(dims, cfg):
         if which == "union":
+            # one "eigenvalue": the Frobenius total, summed user by user
             unit_frob = (np.abs(mats) ** 2).reshape(len(mats), dims.n_users, -1).sum(axis=2)
-            conds = np.log1p(np.multiply.outer(unit_frob.sum(axis=1), grid_lin)) / _LN2
+            lam = unit_frob.sum(axis=1)[:, None]
         else:
             stack = mats.transpose(0, 2, 1, 3).reshape(len(mats), dims.n_rx, -1)
             lam = np.clip(np.linalg.eigvalsh(stack @ stack.conj().swapaxes(-1, -2)), 0.0, None)
-            conds = _rates_at_snrs(lam, grid_lin)
+        conds = _rates_at_snrs(lam, grid_lin)
         above = target_rate_bits < conds
         values = np.ones_like(conds)
         values[above] = bound(target_rate_bits, conds[above])

@@ -13,8 +13,8 @@ from scipy import integrate
 from fadingmac.bounds import (
     BoundPair,
     ScenarioDims,
+    _binomial_tail,
     atom_probability,
-    incomplete_beta,
     mimo_bounds,
     mimo_p_out_k,
     mimo_union_bound,
@@ -36,19 +36,20 @@ def quad_beta(x, a, b):
     return val
 
 
-def test_incomplete_beta_pinned_values():
-    assert abs(incomplete_beta(1.0, 2, 3) - 1.0 / 12.0) < 1e-15
-    assert abs(incomplete_beta(0.5, 1, 1) - 0.5) < 1e-15
-    assert abs(incomplete_beta(0.3, 1, 2) - 0.255) < 1e-15
+def test_regularized_beta_pinned_values():
+    assert abs(regularized_incomplete_beta(1.0, 2, 3) - 1.0) < 1e-15
+    assert abs(regularized_incomplete_beta(0.5, 1, 1) - 0.5) < 1e-15
+    assert abs(regularized_incomplete_beta(0.3, 1, 2) - 0.51) < 1e-15
 
 
-def test_incomplete_beta_matches_quadrature():
+def test_regularized_beta_matches_quadrature():
     rng = RngStream(200).generator()
     for _ in range(60):
         a = int(rng.integers(1, 9))
         b = int(rng.integers(1, 9))
         x = float(rng.uniform())
-        assert abs(incomplete_beta(x, a, b) - quad_beta(x, a, b)) < 1e-10
+        assert abs(regularized_incomplete_beta(x, a, b)
+                   - quad_beta(x, a, b) / quad_beta(1.0, a, b)) < 1e-10
 
 
 def test_regularized_beta_endpoints_and_monotonicity():
@@ -63,13 +64,13 @@ def test_regularized_beta_endpoints_and_monotonicity():
 
 def test_beta_rejects_bad_parameters():
     with pytest.raises(InvalidParameterError):
-        incomplete_beta(-0.1, 1, 1)
+        regularized_incomplete_beta(-0.1, 1, 1)
     with pytest.raises(InvalidParameterError):
-        incomplete_beta(1.1, 1, 1)
+        regularized_incomplete_beta(1.1, 1, 1)
     with pytest.raises(InvalidParameterError):
-        incomplete_beta(0.5, 0, 1)
+        regularized_incomplete_beta(0.5, 0, 1)
     with pytest.raises(InvalidParameterError):
-        incomplete_beta(0.5, 1.5, 1)
+        regularized_incomplete_beta(0.5, 1.5, 1)
 
 
 @pytest.mark.parametrize("call, coefficient", [
@@ -85,10 +86,27 @@ def test_binomials_beyond_a_float_are_a_parameter_error(call, coefficient):
 
 
 def test_the_last_binomials_that_are_floats_keep_their_values():
-    # Next to the first sizes that overflow.  1029 scalar users work too, but
-    # their bracket sums a million terms: test_errors pins C(1029, 514).
+    # Next to the first sizes that overflow.
     assert regularized_incomplete_beta(0.3, 515, 515) == 3.1187199815382094e-41
     assert mimo_union_bound_array(ScenarioDims(2, 1, 515), 3.0, [8.0]).tolist() == [0.0]
+    assert scalar_bounds(1029, 4.0, 8.0) == BoundPair(
+        lower=0.010818094125708635, upper=1.0, upper_raw=1216761393964.1575)
+
+
+def _per_term_tail(x, a, b):
+    n = a + b - 1
+    return sum(math.comb(n, j) * x ** j * (1.0 - x) ** (n - j) for j in range(a, n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       a=st.integers(1, 300), b=st.integers(1, 300))
+def test_binomial_tail_equals_the_per_term_comb_sum(xs, a, b):
+    # Bit for bit, for one float and for an array of them.
+    assert np.float64(_binomial_tail(xs[0], a, b)).tobytes() == \
+        np.float64(_per_term_tail(xs[0], a, b)).tobytes()
+    x = np.array(xs)
+    assert _binomial_tail(x, a, b).tobytes() == _per_term_tail(x, a, b).tobytes()
 
 
 def test_two_user_cdf_pinned_values():

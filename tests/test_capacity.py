@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fadingmac.capacity import (
     MacChannel,
     frobenius_subset_info,
-    frobenius_sum,
     scalar_symmetric_capacity,
     subset_mutual_info,
     sum_capacity,
@@ -31,7 +30,7 @@ def test_subset_info_zero_channel():
     ch = MacChannel.from_scalar([0.0, 0.0, 0.0])
     assert subset_mutual_info(ch, [0, 2]) == 0.0
     assert sum_capacity(ch) == 0.0
-    assert frobenius_sum(ch) == 0.0
+    assert frobenius_subset_info(ch, range(ch.n_users)) == 0.0
 
 
 def test_subset_validation():
@@ -123,7 +122,7 @@ def test_frobenius_bound_below_true_info():
         for subset in ([0], [1], [0, 1]):
             assert (frobenius_subset_info(ch, subset)
                     <= subset_mutual_info(ch, subset) + 1e-12)
-        assert frobenius_sum(ch) <= sum_capacity(ch) + 1e-12
+        assert frobenius_subset_info(ch, range(ch.n_users)) <= sum_capacity(ch) + 1e-12
 
 
 def test_frobenius_equals_true_for_scalars():
@@ -135,7 +134,7 @@ def test_frobenius_equals_true_for_scalars():
 
 def test_frobenius_identity_matrix_example():
     ch = MacChannel([np.eye(2, dtype=complex)])
-    assert abs(frobenius_sum(ch) - math.log2(3.0)) < 1e-12
+    assert abs(frobenius_subset_info(ch, range(ch.n_users)) - math.log2(3.0)) < 1e-12
     assert abs(sum_capacity(ch) - 2.0) < 1e-12
 
 

@@ -394,6 +394,39 @@ def test_inputs_past_a_float_binomial_or_the_enumeration_limit_exit_one(
     assert list(tmp_path.iterdir()) == []
 
 
+# --cardinality draws the per-cardinality law of scalar users under a sum
+# capacity, so a sweep or antenna counts would be flags it ignores.
+_CARDINALITY_SWEEP = "--cardinality does not apply to an --snr-db-list sweep"
+_CARDINALITY_DIMS = "--cardinality needs scalar users: --nt and --nr must be 1"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--nt", "2", "--nr", "3", "--sum-cap", "6"], _CARDINALITY_DIMS),
+    (["--nt", "2", "--sum-cap", "6"], _CARDINALITY_DIMS),
+    (["--nr", "2", "--sum-cap", "6"], _CARDINALITY_DIMS),
+    (["--nt", "1", "--nr", "1", "--rate", "2", "--snr-db-list=0,5"], _CARDINALITY_SWEEP),
+    (["--sum-cap", "6", "--rate", "2", "--snr-db-list=0,5"], _CARDINALITY_SWEEP),
+], ids=["2x3", "nt2", "nr2", "sweep", "sweep-with-sum-cap"])
+def test_cardinality_rejects_the_flags_it_would_ignore(tmp_path, monkeypatch, capsys, argv,
+                                                       error):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--users", "3", "--cardinality", "1", "--trials", "20"]
+                + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"fadingmac: error: {error}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cardinality_runs_with_explicit_scalar_antennas(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = ["simulate", "--users", "3", "--sum-cap", "6", "--cardinality", "1",
+            "--trials", "20"]
+    assert main(base + ["--out", "plain"]) == 0
+    assert main(base + ["--nt", "1", "--nr", "1", "--out", "explicit"]) == 0
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
+
+
 # One user is the trivial MAC: scalar and MIMO users alike run, with bracket 0.
 @pytest.mark.parametrize("argv", [
     ["simulate", "--users", "1", "--sum-cap", "4", "--trials", "20"],
