@@ -28,7 +28,7 @@ from .capacity import (
     sum_capacity,
     symmetric_capacity,
 )
-from .dmt import DmtCurve, single_user_dmt, symmetric_mac_dmt, symmetric_mac_dmt_curve
+from .dmt import single_user_dmt, symmetric_mac_dmt, symmetric_mac_dmt_curve
 from .errors import InvalidParameterError, NumericalDomainError
 from .integer_forcing import (
     EffectiveChannel,
@@ -68,7 +68,6 @@ __version__ = "0.2.0"
 __all__ = [
     "BoundPair",
     "CdfCurve",
-    "DmtCurve",
     "EffectiveChannel",
     "IfResult",
     "InvalidParameterError",

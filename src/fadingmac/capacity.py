@@ -68,12 +68,6 @@ class MacChannel:
     def n_tx(self):
         return self.user_matrices[0].shape[1]
 
-    def scalar_gains(self):
-        """Squared magnitudes |h_i|^2 (requires 1x1 user matrices)."""
-        if self.n_rx != 1 or self.n_tx != 1:
-            raise InvalidParameterError("scalar_gains requires 1x1 user matrices")
-        return np.array([abs(m[0, 0]) ** 2 for m in self.user_matrices])
-
 
 def _validate_subset(ch, subset):
     idx = tuple(sorted(int(i) for i in subset))

@@ -160,7 +160,7 @@ def _parse_snr_list(text):
 def _fig_1(params):
     users, nt, nr = params["users"], params["nt"], params["nr"]
     rows = []
-    for r, d in symmetric_mac_dmt_curve(users, nt, nr).breakpoints:
+    for r, d in symmetric_mac_dmt_curve(users, nt, nr):
         rows.append(("mac-symmetric", r, d, None))
     for k in range(min(nt, nr) + 1):
         rows.append(("single-user", float(k), single_user_dmt(nt, nr, float(k)), None))
@@ -386,11 +386,17 @@ _BOUNDS = {
 def _rows_simulate(params):
     users, k = params["users"], params["cardinality"]
     if params["snr_db_list"] is not None:
-        if k is not None:
-            raise InvalidParameterError("--cardinality does not apply to an --snr-db-list sweep")
+        for name in ("cardinality", "sum_cap"):
+            if params[name] is not None:
+                raise InvalidParameterError(f"--{name.replace('_', '-')} does not apply "
+                                            "to an --snr-db-list sweep")
         _require(params, "rate", "nt", "nr")
         return _snr_sweep_rows(params)
     _require(params, "sum_cap")
+    # Only a sweep reads a target rate; "total" is the default a manifest records.
+    if params["rate"] is not None or params["rate_convention"] == "per-user":
+        raise InvalidParameterError(
+            "--rate and --rate-convention per-user apply only to an --snr-db-list sweep")
     cap = params["sum_cap"]
     cfg = _cfg(params)
     if k is not None:

@@ -145,9 +145,6 @@ def test_channel_validation():
         MacChannel([np.eye(2), np.eye(3)])
     with pytest.raises(InvalidParameterError):
         MacChannel([np.array([[np.nan]])])
-    assert MacChannel.from_scalar([1.0, 1.0]).scalar_gains().shape == (2,)
-    with pytest.raises(InvalidParameterError):
-        MacChannel([np.eye(2)]).scalar_gains()
     for gains in ([], [[1.0, 2.0]]):
         with pytest.raises(InvalidParameterError, match="gains must be a non-empty vector"):
             scalar_symmetric_capacity(gains)

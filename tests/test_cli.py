@@ -418,6 +418,50 @@ def test_cardinality_rejects_the_flags_it_would_ignore(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
+# Only a sweep reads --rate and --rate-convention, and only the conditioned
+# branches read --sum-cap; each refuses the flags it would ignore.
+_RATE_OUTSIDE_SWEEP = "--rate and --rate-convention per-user apply only to an --snr-db-list sweep"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--users", "3", "--sum-cap", "6", "--rate", "2"], _RATE_OUTSIDE_SWEEP),
+    (["--users", "3", "--sum-cap", "6", "--rate-convention", "per-user"], _RATE_OUTSIDE_SWEEP),
+    (["--users", "3", "--sum-cap", "6", "--rate", "2", "--rate-convention", "per-user"],
+     _RATE_OUTSIDE_SWEEP),
+    (["--users", "2", "--nt", "2", "--nr", "3", "--sum-cap", "6", "--rate", "2"],
+     _RATE_OUTSIDE_SWEEP),
+    (["--users", "3", "--cardinality", "1", "--sum-cap", "6", "--rate", "2",
+      "--rate-convention", "per-user"], _RATE_OUTSIDE_SWEEP),
+    (["--users", "3", "--cardinality", "1", "--sum-cap", "6", "--rate-convention", "per-user"],
+     _RATE_OUTSIDE_SWEEP),
+    (["--users", "2", "--nt", "1", "--nr", "2", "--rate", "2", "--snr-db-list=0,5",
+      "--sum-cap", "5"], "--sum-cap does not apply to an --snr-db-list sweep"),
+], ids=["bracket-rate", "bracket-per-user", "bracket-both", "bracket-mimo-rate",
+        "cardinality-both", "cardinality-per-user", "sweep-sum-cap"])
+def test_simulate_rejects_the_flags_its_branch_would_ignore(tmp_path, monkeypatch, capsys,
+                                                            argv, error):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--trials", "20"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"fadingmac: error: {error}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--users", "3", "--sum-cap", "6"],
+    ["--users", "3", "--cardinality", "1", "--sum-cap", "6"],
+])
+def test_simulate_accepts_the_default_rate_convention_outside_a_sweep(tmp_path, monkeypatch,
+                                                                      argv):
+    # Every simulate manifest records "total", so a replay passes it back.
+    monkeypatch.chdir(tmp_path)
+    base = ["simulate", "--trials", "20"] + argv
+    assert main(base + ["--out", "plain"]) == 0
+    assert main(base + ["--rate-convention", "total", "--out", "explicit"]) == 0
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
+
+
 def test_cardinality_runs_with_explicit_scalar_antennas(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     base = ["simulate", "--users", "3", "--sum-cap", "6", "--cardinality", "1",

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fadingmac.dmt import (
-    DmtCurve,
     single_user_dmt,
     symmetric_mac_dmt,
     symmetric_mac_dmt_curve,
@@ -81,34 +82,39 @@ def test_curve_non_increasing_everywhere():
 
 def test_curve_breakpoints_evaluate_consistently():
     for (n, nt, nr) in ((2, 1, 1), (2, 2, 3), (3, 2, 4), (4, 1, 3)):
-        curve = symmetric_mac_dmt_curve(n, nt, nr)
-        rs = [p[0] for p in curve.breakpoints]
+        rs, ds = zip(*symmetric_mac_dmt_curve(n, nt, nr))
         assert rs[0] == 0.0
         assert abs(rs[-1] - min(n * nt, nr) / n) < 1e-12
         for r in np.linspace(0.0, rs[-1], 41):
-            assert abs(curve.evaluate(float(r))
+            assert abs(np.interp(r, rs, ds)
                        - symmetric_mac_dmt(n, nt, nr, float(r))) < 1e-12
 
 
 def test_two_user_scalar_curve_is_two_segments():
     curve = symmetric_mac_dmt_curve(2, 1, 1)
     expected = ((0.0, 1.0), (1.0 / 3.0, 2.0 / 3.0), (0.5, 0.0))
-    assert len(curve.breakpoints) == len(expected)
-    for (r, d), (er, ed) in zip(curve.breakpoints, expected):
+    assert len(curve) == len(expected)
+    for (r, d), (er, ed) in zip(curve, expected):
         assert abs(r - er) < 1e-15
         assert abs(d - ed) < 1e-15
 
 
-def test_curve_type_validation():
-    with pytest.raises(InvalidParameterError):
-        DmtCurve(((0.0, 1.0),))
-    with pytest.raises(InvalidParameterError):
-        DmtCurve(((0.0, 1.0), (0.0, 0.5)))
-    with pytest.raises(InvalidParameterError):
-        DmtCurve(((0.0, 0.5), (1.0, 1.0)))
-    curve = DmtCurve(((0.0, 2.0), (1.0, 0.0)))
-    with pytest.raises(InvalidParameterError):
-        curve.evaluate(1.5)
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), nt=st.integers(1, 6), nr=st.integers(1, 12),
+       u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+def test_curve_breakpoints_trace_the_tradeoff(n, nt, nr, u):
+    # From (0, n_t n_r) to (rmax, 0), r strictly increasing, d never
+    # increasing, the branch point a knot, and the line through the knots
+    # the closed form.
+    curve = symmetric_mac_dmt_curve(n, nt, nr)
+    rs, ds = map(np.array, zip(*curve))
+    rmax = min(n * nt, nr) / n
+    assert len(curve) >= 2 and np.all(np.diff(rs) > 0) and np.all(np.diff(ds) <= 0)
+    assert rs[0] == 0.0 and abs(ds[0] - nt * nr) < 1e-12
+    assert abs(rs[-1] - rmax) < 1e-12 and abs(ds[-1]) < 1e-12
+    assert min(nt, nr / (n + 1)) in rs
+    for r in rmax * np.array(u):
+        assert abs(np.interp(r, rs, ds) - symmetric_mac_dmt(n, nt, nr, float(r))) < 1e-12
 
 
 def test_dmt_rejects_bad_dimensions():
@@ -131,4 +137,4 @@ def test_numpy_integer_counts_are_accepted():
     assert symmetric_mac_dmt(np.int64(2), 2, 3, 0.0) == 6.0
     assert single_user_dmt(np.int64(2), np.int32(3), 1.0) == single_user_dmt(2, 3, 1.0)
     curve = symmetric_mac_dmt_curve(np.int64(2), np.int64(1), np.int64(1))
-    assert curve.breakpoints == symmetric_mac_dmt_curve(2, 1, 1).breakpoints
+    assert curve == symmetric_mac_dmt_curve(2, 1, 1)
