@@ -348,20 +348,44 @@ def _fig_10(params):
 
 _SNR_GRID_DB = [float(s) for s in range(-10, 21, 2)]
 
-# figure -> (its rows, its defaults on top of the "fig" defaults of _COMMANDS)
+_MONTE_CARLO = {"trials", "seed"}
+_SWEEP = {"users", "nt", "nr", "rate", "snr_db_list", "rate_convention", *_MONTE_CARLO}
+
+# figure -> (its rows, the parameters it reads, its defaults on top of the
+# "fig" defaults of _COMMANDS)
 _FIGURES = {
-    1: (_fig_1, {}),
-    2: (_fig_2, {"sum_cap": 2.0}),
-    3: (_fig_3, {"users": 4, "sum_cap": 8.0, "trials": 100000}),
-    4: (_fig_4, {"users": 4, "sum_cap": 8.0, "trials": 100000}),
-    5: (partial(_snr_sweep_rows, with_simo=False),
+    1: (_fig_1, {"users", "nt", "nr"}, {}),
+    2: (_fig_2, {"sum_cap"}, {"sum_cap": 2.0}),
+    3: (_fig_3, {"users", "sum_cap", *_MONTE_CARLO},
+        {"users": 4, "sum_cap": 8.0, "trials": 100000}),
+    4: (_fig_4, {"users", "sum_cap", *_MONTE_CARLO},
+        {"users": 4, "sum_cap": 8.0, "trials": 100000}),
+    5: (partial(_snr_sweep_rows, with_simo=False), _SWEEP,
         {"nt": 2, "nr": 3, "rate": 3.0, "snr_db_list": _SNR_GRID_DB}),
-    6: (_snr_sweep_rows, {"nr": 6, "rate": 3.0, "snr_db_list": _SNR_GRID_DB}),
-    7: (_fig_7, {"sum_cap": 10.0}),
-    8: (_fig_8, {"sum_cap": 10.0}),
-    9: (_fig_9, {"trials": 2000}),
-    10: (_fig_10, {"trials": 2000}),
+    6: (_snr_sweep_rows, _SWEEP, {"nr": 6, "rate": 3.0, "snr_db_list": _SNR_GRID_DB}),
+    7: (_fig_7, {"users", "sum_cap", "rate_convention", *_MONTE_CARLO}, {"sum_cap": 10.0}),
+    8: (_fig_8, {"users", "sum_cap", *_MONTE_CARLO}, {"sum_cap": 10.0}),
+    9: (_fig_9, _MONTE_CARLO, {"trials": 2000}),
+    10: (_fig_10, {"users", *_MONTE_CARLO}, {"trials": 2000}),
 }
+
+
+def _fig_defaults(params):
+    return {**_RUN_DEFAULTS, "nt": 1, "nr": 1, **_FIGURES[params["figure"]][2]}
+
+
+def _rows_fig(params):
+    """One figure's rows.  A flag the figure does not read must keep its
+    default, or the manifest would record a value that changed nothing."""
+    figure = params["figure"]
+    rows, reads, _ = _FIGURES[figure]
+    defaults = _fig_defaults(params)
+    for key, value in params.items():
+        flag = key.replace("_", "-")
+        if (flag in _FLAGS and key not in reads
+                and value != defaults.get(key, _FLAGS[flag].get("default"))):
+            raise InvalidParameterError(f"--{flag} does not apply to fig {figure}")
+    return rows(params)
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +706,7 @@ _COMMANDS = {
          "trials", "seed", "out", "users", "nr", "nt", "sum-cap", "rate", "snr-db-list",
          "rate-convention"),
         description="Write one figure's curves as CSV plus a JSON manifest.",
-        defaults=lambda p: {**_RUN_DEFAULTS, "nt": 1, "nr": 1, **_FIGURES[p["figure"]][1]},
-        rows=lambda p: _FIGURES[p["figure"]][0](p), stem="fig{figure}"),
+        defaults=_fig_defaults, rows=_rows_fig, stem="fig{figure}"),
     "bound": _Command(
         "evaluate one analytic quantity",
         (("which", dict(choices=list(_BOUNDS), help="which quantity")),

@@ -23,15 +23,21 @@ the Haar QRs, the effective channels, F, the QR factors of F's real
 embeddings, F A^T, the variances and the rates are stacked numpy calls over
 the block.  if_rate calls the same helpers on a stack of one, so a row
 equals the per-trial rate bit for bit.  Only the search runs per trial, as
-scalar code: the LLL loop runs on Python floats and ints from the
-precomputed QR factor, since its matrices are small (2n x 2n for n streams);
-candidate rows are tuples of Python ints; and every rank test is exact, by
-fraction-free elimination over the integers, so coefficients of any size
-(about 10^7 at C = 100 bits) never make an independent row look dependent.
+scalar code: the LLL loop runs on Python floats from the precomputed QR
+factor, since its matrices are small (2n x 2n for n streams), and holds each
+row of the unimodular transform as one packed Python int; candidate rows are
+tuples of Python ints.  Every rank decision is exact.  The greedy basis first
+asks whether the determinant of the n best rows is nonzero modulo a prime of
+the Gaussian integers, a filter whose "independent" verdict is a proof; when
+it cannot decide, fraction-free elimination over the integers tests each
+row, so coefficients of any size (about 10^7 at C = 100 bits) never make an
+independent row look dependent.
 """
 
 import math
+import struct
 from dataclasses import dataclass
+from operator import neg
 
 import numpy as np
 
@@ -50,6 +56,9 @@ PRECODER_KINDS = ("none", "haar", "badr_belfiore")
 _MODES = ("if", "if-sic")
 BRUTE_FORCE_MAX_DIM = 4
 _LLL_DELTA = 0.75   # the Lovasz condition parameter of the lattice reduction
+_FIELD_BITS = 64    # starting width (a multiple of 8) of an entry of a packed row of U
+_P = 32749          # a prime = 5 (mod 8): 2 is not a square mod _P, so
+_J = pow(2, (_P - 1) // 4, _P)   # _J^2 = -1 (mod _P)
 
 
 # ---------------------------------------------------------------------------
@@ -173,22 +182,55 @@ def _real_embedding(k):
     return np.block([[k.real, -k.imag], [k.imag, k.real]])
 
 
+def _pack(rows, w):
+    """Each row of integers as one int: the sum of entry i times 2^(w i)."""
+    return [sum(v << (w * i) for i, v in enumerate(row)) for row in rows]
+
+
+def _unpack(packed, n, w):
+    """The n entries of each packed row, as a tuple; exact when w is a
+    multiple of 8 and every entry satisfies |v| < 2^(w-1).
+
+    Adding 2^(w-1) to every entry makes each field a w-bit digit with no
+    carry between fields; XOR with the same offset then flips each digit's
+    top bit, leaving the w-bit two's complement of the entry.
+    """
+    offset = ((1 << (w * n)) - 1) // ((1 << w) - 1) << (w - 1)
+    if w == 64:
+        fmt = f"<{n}q"
+        return [struct.unpack(fmt, ((p + offset) ^ offset).to_bytes(8 * n, "little"))
+                for p in packed]
+    data = [((p + offset) ^ offset).to_bytes(n * w // 8, "little") for p in packed]
+    step = w // 8
+    return [tuple(int.from_bytes(b[i:i + step], "little", signed=True)
+                  for i in range(0, len(b), step)) for b in data]
+
+
 def _lll_transform(r):
     """LLL-reduce the lattice spanned by the columns of a full-rank real
     matrix B, given the triangular factor r of its QR decomposition; return
-    the unimodular integer U, as rows of Python ints, whose rows are the
+    the unimodular integer U, as tuples of Python ints, whose rows are the
     coefficients of the reduced basis vectors, B @ U.T.
 
     The reduction loop works on Python floats and ints, which at these small
     dimensions cost far less per element than numpy indexing; round() rounds
-    half to even, as np.rint does.
+    half to even, as np.rint does, so a coefficient in [-1/2, 1/2] is skipped
+    without rounding.  Each row of U is held packed as one int (see _pack),
+    so a row update is one integer operation.  size[i] bounds the entries of
+    row i by the triangle inequality; when an update could carry an entry
+    out of its w-bit field, U is unpacked, updated and repacked exactly, with
+    the bounds reset to the entries and w widened until they use at most half
+    of it.  So the fields never overflow, and U is exact at any size.
     """
     d = np.diagonal(r)
     # Gram-Schmidt data: mu[i][j] = <b_i, b*_j> / |b*_j|^2 for j < i.
     mu = [row[:i] for i, row in enumerate((r / d[:, None]).T.tolist())]
     norms = (d * d).tolist()
     n = len(norms)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    w = _FIELD_BITS
+    half = 1 << (w - 1)
+    u = [1 << (w * i) for i in range(n)]
+    size = [1] * n
     k = 1
     guard = 0
     max_steps = 10000 * n * n
@@ -198,13 +240,25 @@ def _lll_transform(r):
             raise NumericalDomainError("lattice reduction failed to converge")
         mk = mu[k]
         for j in range(k - 1, -1, -1):
+            if -0.5 <= mk[j] <= 0.5:
+                continue
             q = round(mk[j])
-            if q != 0:
-                u[k] = [a - q * b for a, b in zip(u[k], u[j])]
-                mj = mu[j]
-                for i in range(j):
-                    mk[i] -= q * mj[i]
-                mk[j] -= q
+            bound = size[k] + abs(q) * size[j]
+            if bound < half:
+                u[k] -= q * u[j]
+                size[k] = bound
+            else:
+                rows = _unpack(u, n, w)
+                rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
+                size = [max(map(abs, row)) for row in rows]
+                while 2 * max(size).bit_length() > w:
+                    w *= 2
+                half = 1 << (w - 1)
+                u = _pack(rows, w)
+            mj = mu[j]
+            for i in range(j):
+                mk[i] -= q * mj[i]
+            mk[j] -= q
         mu_val = mk[k - 1]
         if norms[k] >= (_LLL_DELTA - mu_val ** 2) * norms[k - 1]:
             k += 1
@@ -215,13 +269,17 @@ def _lll_transform(r):
         norms[k] = norms[k - 1] * norms[k] / big
         norms[k - 1] = big
         u[k - 1], u[k] = u[k], u[k - 1]
-        mu[k - 1], mu[k] = mk[:k - 1], mu[k - 1] + [mu_new]
+        size[k - 1], size[k] = size[k], size[k - 1]
+        mk.pop()
+        mu[k - 1].append(mu_new)
+        mu[k - 1], mu[k] = mk, mu[k - 1]
         for mi in mu[k + 1:]:
             t = mi[k]
             mi[k] = mi[k - 1] - mu_val * t
             mi[k - 1] = t + mu_new * mi[k]
-        k = max(k - 1, 1)
-    return u
+        if k > 1:
+            k -= 1
+    return _unpack(u, n, w)
 
 
 # A Gaussian-integer row a = x + jy is held as the tuple (x_1..x_n, y_1..y_n)
@@ -239,10 +297,10 @@ def _canonical_unit(row):
             if re > 0 and im >= 0:
                 return row
             if re <= 0 and im > 0:      # times -j
-                return y + tuple(-v for v in x)
+                return y + tuple(map(neg, x))
             if re < 0 and im <= 0:      # times -1
-                return tuple(-v for v in row)
-            return tuple(-v for v in y) + x   # times j
+                return tuple(map(neg, row))
+            return tuple(map(neg, y)) + x   # times j
     return row
 
 
@@ -277,6 +335,48 @@ def _add_if_independent(echelon, row):
     return True
 
 
+def _independent_mod_p(rows):
+    """Whether n Gaussian-integer rows of length n have a determinant that is
+    nonzero modulo the prime ideal (_P, j - _J) of Z[j].
+
+    x + jy -> x + _J y (mod _P) is a ring map from Z[j] onto the integers
+    mod _P, so it carries the determinant to that of the mapped rows, which
+    fraction-free elimination tests for zero: each step scales the other
+    rows by a nonzero pivot.  True proves the rows linearly independent over
+    C; False decides nothing, since a nonzero determinant may be divisible
+    by the prime.
+    """
+    n = len(rows[0]) // 2
+    m = [[(x + _J * y) % _P for x, y in zip(row[:n], row[n:])] for row in rows]
+    while m:
+        piv = m.pop()
+        top = max(piv)
+        if not top:
+            return False
+        c = piv.index(top)
+        m = [[(a * top - row[c] * b) % _P for a, b in zip(row, piv)] for row in m]
+    return len(rows) == n
+
+
+def _first_basis(rows, n):
+    """Indices of the first n rows, in order, that each raise the rank over C.
+
+    When the first n rows pass _independent_mod_p, each of them raises the
+    rank, so they are that basis; otherwise every row is tested exactly with
+    _add_if_independent.
+    """
+    if _independent_mod_p(rows[:n]):
+        return list(range(n))
+    echelon = []
+    sel = []
+    for i, row in enumerate(rows):
+        if _add_if_independent(echelon, row):
+            sel.append(i)
+            if len(sel) == n:
+                return sel
+    raise NumericalDomainError("candidate rows do not span the stream space")
+
+
 def _greedy_full_rank(f, rows):
     """Full-rank selection with the smallest worst form ||F a||^2.
 
@@ -286,17 +386,12 @@ def _greedy_full_rank(f, rows):
     Independence is a matroid, so the greedy basis minimizes the worst
     quadratic form among all full-rank selections from the candidate pool.
     """
-    n = f.shape[0]
-    cands = list(dict.fromkeys(_canonical_unit(r) for r in rows))
-    forms = (np.linalg.norm(_as_complex(cands) @ f.T, axis=1) ** 2).tolist()
-    echelon = []
-    sel = []
-    for _, c in sorted(zip(forms, cands)):
-        if _add_if_independent(echelon, c):
-            sel.append(c)
-            if len(sel) == n:
-                return _as_complex(sel)
-    raise NumericalDomainError("candidate rows do not span the stream space")
+    cands = list(dict.fromkeys(map(_canonical_unit, rows)))
+    cm = _as_complex(cands)
+    forms = (np.linalg.norm(cm @ f.T, axis=1) ** 2).tolist()
+    order = sorted(range(len(cands)), key=lambda i: (forms[i], cands[i]))
+    basis = _first_basis([cands[i] for i in order], f.shape[0])
+    return cm[[order[i] for i in basis]]
 
 
 def _unit_rows(n):
@@ -323,7 +418,7 @@ def _search(f):
     if not np.all(np.isfinite(d) & (d != 0)):
         raise NumericalDomainError("lattice basis is singular to working precision")
     return np.array([
-        _greedy_full_rank(fi, [tuple(row) for row in _lll_transform(ri)] + units)
+        _greedy_full_rank(fi, _lll_transform(ri) + units)
         for fi, ri in zip(f, r)])
 
 
@@ -338,12 +433,17 @@ def lll_search(gram):
 
 
 def _points_in_ellipsoid(b, bound, radius):
-    """All nonzero integer vectors with ||b x||^2 <= bound and |x_i| <= radius."""
+    """All nonzero integer vectors with ||b x||^2 <= bound and |x_i| <= radius.
+
+    A form may exceed the budget by 1e-12 * bound, far above its rounding
+    error; a slack relative to bound keeps the enumeration tight at any
+    scale (one user at C = 80 bits has forms near 2^-80)."""
     nn = b.shape[1]
     r = np.linalg.qr(b, mode="r")
     r *= np.sign(np.diagonal(r))[:, None]   # descend's bounds need r[i, i] > 0
     coords = np.zeros(nn, dtype=np.int64)
     results = []
+    slack = 1e-12 * bound
 
     def descend(i, budget):
         t = float(r[i, i + 1:] @ coords[i + 1:]) if i + 1 < nn else 0.0
@@ -352,7 +452,7 @@ def _points_in_ellipsoid(b, bound, radius):
         hi = min(math.floor((rad - t) / r[i, i] + 1e-12), radius)
         for ai in range(lo, hi + 1):
             term = (r[i, i] * ai + t) ** 2
-            if term > budget + 1e-12:
+            if term > budget + slack:
                 continue
             coords[i] = ai
             if i == 0:
@@ -380,7 +480,7 @@ def brute_force_search(gram, radius):
         raise InvalidParameterError(
             f"exhaustive search limited to dimension {BRUTE_FORCE_MAX_DIM}")
     radius = check_int(radius, "radius", 1)
-    bound = float(np.max(np.linalg.norm(f, axis=0))) ** 2 * (1.0 + 1e-9) + 1e-12
+    bound = float(np.max(np.linalg.norm(f, axis=0))) ** 2 * (1.0 + 1e-9)
     pts = _points_in_ellipsoid(_real_embedding(f), bound, radius)
     return _greedy_full_rank(f, [tuple(p.tolist()) for p in pts] + _unit_rows(n))
 

@@ -462,6 +462,34 @@ def test_simulate_accepts_the_default_rate_convention_outside_a_sweep(tmp_path, 
     assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
 
 
+# fig 9 runs its own user counts (2, 4 and 6), fig 10 its own capacities
+# (2 to 16 bits) and fig 4 scalar users: each refuses the flag it would ignore.
+@pytest.mark.parametrize("argv, flag", [
+    (["fig", "9", "--users", "4", "--trials", "30"], "--users"),
+    (["fig", "10", "--sum-cap", "5", "--trials", "30"], "--sum-cap"),
+    (["fig", "4", "--nt", "2", "--trials", "500"], "--nt"),
+], ids=["fig9-users", "fig10-sum-cap", "fig4-nt"])
+def test_fig_rejects_the_flags_its_figure_would_ignore(tmp_path, monkeypatch, capsys,
+                                                        argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"fadingmac: error: {flag} does not apply "
+                                         f"to fig {argv[1]}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fig_accepts_the_default_of_a_flag_it_does_not_read(tmp_path, monkeypatch):
+    # A manifest records every flag, so a replay passes the defaults back.
+    monkeypatch.chdir(tmp_path)
+    base = ["fig", "9", "--trials", "3"]
+    assert main(base + ["--out", "plain"]) == 0
+    assert main(base + ["--users", "2", "--nt", "1", "--rate-convention", "total",
+                        "--out", "explicit"]) == 0
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
+
+
 def test_cardinality_runs_with_explicit_scalar_antennas(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     base = ["simulate", "--users", "3", "--sum-cap", "6", "--cardinality", "1",
@@ -587,7 +615,8 @@ _SNR_LISTS = st.lists(st.floats(-20.0, 30.0), min_size=1, max_size=4).map(
     lambda snrs: ",".join(map(repr, sorted(snrs))))
 _CONVENTIONS = st.sampled_from(["total", "per-user"])
 
-# Each figure's flags beyond --trials and --seed, drawn or left to the default.
+# Each figure's flags beyond --trials and --seed, drawn or left to the default;
+# each figure reads the flags listed for it.
 _FIGURE_FLAGS = {
     1: {"users": st.integers(1, 4), "nt": st.integers(1, 3), "nr": st.integers(1, 3)},
     2: {"sum-cap": _CAPS},
@@ -609,8 +638,9 @@ def _fresh_line(draw, kind):
     command, _, variant = kind.partition(" ")
     if command == "fig":
         flags = _FIGURE_FLAGS[int(variant)]
-        return ["fig", variant] + line + [f for name, values in flags.items()
-                                          for f in _flag(draw, name, values)]
+        # Figures 1 and 2 are analytic: they refuse --trials and --seed.
+        return ["fig", variant] + (line if int(variant) > 2 else []) + [
+            f for name, values in flags.items() for f in _flag(draw, name, values)]
     if variant == "sweep":
         return ["simulate", f"--users={draw(_USERS)}", f"--nt={draw(st.integers(1, 2))}",
                 f"--nr={draw(st.integers(1, 3))}", f"--rate={draw(st.floats(0.1, 4.0))}",

@@ -10,7 +10,13 @@ is reliable (up to about C = 80 bits), must match bit for bit.
 The batched conditioned-rate engine is checked against a per-trial loop
 over trial_generators and if_rate, row by row, and if_rate itself against
 the reference's 2-D rate formulas.
+
+The packed rows of the reduction are checked against wider fields, the
+filtered rank decision against exact elimination alone, and the engine's
+samples against digests that reach past the reference's reliable range.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -21,11 +27,17 @@ from fadingmac import integer_forcing, linalg
 from fadingmac.capacity import MacChannel
 from fadingmac.errors import NumericalDomainError
 from fadingmac.integer_forcing import (
+    _P,
     PRECODER_KINDS,
     Precoder,
     _add_if_independent,
+    _as_complex,
+    _first_basis,
+    _independent_mod_p,
     _lll_transform,
+    _pack,
     _real_embedding,
+    _unpack,
     build_effective_channel,
     conditioned_rate_samples,
     if_rate,
@@ -264,3 +276,164 @@ def test_tie_sensitive_trial_keeps_its_rate():
     h = sample_capacity_sphere(2, 10.0, RngStream(1, 2498).generator())
     eff = build_effective_channel(MacChannel.from_scalar(h), Precoder.identity(2))
     assert 2 * if_rate(eff, mode="if").symmetric_rate_bits == 9.291452334940612
+
+
+# ---------------------------------------------------------------------------
+# the packed rows of the reduction and the filtered rank test
+
+@pytest.mark.parametrize("w", [8, 64, 128])
+def test_packed_rows_round_trip_at_the_field_limits(w):
+    top = 2 ** (w - 1)
+    rows = [(-top, top - 1, 0, -1), (top - 1, -top, 1, 0), (5, -7, 1 - top, top - 2)]
+    assert _unpack(_pack(rows, w), 4, w) == rows
+
+
+def test_narrow_fields_give_the_same_transform(monkeypatch):
+    # From 8-bit fields nearly every row update outgrows its field, so the
+    # reduction keeps unpacking, widening and repacking U; U must not change.
+    bases = []
+    for n_users, cap, kind in ((2, 10.0, "badr_belfiore"), (2, 100.0, "haar"),
+                               (4, 40.0, "haar"), (3, 100.0, "none")):
+        for rng in trial_generators(31, 4):
+            bases.append(_real_embedding(_factor(_effective(rng, n_users, cap, kind))))
+    factors = [np.linalg.qr(b, mode="r") for b in bases]
+    want = [_lll_transform(r) for r in factors]
+    widths = []
+    monkeypatch.setattr(integer_forcing, "_pack", lambda rows, w: (widths.append(w),
+                                                                   _pack(rows, w))[1])
+    monkeypatch.setattr(integer_forcing, "_FIELD_BITS", 8)
+    assert [_lll_transform(r) for r in factors] == want
+    assert max(widths) >= 64
+
+
+def test_the_filter_prime_has_a_square_root_of_minus_one():
+    assert _P % 4 == 1 and all(_P % d for d in range(2, int(_P ** 0.5) + 1))
+    assert integer_forcing._J ** 2 % _P == _P - 1
+
+
+def _gaussian_times(g, row):
+    """The Gaussian integer g = (p, q), p + jq, times a row."""
+    n = len(row) // 2
+    (p, q), x, y = g, row[:n], row[n:]
+    return (tuple(p * a - q * b for a, b in zip(x, y))
+            + tuple(p * b + q * a for a, b in zip(x, y)))
+
+
+def _exact_first_basis(rows, n):
+    echelon, sel = [], []
+    for i, row in enumerate(rows):
+        if _add_if_independent(echelon, row):
+            sel.append(i)
+            if len(sel) == n:
+                return sel
+    return None
+
+
+@pytest.mark.parametrize("base", [10 ** 7, 2 ** 40])
+def test_large_entry_rank_decisions_where_float_tests_fail(base):
+    a = (base + _P, base, 7, 7)     # a - b = (_P, 0): det(a, b) = _P
+    b = (1, 1, 0, 0)
+    c = _gaussian_times((3, -2), a)
+    # det(a, b) = _P is nonzero, but divisible by the filter's prime; c is a
+    # multiple of a.  Either way the filter cannot decide, and exact
+    # elimination must.
+    assert not _independent_mod_p([a, b]) and not _independent_mod_p([a, c])
+    assert not _independent_mod_p([b])    # one row cannot span two streams
+    assert _first_basis([a, b], 2) == _exact_first_basis([a, b], 2) == [0, 1]
+    assert _first_basis([a, c, b], 2) == _exact_first_basis([a, c, b], 2) == [0, 2]
+    # Plain floating-point tests get one of the two wrong at each scale: a
+    # nonzero float determinant for the dependent pair, and (near 2^40) rank
+    # 1 for the independent one.
+    assert np.linalg.det(_as_complex([a, c])) != 0
+    assert (np.linalg.matrix_rank(_as_complex([a, b])) == 1) == (base == 2 ** 40)
+
+
+@settings(max_examples=120, deadline=None)
+@given(base=st.sampled_from([10 ** 7, 2 ** 40]), n=st.integers(1, 4),
+       extra=st.integers(0, 3), dependent=st.sets(st.integers(1, 6), max_size=3),
+       filtered=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_filtered_rank_decision_equals_exact_elimination(base, n, extra, dependent,
+                                                         filtered, seed):
+    # Rows with entries near base; the rows at the positions in `dependent`
+    # are Gaussian-integer combinations of the rows before them, so the
+    # first n rows are often dependent and the exact fallback decides.  With
+    # filtered False the filter is switched off, forcing the fallback.
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n + extra):
+        if i in dependent:
+            g = rng.integers(-3, 4, (len(rows), 2)).tolist()
+            terms = [_gaussian_times(gi, row) for gi, row in zip(g, rows)]
+            rows.append(tuple(map(sum, zip(*terms))))
+        else:
+            signs = rng.choice([-1, 1], 2 * n)
+            rows.append(tuple(int(s) * base + int(v)
+                              for s, v in zip(signs, rng.integers(-9, 10, 2 * n))))
+    want = _exact_first_basis(rows, n)
+    with pytest.MonkeyPatch.context() as mp:
+        if not filtered:
+            mp.setattr(integer_forcing, "_independent_mod_p", lambda rows: False)
+        if want is None:
+            with pytest.raises(NumericalDomainError, match="do not span"):
+                _first_basis(rows, n)
+        else:
+            assert _first_basis(rows, n) == want
+
+
+# sha256 of conditioned_rate_samples(users, C, kind, mode,
+# SimConfig(trials=200, seed=7)).tobytes(), recorded with the list-row LLL and
+# the exact-only rank test that preceded the packed rows and the filter.  The
+# C = 100 cells lie beyond the range where the numpy reference above is
+# reliable.
+_DIGESTS = {
+    (2, 10.0, "none", "if"):
+        "a51d0b72818643881d603149f2c2476f26aaf75e6925ff4cb0b2fc7bc9656763",
+    (2, 40.0, "none", "if"):
+        "2be417dc3b575626c455b75ec7753f41656fec3a855094c214fee1d8c561a225",
+    (2, 100.0, "none", "if"):
+        "320603cb636a84ec1ba1ab611a33f7d752508b40bb363d9adc48a5051f2c2355",
+    (2, 10.0, "none", "if-sic"):
+        "f22b3dc63984567dac1da09c54c5d6a9cbf885555b7f2d6c1f796ecf42fad4a8",
+    (2, 40.0, "none", "if-sic"):
+        "9fb2c3de5fe12e5b7fa23c5891c768f6e80bc4a4321df182d71be9bfae017346",
+    (2, 100.0, "none", "if-sic"):
+        "3675fc0ab03ee0c4fd2f9ef572d1483fa57eede726d045524c0f78f7268f3d9d",
+    (2, 10.0, "badr_belfiore", "if"):
+        "a349e0ef6bc44b95af9fc9c13f9552c8be2e1c1d079a8c5a85af0ab8b61ec615",
+    (2, 40.0, "badr_belfiore", "if"):
+        "da3d341897f6ac5d365964b849f4920625e2ea499594c8f7a0d9c2063ff14e07",
+    (2, 100.0, "badr_belfiore", "if"):
+        "9d2da450f6c52e5bca2084361c81d4b46ad0931aee4b8693cbc7bc5926f4ea88",
+    (2, 10.0, "badr_belfiore", "if-sic"):
+        "47928cca96f79c57da62e7892b712ecbef6845ec58f09303c23bb85526079efe",
+    (2, 40.0, "badr_belfiore", "if-sic"):
+        "6277dff31728dce5b98e92d7142de3f02d301d2c7d7c717a388e231acc702818",
+    (2, 100.0, "badr_belfiore", "if-sic"):
+        "395f73250116cd03991f00cc93789100c75a390b8ebeb39516d7dffdb7e081ab",
+    (2, 10.0, "haar", "if"):
+        "1424c5a251b5fed30b20eb8b16cd4a7ae98db86cfa8e31960424519c50c965a1",
+    (2, 40.0, "haar", "if"):
+        "06a4ee005f41345951b4d08b2e7d7ab1ddc825fb645033c77d062bfd5c0edc25",
+    (2, 100.0, "haar", "if"):
+        "111c85551f77eddd6a644a1bbebed255ce513b7748b1bad508c1a4b0499f90b1",
+    (2, 10.0, "haar", "if-sic"):
+        "699f0826f7a650343f57e808c64fec89b20546e986e5ac6e908821a0a3d48e45",
+    (2, 40.0, "haar", "if-sic"):
+        "ef5b6c7b2dac452101aa6e6a4204449ea7aad965d4aa6dc01d7ff01d1381278d",
+    (2, 100.0, "haar", "if-sic"):
+        "741b98963fe98ceb0b02603c28a09fb0c2685c6ab6d3465fe4227a079a680498",
+    (3, 40.0, "haar", "if"):
+        "3a8783447e1a85d9ba2a561230632d5da601d6bc29e45a9b30a1d4eee083ca4f",
+    (3, 40.0, "haar", "if-sic"):
+        "94a8de79b9f8c5052ad5f0b83042281d11b0edc65fab6573f6b5fcb47ca281b2",
+    (4, 40.0, "haar", "if"):
+        "8bb2b2a9c33ce11f902c27ef3180355cd0b792af2d0286c54124fa53186702aa",
+    (4, 40.0, "haar", "if-sic"):
+        "0176ccb14a422f9238ec173a8c49d2a104f991a15014b487e1ba5190421da68f",
+}
+
+
+@pytest.mark.parametrize("n_users, cap, kind, mode", sorted(_DIGESTS))
+def test_engine_outputs_keep_their_digests(n_users, cap, kind, mode):
+    samples = conditioned_rate_samples(n_users, cap, kind, mode, SimConfig(trials=200, seed=7))
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == _DIGESTS[n_users, cap, kind, mode]

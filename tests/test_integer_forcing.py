@@ -24,6 +24,7 @@ from fadingmac.integer_forcing import (
     IfResult,
     Precoder,
     _canonical_unit,
+    _points_in_ellipsoid,
     _real_embedding,
     badr_belfiore_precoders,
     brute_force_search,
@@ -225,6 +226,16 @@ def test_lll_matches_exhaustive_search():
         a = brute_force_search(k, radius=3)
         brute_worst = float(np.max(np.einsum("mi,ij,mj->m", a.conj(), k, a).real))
         assert brute_worst <= lll_worst + 1e-9
+
+
+def test_ellipsoid_slack_scales_with_the_bound():
+    # One user at C = 80 bits: F = 2^-40, so every form is |a|^2 2^-80.  An
+    # absolute slack would admit the whole box; the four units alone are
+    # within the bound.
+    f = np.array([[2.0 ** -40]])
+    pts = _points_in_ellipsoid(_real_embedding(f), 2.0 ** -80 * (1.0 + 1e-9), radius=3)
+    assert sorted(map(tuple, pts)) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    assert np.array_equal(brute_force_search(np.array([[2.0 ** -80]]), radius=3), [[1.0]])
 
 
 def test_brute_force_validation():
