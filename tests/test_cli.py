@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fadingmac
+from fadingmac import cli
 from fadingmac.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -463,12 +464,14 @@ def test_simulate_accepts_the_default_rate_convention_outside_a_sweep(tmp_path, 
 
 
 # fig 9 runs its own user counts (2, 4 and 6), fig 10 its own capacities
-# (2 to 16 bits) and fig 4 scalar users: each refuses the flag it would ignore.
+# (2 to 16 bits), fig 4 scalar users and fig 2 no Monte Carlo: each refuses
+# the flag it would ignore.
 @pytest.mark.parametrize("argv, flag", [
     (["fig", "9", "--users", "4", "--trials", "30"], "--users"),
     (["fig", "10", "--sum-cap", "5", "--trials", "30"], "--sum-cap"),
     (["fig", "4", "--nt", "2", "--trials", "500"], "--nt"),
-], ids=["fig9-users", "fig10-sum-cap", "fig4-nt"])
+    (["fig", "2", "--trials", "500"], "--trials"),
+], ids=["fig9-users", "fig10-sum-cap", "fig4-nt", "fig2-trials"])
 def test_fig_rejects_the_flags_its_figure_would_ignore(tmp_path, monkeypatch, capsys,
                                                         argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -616,19 +619,30 @@ _SNR_LISTS = st.lists(st.floats(-20.0, 30.0), min_size=1, max_size=4).map(
 _CONVENTIONS = st.sampled_from(["total", "per-user"])
 
 # Each figure's flags beyond --trials and --seed, drawn or left to the default;
-# each figure reads the flags listed for it.
+# they are the flags the figure reads (checked against the CLI's own table).
 _FIGURE_FLAGS = {
     1: {"users": st.integers(1, 4), "nt": st.integers(1, 3), "nr": st.integers(1, 3)},
     2: {"sum-cap": _CAPS},
     3: {"users": st.integers(2, 4), "sum-cap": _CAPS},
     4: {"users": _USERS, "sum-cap": _CAPS},
-    5: {"users": _USERS, "snr-db-list": _SNR_LISTS},
-    6: {"users": _USERS, "snr-db-list": _SNR_LISTS},
+    5: {"users": _USERS, "nt": st.integers(1, 2), "nr": st.integers(1, 3),
+        "rate": st.floats(0.1, 4.0), "snr-db-list": _SNR_LISTS,
+        "rate-convention": _CONVENTIONS},
+    6: {"users": _USERS, "nt": st.integers(1, 2), "nr": st.integers(1, 3),
+        "rate": st.floats(0.1, 4.0), "snr-db-list": _SNR_LISTS,
+        "rate-convention": _CONVENTIONS},
     7: {"users": _USERS, "sum-cap": _CAPS, "rate-convention": _CONVENTIONS},
     8: {"users": _USERS, "sum-cap": _CAPS},
     9: {},
     10: {"users": _USERS},
 }
+
+
+
+def test_each_figure_draws_exactly_the_flags_it_reads():
+    for n, flags in _FIGURE_FLAGS.items():
+        reads = {k.replace("_", "-") for k in cli._FIGURES[n][1]} - {"trials", "seed"}
+        assert set(flags) == reads, n
 
 
 @st.composite

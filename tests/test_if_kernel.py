@@ -31,7 +31,6 @@ from fadingmac.integer_forcing import (
     PRECODER_KINDS,
     Precoder,
     _add_if_independent,
-    _as_complex,
     _first_basis,
     _independent_mod_p,
     _lll_transform,
@@ -341,11 +340,11 @@ def test_large_entry_rank_decisions_where_float_tests_fail(base):
     assert not _independent_mod_p([b])    # one row cannot span two streams
     assert _first_basis([a, b], 2) == _exact_first_basis([a, b], 2) == [0, 1]
     assert _first_basis([a, c, b], 2) == _exact_first_basis([a, c, b], 2) == [0, 2]
-    # Plain floating-point tests get one of the two wrong at each scale: a
-    # nonzero float determinant for the dependent pair, and (near 2^40) rank
-    # 1 for the independent one.
-    assert np.linalg.det(_as_complex([a, c])) != 0
-    assert (np.linalg.matrix_rank(_as_complex([a, b])) == 1) == (base == 2 ** 40)
+    # Plain floating-point tests can get these wrong: near 2^40 the
+    # independent pair's smallest singular value falls below matrix_rank's
+    # tolerance, and rounding in the LU can leave the dependent pair a
+    # nonzero determinant.  Whether they do depends on the BLAS build, so
+    # only the exact decisions above are asserted.
 
 
 @settings(max_examples=120, deadline=None)
