@@ -334,15 +334,21 @@ def _fig_10(params):
     rows = []
     if users == 2:
         rows.extend(("ml", c, ml_mean_rate_fraction(c), None) for c in caps)
-    for mode, pre in _if_schemes(users, with_haar=False):
-        for c in caps:
+    # Both modes of each (precoder, C) run back to back, so the second
+    # reuses the first's search; the rows keep one curve after another.
+    schemes = _if_schemes(users, with_haar=False)
+    curves = {scheme: [] for scheme in schemes}
+    for c in caps:
+        for mode, pre in schemes:
             samples = conditioned_rate_samples(users, c, _PRECODER_NAMES[pre],
                                                mode, cfg)
             frac = float(samples.mean()) / c
             # One trial has no sample spread: leave the stderr empty.
             err = (float(samples.std(ddof=1)) / (math.sqrt(cfg.trials) * c)
                    if cfg.trials > 1 else None)
-            rows.append((f"{mode}-{pre}", c, frac, err))
+            curves[mode, pre].append((f"{mode}-{pre}", c, frac, err))
+    for curve in curves.values():
+        rows.extend(curve)
     return rows
 
 

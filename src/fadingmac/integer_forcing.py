@@ -32,8 +32,17 @@ the Gaussian integers, a filter whose "independent" verdict is a proof; when
 it cannot decide, fraction-free elimination over the integers tests each
 row, so coefficients of any size (about 10^7 at C = 100 bits) never make an
 independent row look dependent.
+
+The two receiver modes share the search, and figures compare them on the
+same draws.  So each block that conditioned_rate_samples searches also
+stores the other mode's variances in a module-level memo, keyed by (that
+mode, F's shape, sha256 of F's bytes).  The memo lasts one call: the next
+call takes it, uses each entry at most once, and leaves its own.  An "if"
+call followed by an "if-sic" call on the same draws, or the reverse,
+searches each channel once.
 """
 
+import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -589,6 +598,12 @@ def if_rate(eff, mode="if", a=None):
 # ---------------------------------------------------------------------------
 # conditioned simulations and capacity fractions
 
+# The other mode's variances of each block that the last
+# conditioned_rate_samples call searched, keyed by (that mode, F's shape,
+# sha256 of F's bytes); see conditioned_rate_samples.
+_other_mode_variances = {}
+
+
 def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     """Total symmetric IF rate (N users x per-user rate) for channels drawn
     conditioned on the sum capacity.  Haar precoders are redrawn per trial
@@ -597,11 +612,26 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     Works on blocks of trials: every step but the lattice reduction and the
     greedy basis is a stacked numpy call, and row t equals
     N * if_rate(...).symmetric_rate_bits of trial t's channel.
+
+    The search for A does not depend on the mode, so a searched block also
+    yields the other mode's variances from the same product F A^T.  They are
+    kept for the next call only: each call takes the previous call's memo
+    and starts a fresh one.  A block whose (mode, F's shape, sha256 of F's
+    bytes) is in the taken memo uses that entry once and skips the search;
+    every other block is searched and stores the other mode's variances.
+    So the memo holds n floats per trial of the last call, a call of the
+    same mode as the last one searches again, and since the search is a
+    function of F alone, a hit gives the rates a search would, bit for bit.
+    Both paths turn variances into rates through the same _rates call.
     """
     check_capacity(sum_cap_bits)
     n_users = check_int(n_users, "n_users", 1)
     check_choice(precoder_kind, PRECODER_KINDS, "precoder kind")
     check_choice(mode, _MODES, "mode")
+    global _other_mode_variances
+    other = "if-sic" if mode == "if" else "if"
+    served, stored = _other_mode_variances, {}
+    _other_mode_variances = stored
     haar = precoder_kind == "haar"
     if not haar:
         fixed = Precoder.identity if precoder_kind == "none" else Precoder.badr_belfiore
@@ -614,8 +644,13 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
         if haar:
             p = haar_unitary_rows(z[:, 2 * n_users:].reshape(-1, n_users, 2, 2, 2))
         f = _sqrt_factors(_effective_matrices(p, h[:, :, None, None]))
-        a = _search(f)
-        rates = _rates(_variances(a @ f.swapaxes(-1, -2), mode), lambda row: (
+        key = (f.shape, hashlib.sha256(f.tobytes()).digest())
+        var = served.pop((mode, *key), None)
+        if var is None:
+            fa = _search(f) @ f.swapaxes(-1, -2)
+            var = _variances(fa, mode)
+            stored[(other, *key)] = _variances(fa, other)
+        rates = _rates(var, lambda row: (
             f" in trial {sum(map(len, samples)) + row} (C = {sum_cap_bits} bits)"))
         samples.append(n_users * rates.min(axis=-1))
     return np.concatenate(samples)
@@ -669,6 +704,7 @@ def fraction_of_capacity(n_users, cap_grid, outage_level, scheme, cfg=None,
     """
     check_fraction(outage_level, "outage_level")
     check_choice(scheme, ("ml", *_MODES), "scheme")
+    check_choice(precoder_kind, PRECODER_KINDS, "precoder kind")
     if scheme != "ml" and cfg is None:
         raise InvalidParameterError("empirical schemes need a SimConfig")
     out = []

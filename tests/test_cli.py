@@ -576,8 +576,10 @@ _COMMITTED_RUNS = {
     "fig3": ["fig", "3", "--trials", "200", "--seed", "5"],
     "fig4": ["fig", "4", "--trials", "200", "--seed", "5"],
     "fig6": ["fig", "6", "--trials", "50", "--seed", "5"],
+    "fig7": ["fig", "7", "--trials", "20", "--seed", "5"],
     "fig8": ["fig", "8", "--trials", "20", "--seed", "5"],
     "fig9": ["fig", "9", "--trials", "100", "--seed", "5"],
+    "fig10": ["fig", "10", "--trials", "20", "--seed", "5"],
     "simulate-cardinality": ["simulate", "--users", "4", "--sum-cap", "8", "--cardinality", "2",
                              "--trials", "200", "--seed", "5"],
     "simulate-scalar": ["simulate", "--users", "2", "--sum-cap", "2",

@@ -14,9 +14,15 @@ the reference's 2-D rate formulas.
 The packed rows of the reduction are checked against wider fields, the
 filtered rank decision against exact elimination alone, and the engine's
 samples against digests that reach past the reference's reliable range.
+A call served from the memo of the other mode's variances is checked
+against a fresh call, and the memo's one-call lifetime against counted
+searches.
 """
 
 import hashlib
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +281,126 @@ def test_tie_sensitive_trial_keeps_its_rate():
     h = sample_capacity_sphere(2, 10.0, RngStream(1, 2498).generator())
     eff = build_effective_channel(MacChannel.from_scalar(h), Precoder.identity(2))
     assert 2 * if_rate(eff, mode="if").symmetric_rate_bits == 9.291452334940612
+
+
+# ---------------------------------------------------------------------------
+# the memo of the other mode's variances
+
+def _other_mode(mode):
+    return "if-sic" if mode == "if" else "if"
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Start from an empty memo and count the blocks searched."""
+    monkeypatch.setattr(integer_forcing, "_other_mode_variances", {})
+    real = integer_forcing._search
+    calls = []
+
+    def counted(f):
+        calls.append(len(f))
+        return real(f)
+
+    monkeypatch.setattr(integer_forcing, "_search", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["if", "if-sic"])
+@pytest.mark.parametrize("cap", [10.0, 40.0])
+@pytest.mark.parametrize("kind", PRECODER_KINDS)
+def test_a_served_call_equals_a_fresh_one_and_searches_nothing(searches, kind, cap, mode):
+    cfg = SimConfig(trials=30, seed=24)
+    fresh = conditioned_rate_samples(2, cap, kind, mode, cfg)
+    integer_forcing._other_mode_variances = {}
+    conditioned_rate_samples(2, cap, kind, _other_mode(mode), cfg)
+    assert len(searches) == 2
+    served = conditioned_rate_samples(2, cap, kind, mode, cfg)
+    assert len(searches) == 2
+    assert np.array_equal(served, fresh)
+    assert integer_forcing._other_mode_variances == {}
+
+
+@pytest.mark.parametrize("kind", PRECODER_KINDS)
+def test_a_repeat_or_a_call_in_between_searches_again(searches, kind):
+    cfg = SimConfig(trials=10, seed=25)
+    for mode in ("if", "if-sic"):
+        conditioned_rate_samples(2, 10.0, kind, mode, cfg)
+        searches.clear()
+        conditioned_rate_samples(2, 10.0, kind, mode, cfg)
+        assert searches == [10]
+        for cap, between in [(40.0, cfg), (10.0, SimConfig(trials=10, seed=26)),
+                             (10.0, SimConfig(trials=9, seed=25))]:
+            conditioned_rate_samples(2, 10.0, kind, _other_mode(mode), cfg)
+            conditioned_rate_samples(2, cap, kind, mode, between)
+            searches.clear()
+            conditioned_rate_samples(2, 10.0, kind, mode, cfg)
+            assert searches == [10]
+
+
+def test_the_memo_holds_at_most_the_last_calls_blocks(searches, monkeypatch):
+    monkeypatch.setattr(linalg, "_TRIAL_BLOCK", 7)
+    sizes = []
+    for trials, mode in [(20, "if"), (20, "if-sic"), (20, "if-sic"), (5, "if"),
+                         (14, "if-sic"), (20, "if")]:
+        conditioned_rate_samples(2, 10.0, "haar", mode, SimConfig(trials=trials, seed=27))
+        sizes.append(len(integer_forcing._other_mode_variances))
+        assert sizes[-1] <= -(-trials // 7)
+    # A served block stores nothing.  The last call is served the two blocks
+    # of 7 trials that the call before it searched, and searches its third.
+    assert sizes == [3, 0, 3, 1, 2, 1]
+    assert searches == [7, 7, 6, 7, 7, 6, 5, 7, 7, 6]
+
+
+def test_threads_sharing_the_memo_get_fresh_rates(monkeypatch):
+    # Threads that take and replace the memo at once can only miss an
+    # entry: every key names F's content, so no call gets another's rates.
+    runs = [(seed, mode) for seed in (30, 31, 32) for mode in ("if", "if-sic")]
+    want = {}
+    for seed, mode in runs:
+        monkeypatch.setattr(integer_forcing, "_other_mode_variances", {})
+        want[seed, mode] = conditioned_rate_samples(2, 10.0, "haar", mode,
+                                                    SimConfig(trials=6, seed=seed))
+    bad = []
+
+    def work(offset):
+        for i in range(24):
+            seed, mode = runs[(offset + i) % len(runs)]
+            got = conditioned_rate_samples(2, 10.0, "haar", mode, SimConfig(trials=6, seed=seed))
+            bad.extend([(seed, mode)] if not np.array_equal(got, want[seed, mode]) else [])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+def test_a_stored_sic_abort_raises_as_a_fresh_one(monkeypatch):
+    # At C = 150 bits (seed 1, Haar) every parallel rate exists but trial 0's
+    # SIC variance underflows.  The "if" call that stores the SIC variances
+    # stays silent, and the "if-sic" call served from them raises the
+    # message of a fresh "if-sic" call.
+    cfg = SimConfig(trials=60, seed=1)
+    monkeypatch.setattr(integer_forcing, "_other_mode_variances", {})
+    with pytest.raises(NumericalDomainError) as fresh:
+        conditioned_rate_samples(2, 150.0, "haar", "if-sic", cfg)
+    assert str(fresh.value).endswith("in trial 0 (C = 150.0 bits)")
+    monkeypatch.setattr(integer_forcing, "_other_mode_variances", {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conditioned_rate_samples(2, 150.0, "haar", "if", cfg)
+    assert integer_forcing._other_mode_variances
+    with pytest.raises(NumericalDomainError) as served:
+        conditioned_rate_samples(2, 150.0, "haar", "if-sic", cfg)
+    assert str(served.value) == str(fresh.value)
+    assert integer_forcing._other_mode_variances == {}
 
 
 # ---------------------------------------------------------------------------

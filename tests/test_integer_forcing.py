@@ -371,6 +371,13 @@ def test_fraction_of_capacity_schemes():
         fraction_of_capacity(2, [8.0], 0.05, "zf", cfg=cfg)
 
 
+def test_fraction_of_capacity_checks_the_precoder_on_every_scheme():
+    cfg = SimConfig(trials=20, seed=15)
+    for scheme in ("ml", "if", "if-sic"):
+        with pytest.raises(InvalidParameterError, match="precoder kind"):
+            fraction_of_capacity(2, [4.0], 0.01, scheme, cfg=cfg, precoder_kind="golden")
+
+
 def test_if_rate_never_returns_non_finite_rates_at_high_capacity():
     # At C = 60 bits an explicitly formed K = (I + H^H H)^-1 loses every
     # digit of its small eigenvalue; the square-root factor keeps each trial
