@@ -68,9 +68,6 @@ _LN2 = math.log(2.0)
 
 _PRECODER_NAMES = {"none": "none", "haar": "haar", "bb": "badr_belfiore"}
 
-VALIDATE_SUITES = ("analytic", "montecarlo", "if", "all")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; the contract here is 1."""
 
@@ -136,13 +133,6 @@ def _estimate_rows(curve_name, estimates):
     return [(curve_name, e.point, e.p_hat, e.stderr) for e in estimates]
 
 
-def _require(params, *names):
-    for name in names:
-        if params.get(name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise InvalidParameterError(f"{flag} is required for this command")
-
-
 def _parse_snr_list(text):
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -196,35 +186,35 @@ def _dims(params):
     return ScenarioDims(params["users"], params["nt"], params["nr"])
 
 
-def _cardinality_rows(k, users, cap, cfg):
-    cdf = conditional_cdf_cardinality(k, users, cap, cfg)
+def _cardinality_rows(params, k):
+    users, cap = params["users"], params["sum_cap"]
+    cdf = conditional_cdf_cardinality(k, users, cap, _cfg(params))
     return _cdf_rows(f"empirical-k{k}", cdf) + [
         (f"analytic-k{k}", r, p_out_k(k, users, float(r), cap), None) for r in cdf.rates]
 
 
-def _bracket_rows(dims, cap, cfg):
+def _bracket_rows(params, with_atom=True):
     """Conditioned empirical CDF plus the bracket at each rate: scalar users
-    list lower then upper, MIMO users upper then lower."""
+    list lower then upper, MIMO users upper then lower.  Unset antenna counts
+    are 1, and two scalar users add the analytic atom."""
+    users, cap, cfg = params["users"], params["sum_cap"], _cfg(params)
+    nt, nr = (1 if params[f] is None else params[f] for f in ("nt", "nr"))
+    dims = ScenarioDims(users, nt, nr)   # rejects an explicit 0
     cdf = conditional_cdf_mimo_frobenius(dims, cap, cfg)
     rows = _cdf_rows("empirical", cdf, atom_name="empirical-atom")
-    order = ("lower", "upper") if dims.n_tx == dims.n_rx == 1 else ("upper", "lower")
+    order = ("lower", "upper") if nt == nr == 1 else ("upper", "lower")
     for r in cdf.rates:
         pair = mimo_bounds(dims, float(r), cap)
         rows.extend((end, r, getattr(pair, end), None) for end in order)
+    if with_atom and (users, nt, nr) == (2, 1, 1):
+        rows.append(("analytic-atom", cap, atom_probability(cap), None))
     return rows
 
 
 def _fig_3(params):
     # The curves run over subset sizes k = 1 .. N - 1.
-    users, cap = check_int(params["users"], "n_users", 2), params["sum_cap"]
-    cfg = _cfg(params)
-    return [row for k in range(1, users)
-            for row in _cardinality_rows(k, users, cap, cfg)]
-
-
-def _fig_4(params):
-    cfg = _cfg(params)
-    return _bracket_rows(ScenarioDims(params["users"], 1, 1), params["sum_cap"], cfg)
+    users = check_int(params["users"], "n_users", 2)
+    return [row for k in range(1, users) for row in _cardinality_rows(params, k)]
 
 
 def _snr_sweep_rows(params, with_simo=True):
@@ -352,104 +342,83 @@ def _fig_10(params):
     return rows
 
 
+class _Run(NamedTuple):
+    """One kind of run: ``compute(params)`` gives its rows, value or checks.
+    It reads the parameters in ``reads``, needs those in ``requires`` given,
+    and takes ``defaults`` for flags left unset."""
+    compute: Callable
+    reads: set
+    requires: tuple = ()
+    defaults: dict = {}
+
+
 _SNR_GRID_DB = [float(s) for s in range(-10, 21, 2)]
 
 _MONTE_CARLO = {"trials", "seed"}
 _SWEEP = {"users", "nt", "nr", "rate", "snr_db_list", "rate_convention", *_MONTE_CARLO}
 
-# figure -> (its rows, the parameters it reads, its defaults on top of the
-# "fig" defaults of _COMMANDS)
+# figure -> its run; its defaults go on top of the "fig" defaults of _COMMANDS
 _FIGURES = {
-    1: (_fig_1, {"users", "nt", "nr"}, {}),
-    2: (_fig_2, {"sum_cap"}, {"sum_cap": 2.0}),
-    3: (_fig_3, {"users", "sum_cap", *_MONTE_CARLO},
-        {"users": 4, "sum_cap": 8.0, "trials": 100000}),
-    4: (_fig_4, {"users", "sum_cap", *_MONTE_CARLO},
-        {"users": 4, "sum_cap": 8.0, "trials": 100000}),
-    5: (partial(_snr_sweep_rows, with_simo=False), _SWEEP,
-        {"nt": 2, "nr": 3, "rate": 3.0, "snr_db_list": _SNR_GRID_DB}),
-    6: (_snr_sweep_rows, _SWEEP, {"nr": 6, "rate": 3.0, "snr_db_list": _SNR_GRID_DB}),
-    7: (_fig_7, {"users", "sum_cap", "rate_convention", *_MONTE_CARLO}, {"sum_cap": 10.0}),
-    8: (_fig_8, {"users", "sum_cap", *_MONTE_CARLO}, {"sum_cap": 10.0}),
-    9: (_fig_9, _MONTE_CARLO, {"trials": 2000}),
-    10: (_fig_10, {"users", *_MONTE_CARLO}, {"trials": 2000}),
+    1: _Run(_fig_1, {"users", "nt", "nr"}),
+    2: _Run(_fig_2, {"sum_cap"}, defaults={"sum_cap": 2.0}),
+    3: _Run(_fig_3, {"users", "sum_cap", *_MONTE_CARLO},
+            defaults={"users": 4, "sum_cap": 8.0, "trials": 100000}),
+    4: _Run(partial(_bracket_rows, with_atom=False), {"users", "sum_cap", *_MONTE_CARLO},
+            defaults={"users": 4, "sum_cap": 8.0, "trials": 100000}),
+    5: _Run(partial(_snr_sweep_rows, with_simo=False), _SWEEP,
+            defaults={"nt": 2, "nr": 3, "rate": 3.0, "snr_db_list": _SNR_GRID_DB}),
+    6: _Run(_snr_sweep_rows, _SWEEP,
+            defaults={"nr": 6, "rate": 3.0, "snr_db_list": _SNR_GRID_DB}),
+    7: _Run(_fig_7, {"users", "sum_cap", "rate_convention", *_MONTE_CARLO},
+            defaults={"sum_cap": 10.0}),
+    8: _Run(_fig_8, {"users", "sum_cap", *_MONTE_CARLO}, defaults={"sum_cap": 10.0}),
+    9: _Run(_fig_9, _MONTE_CARLO, defaults={"trials": 2000}),
+    10: _Run(_fig_10, {"users", *_MONTE_CARLO}, defaults={"trials": 2000}),
 }
-
-
-def _fig_defaults(params):
-    return {**_RUN_DEFAULTS, "nt": 1, "nr": 1, **_FIGURES[params["figure"]][2]}
-
-
-def _rows_fig(params):
-    """One figure's rows.  A flag the figure does not read must keep its
-    default, or the manifest would record a value that changed nothing."""
-    figure = params["figure"]
-    rows, reads, _ = _FIGURES[figure]
-    defaults = _fig_defaults(params)
-    for key, value in params.items():
-        flag = key.replace("_", "-")
-        if (flag in _FLAGS and key not in reads
-                and value != defaults.get(key, _FLAGS[flag].get("default"))):
-            raise InvalidParameterError(f"--{flag} does not apply to fig {figure}")
-    return rows(params)
 
 
 # ---------------------------------------------------------------------------
-# bound, simulate, if-sim handlers
+# bound, simulate, if-sim runs
 
-# bound kind -> (required flags, function of the parameter dict)
+def _bound(value_of, *names):
+    """A bound kind: it reads, and requires, exactly the named parameters."""
+    return _Run(value_of, set(names), names)
+
+
 _BOUNDS = {
-    "two-user": (("rate", "sum_cap"),
-                 lambda p: two_user_cdf(p["rate"], p["sum_cap"])),
-    "atom": (("sum_cap",), lambda p: atom_probability(p["sum_cap"])),
-    "scalar-bracket": (("users", "rate", "sum_cap"),
-                       lambda p: scalar_bounds(p["users"], p["rate"], p["sum_cap"])),
-    "frobenius-union": (("users", "nt", "nr", "rate", "sum_cap"),
-                        lambda p: mimo_union_bound(_dims(p), p["rate"], p["sum_cap"])),
-    "simo": (("rate", "sum_cap"),
-             lambda p: two_user_simo_bound(p["rate"], p["sum_cap"])),
-    "dmt": (("users", "nt", "nr", "mux"),
-            lambda p: symmetric_mac_dmt(p["users"], p["nt"], p["nr"], p["mux"])),
+    "two-user": _bound(lambda p: two_user_cdf(p["rate"], p["sum_cap"]), "rate", "sum_cap"),
+    "atom": _bound(lambda p: atom_probability(p["sum_cap"]), "sum_cap"),
+    "scalar-bracket": _bound(lambda p: scalar_bounds(p["users"], p["rate"], p["sum_cap"]),
+                             "users", "rate", "sum_cap"),
+    "frobenius-union": _bound(lambda p: mimo_union_bound(_dims(p), p["rate"], p["sum_cap"]),
+                              "users", "nt", "nr", "rate", "sum_cap"),
+    "simo": _bound(lambda p: two_user_simo_bound(p["rate"], p["sum_cap"]), "rate", "sum_cap"),
+    "dmt": _bound(lambda p: symmetric_mac_dmt(p["users"], p["nt"], p["nr"], p["mux"]),
+                  "users", "nt", "nr", "mux"),
 }
 
 
-def _rows_simulate(params):
-    users, k = params["users"], params["cardinality"]
-    if params["snr_db_list"] is not None:
-        for name in ("cardinality", "sum_cap"):
-            if params[name] is not None:
-                raise InvalidParameterError(f"--{name.replace('_', '-')} does not apply "
-                                            "to an --snr-db-list sweep")
-        _require(params, "rate", "nt", "nr")
-        return _snr_sweep_rows(params)
-    _require(params, "sum_cap")
-    # Only a sweep reads a target rate; "total" is the default a manifest records.
-    if params["rate"] is not None or params["rate_convention"] == "per-user":
-        raise InvalidParameterError(
-            "--rate and --rate-convention per-user apply only to an --snr-db-list sweep")
-    cap = params["sum_cap"]
-    cfg = _cfg(params)
-    if k is not None:
-        if any(params[f] not in (None, 1) for f in ("nt", "nr")):
-            raise InvalidParameterError("--cardinality needs scalar users: --nt and --nr must be 1")
-        return _cardinality_rows(k, users, cap, cfg)
-    nt, nr = (1 if params[f] is None else params[f] for f in ("nt", "nr"))
-    dims = ScenarioDims(users, nt, nr)   # rejects an explicit 0
-    rows = _bracket_rows(dims, cap, cfg)
-    if (users, nt, nr) == (2, 1, 1):
-        rows.append(("analytic-atom", cap, atom_probability(cap), None))
-    return rows
+# simulate branch -> its name in messages and its run.  --cardinality draws
+# scalar users: --nt 1 and --nr 1 run, and its manifest records them as given.
+_SIMULATE = {
+    "sweep": ("an --snr-db-list sweep", _Run(_snr_sweep_rows, _SWEEP, ("rate", "nt", "nr"))),
+    "cardinality": ("a --cardinality run", _Run(
+        lambda p: _cardinality_rows(p, p["cardinality"]),
+        {"users", "sum_cap", "cardinality", *_MONTE_CARLO}, ("sum_cap",),
+        {"nt": 1, "nr": 1})),
+    "bracket": ("a conditioned bracket", _Run(
+        _bracket_rows, {"users", "nt", "nr", "sum_cap", *_MONTE_CARLO}, ("sum_cap",))),
+}
 
-
-def _rows_ifsim(params):
-    _require(params, "sum_cap")
-    return _if_cdf_rows(params, [(params["mode"], params["precoder"])])
+_IF_SIM = ("if-sim", _Run(lambda p: _if_cdf_rows(p, [(p["mode"], p["precoder"])]),
+                          {"users", "sum_cap", "precoder", "mode", "rate_convention",
+                           *_MONTE_CARLO}, ("sum_cap",)))
 
 
 # ---------------------------------------------------------------------------
 # validation suites
 
-def _suite_analytic():
+def _suite_analytic(_params):
     checks = []
     checks.append(("two-user cdf at R=C=2",
                    abs(two_user_cdf(2.0, 2.0) - 2.0 / 3.0), 1e-12))
@@ -511,9 +480,10 @@ def _worst_sigma(cdf, exact):
     return worst
 
 
-def _suite_montecarlo(trials, seed):
+def _suite_montecarlo(params):
+    trials = 20000 if params["trials"] is None else params["trials"]
     checks = []
-    cfg = SimConfig(trials=trials, seed=seed,
+    cfg = SimConfig(trials=trials, seed=params["seed"],
                     rate_grid=np.linspace(0.0, 2.0, 20))
     cdf = conditional_cdf_scalar(2, 2.0, cfg)
     checks.append(("two-user cdf deviation (sigmas)",
@@ -521,7 +491,7 @@ def _suite_montecarlo(trials, seed):
     sigma = binomial_stderr(1.0 / 3.0, trials)
     checks.append(("atom mass deviation (sigmas)",
                    abs(cdf.atom_mass - 1.0 / 3.0) / sigma, 4.0))
-    cfg = SimConfig(trials=trials, seed=seed,
+    cfg = SimConfig(trials=trials, seed=params["seed"],
                     rate_grid=np.linspace(0.0, 8.0, 10))
     cdf = conditional_cdf_cardinality(2, 4, 8.0, cfg)
     checks.append(("fixed-pair cdf deviation (sigmas)",
@@ -534,11 +504,12 @@ def _min_rate(gram, a):
     return float(np.min(-np.log(forms) / _LN2))
 
 
-def _suite_if(instances, seed):
+def _suite_if(params):
+    instances = 100 if params["trials"] is None else params["trials"]
     checks = []
     agree = 0
     better = 0
-    for rng in trial_generators(seed, instances):
+    for rng in trial_generators(params["seed"], instances):
         h = sample_complex_gaussian(2, 2, 1.0, rng)
         gram = hermitian_inverse(np.eye(2) + h.conj().T @ h)
         r_lll = _min_rate(gram, lll_search(gram))
@@ -551,7 +522,7 @@ def _suite_if(instances, seed):
     checks.append(("reduction-oracle disagreement rate",
                    1.0 - agree / instances, 0.05))
     worst = 0.0
-    for rng in trial_generators(seed + 1, 2 * instances):
+    for rng in trial_generators(params["seed"] + 1, 2 * instances):
         h = sample_complex_gaussian(3, 3, 1.0, rng)
         eff = EffectiveChannel(matrix=h, n_users=3, streams_per_user=1,
                                time_extension=1)
@@ -570,17 +541,21 @@ def _suite_if(instances, seed):
     return checks
 
 
-def _run_validate(_command, params, _out):
-    suite, trials, seed = params["suite"], params["trials"], params["seed"]
-    if trials is not None:
-        check_int(trials, "trials", 1)
-    checks = []
-    if suite in ("analytic", "all"):
-        checks.extend(_suite_analytic())
-    if suite in ("montecarlo", "all"):
-        checks.extend(_suite_montecarlo(20000 if trials is None else trials, seed))
-    if suite in ("if", "all"):
-        checks.extend(_suite_if(100 if trials is None else trials, seed))
+# suite -> its run; --trials counts the Monte-Carlo trials (default 20,000)
+# and the search instances (default 100)
+_VALIDATE = {
+    "analytic": _Run(_suite_analytic, set()),
+    "montecarlo": _Run(_suite_montecarlo, _MONTE_CARLO),
+    "if": _Run(_suite_if, _MONTE_CARLO),
+    "all": _Run(lambda p: _suite_analytic(p) + _suite_montecarlo(p) + _suite_if(p),
+                _MONTE_CARLO),
+}
+
+
+def _run_validate(_command, run, params, _out):
+    if params["trials"] is not None:
+        check_int(params["trials"], "trials", 1)
+    checks = run.compute(params)
     failures = 0
     for name, measured, threshold in checks:
         ok = measured <= threshold
@@ -592,14 +567,14 @@ def _run_validate(_command, params, _out):
 
 
 # ---------------------------------------------------------------------------
-# runners: each takes the command name, its parameter set and --out, and
-# returns the exit code
+# runners: each takes the command name, its run, its parameter set and
+# --out, and returns the exit code
 
-def _run_rows(command, params, out):
+def _run_rows(command, run, params, out):
     """Write a CSV command's rows and its manifest, named after --out or the
     command's stem."""
     start = time.perf_counter()
-    rows = _COMMANDS[command].rows(params)
+    rows = run.compute(params)
     wall = time.perf_counter() - start
     csv_path, manifest_path = _out_paths(out or _COMMANDS[command].stem.format(**params))
     _write_csv(csv_path, rows)
@@ -608,11 +583,9 @@ def _run_rows(command, params, out):
     return 0
 
 
-def _run_bound(command, params, out):
-    required, value_of = _BOUNDS[params["which"]]
+def _run_bound(command, run, params, out):
     start = time.perf_counter()
-    _require(params, *required)
-    result = value_of(params)
+    result = run.compute(params)
     values = asdict(result) if isinstance(result, BoundPair) else {"value": result}
     wall = time.perf_counter() - start
     if set(values) == {"value"}:
@@ -626,7 +599,7 @@ def _run_bound(command, params, out):
     return 0
 
 
-def _run_rerun(_command, params, out):
+def _run_rerun(_command, _run, params, out):
     try:
         with open(params["manifest"]) as fh:
             doc = json.load(fh)
@@ -635,7 +608,7 @@ def _run_rerun(_command, params, out):
     if not isinstance(doc, dict):
         raise InvalidParameterError("manifest is not a JSON object")
     command = doc.get("command")
-    if command not in _COMMANDS or _COMMANDS[command].rows is None:
+    if command not in _COMMANDS or _COMMANDS[command].run is not _run_rows:
         raise InvalidParameterError(
             f"manifest command {command!r} does not produce a CSV")
     recorded = doc.get("params")
@@ -692,13 +665,14 @@ _FLAGS = {
 class _Command(NamedTuple):
     """One subcommand.  ``arguments``: its positional and flags in parser
     order, each a _FLAGS name or a (name, add_argument keywords) pair.
-    ``defaults(params)``: the values of its unset flags.  ``rows``: the CSV
-    rows of a command that writes one, by default to ``stem``."""
+    ``run_of(params)``: the name and the _Run of the run a command line
+    selects.  ``defaults``: the values of its unset flags.  ``stem``: the
+    default output of a command that writes a CSV."""
     help: str
     arguments: tuple
+    run_of: Callable
     description: str = None
-    defaults: Callable = lambda params: {}
-    rows: Callable = None
+    defaults: dict = {}
     stem: str = None
     run: Callable = _run_rows
 
@@ -711,12 +685,14 @@ _COMMANDS = {
         (("figure", dict(type=int, choices=sorted(_FIGURES), help="figure id")),
          "trials", "seed", "out", "users", "nr", "nt", "sum-cap", "rate", "snr-db-list",
          "rate-convention"),
+        lambda p: (f"fig {p['figure']}", _FIGURES[p["figure"]]),
         description="Write one figure's curves as CSV plus a JSON manifest.",
-        defaults=_fig_defaults, rows=_rows_fig, stem="fig{figure}"),
+        defaults={**_RUN_DEFAULTS, "nt": 1, "nr": 1}, stem="fig{figure}"),
     "bound": _Command(
         "evaluate one analytic quantity",
         (("which", dict(choices=list(_BOUNDS), help="which quantity")),
-         "users", "nr", "nt", "rate", "sum-cap", "mux", "seed", "out"),
+         "users", "nr", "nt", "rate", "sum-cap", "mux", "out"),
+        lambda p: (f"bound {p['which']}", _BOUNDS[p["which"]]),
         description="Print a single bound value; with --out, also record it in a JSON "
                     "manifest.",
         run=_run_bound),
@@ -724,21 +700,46 @@ _COMMANDS = {
         "Monte-Carlo conditional CDFs and outage sweeps",
         ("trials", "seed", "out", "users", "nr", "nt", "sum-cap", "rate", "snr-db-list",
          "rate-convention", "cardinality"),
-        defaults=lambda p: _RUN_DEFAULTS, rows=_rows_simulate, stem="simulate"),
+        lambda p: _SIMULATE["sweep" if p["snr_db_list"] is not None
+                            else "bracket" if p["cardinality"] is None else "cardinality"],
+        defaults=_RUN_DEFAULTS, stem="simulate"),
     "if-sim": _Command(
         "conditioned integer-forcing rate CDF",
         ("trials", "seed", "out", "users", "sum-cap", "precoder", "mode", "rate-convention"),
-        defaults=lambda p: _RUN_DEFAULTS, rows=_rows_ifsim, stem="if-sim"),
+        lambda p: _IF_SIM, defaults=_RUN_DEFAULTS, stem="if-sim"),
     "validate": _Command(
         "run a self-check suite",
-        (("suite", dict(choices=list(VALIDATE_SUITES), help="which suite")), "trials", "seed"),
+        (("suite", dict(choices=list(_VALIDATE), help="which suite")), "trials", "seed"),
+        lambda p: (f"validate {p['suite']}", _VALIDATE[p["suite"]]),
         run=_run_validate),
     "rerun": _Command(
         "replay a run from its manifest",
         (("--manifest", dict(required=True, help="path to a JSON manifest")),
          ("--out", dict(help="override the output path recorded in the manifest"))),
+        lambda p: ("rerun", _Run(None, set())),
         run=_run_rerun),
 }
+
+
+def _resolve(command, params):
+    """The run a command line selects, with the defaults of its unset flags
+    filled in.  A flag the run does not read must be unset or hold the run's
+    default, or the manifest would record a value that changed nothing; a
+    flag it requires must be given.  The manifest records the command's
+    defaults and the run's defaults of the flags it reads."""
+    name, run = command.run_of(params)
+    defaults = {**command.defaults, **run.defaults}
+    for key, value in params.items():   # in parser order
+        flag = key.replace("_", "-")
+        if (flag in _FLAGS and key not in run.reads
+                and value not in (None, defaults.get(key, _FLAGS[flag].get("default")))):
+            raise InvalidParameterError(f"--{flag} does not apply to {name}")
+    for key in run.requires:
+        if params[key] is None:
+            raise InvalidParameterError(f"--{key.replace('_', '-')} is required for {name}")
+    params.update({key: value for key, value in defaults.items() if params[key] is None
+                   and (key in command.defaults or key in run.reads)})
+    return run
 
 
 @cache
@@ -767,9 +768,7 @@ def main(argv=None):
     try:
         if params.get("snr_db_list") is not None:
             params["snr_db_list"] = _parse_snr_list(params["snr_db_list"])
-        params.update({key: value for key, value in command.defaults(params).items()
-                       if params[key] is None})
-        return command.run(name, params, out)
+        return command.run(name, _resolve(command, params), params, out)
     except (InvalidParameterError, OSError) as exc:
         print(f"fadingmac: error: {exc}", file=sys.stderr)
         return 1

@@ -142,15 +142,14 @@ def conditional_cdf_mimo_frobenius(dims, frob_cap_bits, cfg):
         return empirical_cdf(np.full(cfg.trials, float(frob_cap_bits)), grid, cfg.trials,
                              cfg.trials)
     samples = []
-    atom = 0
     for z in trial_normals(cfg.seed, cfg.trials, (2, n * m)):
         h = capacity_sphere_rows(z, frob_cap_bits)
         gains = (np.abs(h) ** 2).reshape(len(h), n, m).sum(axis=2)
         partial_min = scaled_subset_rates(np.sort(gains, axis=1))[:, :-1].min(axis=1)
-        in_atom = partial_min >= frob_cap_bits
-        atom += int(np.count_nonzero(in_atom))
-        samples.append(np.where(in_atom, frob_cap_bits, partial_min))
-    return empirical_cdf(np.concatenate(samples), grid, cfg.trials, atom)
+        samples.append(np.minimum(partial_min, frob_cap_bits))
+    samples = np.concatenate(samples)
+    return empirical_cdf(samples, grid, cfg.trials,
+                         int(np.count_nonzero(samples == frob_cap_bits)))
 
 
 def _user_matrix_blocks(dims, cfg):

@@ -63,6 +63,19 @@ def test_bound_missing_parameter_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["bound", "two-user", "--rate", "2"], "--sum-cap is required for bound two-user"),
+    (["simulate", "--nt", "1", "--nr", "2", "--snr-db-list=0,5"],
+     "--rate is required for an --snr-db-list sweep"),
+    (["simulate", "--users", "3"], "--sum-cap is required for a conditioned bracket"),
+])
+def test_a_missing_required_flag_names_the_run(tmp_path, monkeypatch, capsys, argv, error):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"fadingmac: error: {error}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bound_invalid_parameter_exits_one(capsys):
     assert main(["bound", "two-user", "--rate", "3", "--sum-cap", "2"]) == 1
     assert "error" in capsys.readouterr().err
@@ -396,17 +409,19 @@ def test_inputs_past_a_float_binomial_or_the_enumeration_limit_exit_one(
 
 
 # --cardinality draws the per-cardinality law of scalar users under a sum
-# capacity, so a sweep or antenna counts would be flags it ignores.
+# capacity, so a sweep or antenna counts would be flags it ignores.  The
+# first such flag in parser order is named.
 _CARDINALITY_SWEEP = "--cardinality does not apply to an --snr-db-list sweep"
-_CARDINALITY_DIMS = "--cardinality needs scalar users: --nt and --nr must be 1"
+_CARDINALITY_DIMS = "--{} does not apply to a --cardinality run"
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["--nt", "2", "--nr", "3", "--sum-cap", "6"], _CARDINALITY_DIMS),
-    (["--nt", "2", "--sum-cap", "6"], _CARDINALITY_DIMS),
-    (["--nr", "2", "--sum-cap", "6"], _CARDINALITY_DIMS),
+    (["--nt", "2", "--nr", "3", "--sum-cap", "6"], _CARDINALITY_DIMS.format("nr")),
+    (["--nt", "2", "--sum-cap", "6"], _CARDINALITY_DIMS.format("nt")),
+    (["--nr", "2", "--sum-cap", "6"], _CARDINALITY_DIMS.format("nr")),
     (["--nt", "1", "--nr", "1", "--rate", "2", "--snr-db-list=0,5"], _CARDINALITY_SWEEP),
-    (["--sum-cap", "6", "--rate", "2", "--snr-db-list=0,5"], _CARDINALITY_SWEEP),
+    (["--sum-cap", "6", "--rate", "2", "--snr-db-list=0,5"],
+     "--sum-cap does not apply to an --snr-db-list sweep"),
 ], ids=["2x3", "nt2", "nr2", "sweep", "sweep-with-sum-cap"])
 def test_cardinality_rejects_the_flags_it_would_ignore(tmp_path, monkeypatch, capsys, argv,
                                                        error):
@@ -420,21 +435,24 @@ def test_cardinality_rejects_the_flags_it_would_ignore(tmp_path, monkeypatch, ca
 
 
 # Only a sweep reads --rate and --rate-convention, and only the conditioned
-# branches read --sum-cap; each refuses the flags it would ignore.
-_RATE_OUTSIDE_SWEEP = "--rate and --rate-convention per-user apply only to an --snr-db-list sweep"
+# branches read --sum-cap; each refuses the flags it would ignore, naming
+# the first in parser order.
+_RATE_OUTSIDE_SWEEP = "--{} does not apply to a {}"
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["--users", "3", "--sum-cap", "6", "--rate", "2"], _RATE_OUTSIDE_SWEEP),
-    (["--users", "3", "--sum-cap", "6", "--rate-convention", "per-user"], _RATE_OUTSIDE_SWEEP),
+    (["--users", "3", "--sum-cap", "6", "--rate", "2"],
+     _RATE_OUTSIDE_SWEEP.format("rate", "conditioned bracket")),
+    (["--users", "3", "--sum-cap", "6", "--rate-convention", "per-user"],
+     _RATE_OUTSIDE_SWEEP.format("rate-convention", "conditioned bracket")),
     (["--users", "3", "--sum-cap", "6", "--rate", "2", "--rate-convention", "per-user"],
-     _RATE_OUTSIDE_SWEEP),
+     _RATE_OUTSIDE_SWEEP.format("rate", "conditioned bracket")),
     (["--users", "2", "--nt", "2", "--nr", "3", "--sum-cap", "6", "--rate", "2"],
-     _RATE_OUTSIDE_SWEEP),
+     _RATE_OUTSIDE_SWEEP.format("rate", "conditioned bracket")),
     (["--users", "3", "--cardinality", "1", "--sum-cap", "6", "--rate", "2",
-      "--rate-convention", "per-user"], _RATE_OUTSIDE_SWEEP),
+      "--rate-convention", "per-user"], _RATE_OUTSIDE_SWEEP.format("rate", "--cardinality run")),
     (["--users", "3", "--cardinality", "1", "--sum-cap", "6", "--rate-convention", "per-user"],
-     _RATE_OUTSIDE_SWEEP),
+     _RATE_OUTSIDE_SWEEP.format("rate-convention", "--cardinality run")),
     (["--users", "2", "--nt", "1", "--nr", "2", "--rate", "2", "--snr-db-list=0,5",
       "--sum-cap", "5"], "--sum-cap does not apply to an --snr-db-list sweep"),
 ], ids=["bracket-rate", "bracket-per-user", "bracket-both", "bracket-mimo-rate",
@@ -491,6 +509,51 @@ def test_fig_accepts_the_default_of_a_flag_it_does_not_read(tmp_path, monkeypatc
     assert main(base + ["--users", "2", "--nt", "1", "--rate-convention", "total",
                         "--out", "explicit"]) == 0
     assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
+
+
+# A valid value of each flag a bound kind may read.
+_BOUND_VALUES = {"users": "2", "nt": "1", "nr": "1", "rate": "1", "sum_cap": "2", "mux": "0.25"}
+
+
+@pytest.mark.parametrize("which, flag", [
+    (which, flag) for which, run in cli._BOUNDS.items()
+    for flag in sorted(_BOUND_VALUES.keys() - run.reads)])
+def test_bound_rejects_every_flag_its_kind_does_not_read(tmp_path, monkeypatch, capsys,
+                                                         which, flag):
+    # A bound kind reads exactly the flags it requires.
+    assert cli._BOUNDS[which].reads == set(cli._BOUNDS[which].requires)
+    monkeypatch.chdir(tmp_path)
+    argv = ["bound", which] + [f"--{k.replace('_', '-')}={_BOUND_VALUES[k]}"
+                               for k in cli._BOUNDS[which].requires]
+    assert main(argv + ["--out", "b"]) == 0
+    capsys.readouterr()
+    (tmp_path / "b.json").unlink()
+    dashed = flag.replace("_", "-")
+    assert main(argv + [f"--{dashed}={_BOUND_VALUES[flag]}", "--out", "b"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"fadingmac: error: --{dashed} does not apply "
+                                         f"to bound {which}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bound_has_no_seed(capsys):
+    # No bound kind draws anything.
+    assert _exit_code(["bound", "atom", "--sum-cap", "2", "--seed", "0"]) == 1
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--trials", "5"], "--trials"), (["--trials", "5", "--seed", "9"], "--trials"),
+    (["--seed", "9"], "--seed")])
+def test_validate_analytic_rejects_trials_and_seed(capsys, argv, flag):
+    # The analytic suite draws nothing; the default seed, which is 0, runs.
+    assert main(["validate", "analytic"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"fadingmac: error: {flag} does not apply "
+                                         "to validate analytic"]
+    assert main(["validate", "analytic", "--seed", "0"]) == 0
 
 
 def test_cardinality_runs_with_explicit_scalar_antennas(tmp_path, monkeypatch):
@@ -639,12 +702,37 @@ _FIGURE_FLAGS = {
     10: {"users": _USERS},
 }
 
+# Each simulate branch's flags beyond --trials and --seed: those every line
+# gives, and those drawn or left to the default.  Together they are the flags
+# the branch reads (checked against the CLI's own table); a cardinality is at
+# most the user count.
+_CARDINALITY_USERS = st.shared(st.integers(1, 4), key="cardinality users")
+_SIMULATE_FLAGS = {
+    "sweep": ({"nt": st.integers(1, 2), "nr": st.integers(1, 3), "rate": st.floats(0.1, 4.0),
+               "snr-db-list": _SNR_LISTS}, {"users": _USERS, "rate-convention": _CONVENTIONS}),
+    "bracket": ({"sum-cap": _CAPS},
+                {"users": _USERS, "nt": st.integers(1, 2), "nr": st.integers(1, 3)}),
+    "cardinality": ({"users": _CARDINALITY_USERS, "sum-cap": _CAPS,
+                     "cardinality": _CARDINALITY_USERS.flatmap(lambda n: st.integers(1, n))},
+                    {}),
+}
+
+
+def _dashed(keys):
+    return {k.replace("_", "-") for k in keys}
 
 
 def test_each_figure_draws_exactly_the_flags_it_reads():
     for n, flags in _FIGURE_FLAGS.items():
-        reads = {k.replace("_", "-") for k in cli._FIGURES[n][1]} - {"trials", "seed"}
-        assert set(flags) == reads, n
+        assert set(flags) == _dashed(cli._FIGURES[n].reads) - {"trials", "seed"}, n
+
+
+def test_each_simulate_branch_draws_exactly_the_flags_it_reads():
+    assert set(_SIMULATE_FLAGS) == set(cli._SIMULATE)
+    for branch, (given, optional) in _SIMULATE_FLAGS.items():
+        run = cli._SIMULATE[branch][1]
+        assert set(given) | set(optional) == _dashed(run.reads) - {"trials", "seed"}, branch
+        assert _dashed(run.requires) <= set(given), branch
 
 
 @st.composite
@@ -657,18 +745,11 @@ def _fresh_line(draw, kind):
         # Figures 1 and 2 are analytic: they refuse --trials and --seed.
         return ["fig", variant] + (line if int(variant) > 2 else []) + [
             f for name, values in flags.items() for f in _flag(draw, name, values)]
-    if variant == "sweep":
-        return ["simulate", f"--users={draw(_USERS)}", f"--nt={draw(st.integers(1, 2))}",
-                f"--nr={draw(st.integers(1, 3))}", f"--rate={draw(st.floats(0.1, 4.0))}",
-                f"--snr-db-list={draw(_SNR_LISTS)}"] + line + _flag(
-                    draw, "rate-convention", _CONVENTIONS)
-    if variant == "bracket":
-        return (["simulate", f"--users={draw(_USERS)}", f"--sum-cap={draw(_CAPS)}"] + line
-                + _flag(draw, "nt", st.integers(1, 2)) + _flag(draw, "nr", st.integers(1, 3)))
-    if variant == "cardinality":
-        n = draw(st.integers(1, 4))
-        return ["simulate", f"--users={n}", f"--cardinality={draw(st.integers(1, n))}",
-                f"--sum-cap={draw(_CAPS)}"] + line
+    if command == "simulate":
+        given, optional = _SIMULATE_FLAGS[variant]
+        return (["simulate"] + [f"--{name}={draw(values)}" for name, values in given.items()]
+                + line + [f for name, values in optional.items()
+                          for f in _flag(draw, name, values)])
     precoder, mode = variant.split("/")
     users = st.just(2) if precoder == "bb" else _USERS   # bb pairs two users
     return ["if-sim", f"--users={draw(users)}", f"--sum-cap={draw(_CAPS)}",
@@ -683,7 +764,7 @@ def _manifest_text(path):
 
 # fig 1-10, each simulate branch, and if-sim with each precoder and mode.
 @pytest.mark.parametrize("kind", [f"fig {n}" for n in _FIGURE_FLAGS]
-                         + [f"simulate {b}" for b in ("sweep", "bracket", "cardinality")]
+                         + [f"simulate {b}" for b in _SIMULATE_FLAGS]
                          + [f"if-sim {p}/{m}" for p in ("none", "bb", "haar")
                             for m in ("if", "if-sic")])
 @settings(max_examples=8, deadline=None)
@@ -705,7 +786,7 @@ _PARAM_KEYS = {
                  "cardinality", "snr_db_list", "rate_convention"},
     "if-sim": {"users", "sum_cap", "trials", "seed", "precoder", "mode",
                "rate_convention"},
-    "bound": {"which", "users", "nt", "nr", "rate", "sum_cap", "mux", "seed"},
+    "bound": {"which", "users", "nt", "nr", "rate", "sum_cap", "mux"},
 }
 
 
@@ -785,7 +866,7 @@ _HELP = {
     "fig": (["--trials", "--seed", "--out", "--users", "--nr", "--nt", "--sum-cap", "--rate",
              "--snr-db-list", "--rate-convention"],
             ["{total,per-user}", "{1,2,3,4,5,6,7,8,9,10}"]),
-    "bound": (["--users", "--nr", "--nt", "--rate", "--sum-cap", "--mux", "--seed", "--out"],
+    "bound": (["--users", "--nr", "--nt", "--rate", "--sum-cap", "--mux", "--out"],
               ["{two-user,atom,scalar-bracket,frobenius-union,simo,dmt}"]),
     "simulate": (["--trials", "--seed", "--out", "--users", "--nr", "--nt", "--sum-cap",
                   "--rate", "--snr-db-list", "--rate-convention", "--cardinality"],
