@@ -4,10 +4,10 @@ Subcommands reproduce the standard experiment set (``fig``), evaluate single
 analytic bounds (``bound``), run Monte-Carlo validations (``simulate``,
 ``if-sim``, ``validate``), and replay any previous run from its manifest
 (``rerun``).  Every data-producing run writes a CSV (curve, x, y, stderr) and
-a JSON manifest carrying the full parameter set, the seed, the library,
-numpy and python versions and the RNG layout id; replaying a manifest
-reproduces the CSV byte for byte, and a manifest of another RNG layout is
-refused.
+a JSON manifest carrying the full parameter set, the seed of a run that
+draws, the library, numpy and python versions and the RNG layout id;
+replaying a manifest reproduces the CSV byte for byte, and a manifest of
+another RNG layout is refused.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 numerical-domain error.
 """
@@ -45,6 +45,7 @@ from .errors import InvalidParameterError, NumericalDomainError, check_capacity,
 from .integer_forcing import (
     EffectiveChannel,
     brute_force_search,
+    check_if_capacity,
     conditioned_rate_samples,
     fraction_of_capacity,
     if_rate,
@@ -94,20 +95,20 @@ def _write_csv(path, rows):
             writer.writerow([curve, _fmt(x), _fmt(y), _fmt(err)])
 
 
-def _write_manifest(path, command, params, wall_time_s, csv_path, extra=None):
+def _write_manifest(path, command, run, params, wall_time_s, csv_path, extra=None):
     doc = {
         "command": command,
         "params": params,
-        "seed": params.get("seed", 0),
         "version": __version__,
         "rng_layout": RNG_LAYOUT,
         "numpy": np.__version__,
         "python": platform.python_version(),
         "wall_time_s": wall_time_s,
         "csv": csv_path,
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
+    if "seed" in run.reads:   # a run that draws nothing has no seed to record
+        doc["seed"] = params["seed"]
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -268,7 +269,7 @@ def _if_cdf_rows(params, schemes):
 
 
 def _fig_7(params):
-    check_capacity(params["sum_cap"])   # reported before the trial count, as in fig 8
+    check_if_capacity(params["sum_cap"])   # reported before the trial count, as in fig 8
     return _if_cdf_rows(params, _if_schemes(params["users"], with_haar=True))
 
 
@@ -285,7 +286,7 @@ def _histogram_rows(curve_name, samples, edges, trials):
 
 def _fig_8(params):
     users, cap = params["users"], params["sum_cap"]
-    check_capacity(cap)   # before the bins are laid out on it
+    check_if_capacity(cap)   # before the bins are laid out on it
     cfg = _cfg(params)
     edges = np.linspace(0.0, cap, 51)
     centers = (edges[:-1] + edges[1:]) / 2.0
@@ -578,7 +579,7 @@ def _run_rows(command, run, params, out):
     wall = time.perf_counter() - start
     csv_path, manifest_path = _out_paths(out or _COMMANDS[command].stem.format(**params))
     _write_csv(csv_path, rows)
-    _write_manifest(manifest_path, command, params, wall, csv_path)
+    _write_manifest(manifest_path, command, run, params, wall, csv_path)
     print(f"wrote {csv_path} and {manifest_path}")
     return 0
 
@@ -594,7 +595,7 @@ def _run_bound(command, run, params, out):
         print(" ".join(f"{k}={v:.6g}" for k, v in values.items()))
     if out:
         _, manifest_path = _out_paths(out)
-        _write_manifest(manifest_path, command, params, wall, None, extra={"result": values})
+        _write_manifest(manifest_path, command, run, params, wall, None, {"result": values})
         print(f"wrote {manifest_path}")
     return 0
 

@@ -12,9 +12,10 @@ F = R^-H, where R is the triangular factor of a QR decomposition of [H; I]
 successive (SIC) variances are the squared diagonal of the triangular factor
 of F A^T, and A is searched with LLL reduction of the lattice spanned by the
 real embedding of F.  F's condition number grows like 2^(C/2) rather than
-K's 2^C, which keeps rates at or below the sum capacity up to about C = 80
-bits.  An exhaustive bounded-box search provides the oracle the reduction is
-validated against.
+K's 2^C; up to C = MAX_IF_CAPACITY_BITS = 80 bits, the working range of
+conditioned_rate_samples, rates stay within 1e-3 bits of exact rational
+rates and at or below C.  An exhaustive bounded-box search provides the
+oracle the reduction is validated against.
 
 conditioned_rate_samples works on blocks of trials, drawn through
 linalg.trial_normals and capacity_sphere_rows as the conditioned engines are:
@@ -68,6 +69,15 @@ _LLL_DELTA = 0.75   # the Lovasz condition parameter of the lattice reduction
 _FIELD_BITS = 64    # starting width (a multiple of 8) of an entry of a packed row of U
 _P = 32749          # a prime = 5 (mod 8): 2 is not a square mod _P, so
 _J = pow(2, (_P - 1) // 4, _P)   # _J^2 = -1 (mod _P)
+
+MAX_IF_CAPACITY_BITS = 80   # the top of the conditioned engine's working range
+
+
+def check_if_capacity(bits):
+    check_capacity(bits)
+    if bits > MAX_IF_CAPACITY_BITS:
+        raise InvalidParameterError(
+            f"integer forcing is limited to sum capacities up to {MAX_IF_CAPACITY_BITS} bits")
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +327,6 @@ def _canonical_unit(row):
     return row
 
 
-def _as_complex(rows):
-    """Complex matrix of Gaussian-integer rows."""
-    m = np.array(rows, dtype=float)
-    n = m.shape[1] // 2
-    return m[:, :n] + 1j * m[:, n:]
-
-
 def _add_if_independent(echelon, row):
     """Add the Gaussian-integer row to an echelon basis of (pivot, integer
     row) pairs if it is linearly independent over C of the rows added before;
@@ -400,7 +403,8 @@ def _greedy_full_rank(f, rows):
     quadratic form among all full-rank selections from the candidate pool.
     """
     cands = list(dict.fromkeys(map(_canonical_unit, rows)))
-    cm = _as_complex(cands)
+    m = np.array(cands, dtype=float)
+    cm = m[:, :f.shape[0]] + 1j * m[:, f.shape[0]:]
     forms = (np.linalg.norm(cm @ f.T, axis=1) ** 2).tolist()
     order = sorted(range(len(cands)), key=lambda i: (forms[i], cands[i]))
     basis = _first_basis([cands[i] for i in order], f.shape[0])
@@ -558,14 +562,11 @@ def _variances(fa, mode):
     return np.abs(np.diagonal(r, axis1=-2, axis2=-1)) ** 2
 
 
-def _rates(variances, where=None):
+def _rates(variances):
     """Per-stream rates max(0, -log2 variance).  A variance that is not
-    finite and positive raises NumericalDomainError; for a stack of trials
-    (trials, streams), where(row) names the first such row's trial."""
-    ok = np.isfinite(variances) & (variances > 0)
-    if not np.all(ok):
-        at = where(int(np.argmin(ok.all(axis=-1)))) if where else ""
-        raise NumericalDomainError("integer-forcing noise variance is not positive" + at)
+    finite and positive raises NumericalDomainError."""
+    if not np.all(np.isfinite(variances) & (variances > 0)):
+        raise NumericalDomainError("integer-forcing noise variance is not positive")
     return np.maximum(0.0, -np.log(variances) / _LN2)
 
 
@@ -606,8 +607,8 @@ _other_mode_variances = {}
 
 def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     """Total symmetric IF rate (N users x per-user rate) for channels drawn
-    conditioned on the sum capacity.  Haar precoders are redrawn per trial
-    from the same stream as the channel.
+    conditioned on a sum capacity C <= MAX_IF_CAPACITY_BITS; Haar precoders
+    are redrawn per trial from the same stream as the channel.
 
     Works on blocks of trials: every step but the lattice reduction and the
     greedy basis is a stacked numpy call, and row t equals
@@ -622,9 +623,8 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     So the memo holds n floats per trial of the last call, a call of the
     same mode as the last one searches again, and since the search is a
     function of F alone, a hit gives the rates a search would, bit for bit.
-    Both paths turn variances into rates through the same _rates call.
     """
-    check_capacity(sum_cap_bits)
+    check_if_capacity(sum_cap_bits)
     n_users = check_int(n_users, "n_users", 1)
     check_choice(precoder_kind, PRECODER_KINDS, "precoder kind")
     check_choice(mode, _MODES, "mode")
@@ -639,7 +639,8 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     # A Haar trial draws one 2x2 unitary per user after its sphere draw; as
     # standard_normal keeps no state, those are its stream's next 8N normals.
     samples = []
-    for z in trial_normals(cfg.seed, cfg.trials, ((10 if haar else 2) * n_users,)):
+    blocks = trial_normals(cfg.seed, cfg.trials, ((10 if haar else 2) * n_users,))
+    for z in blocks:
         h = capacity_sphere_rows(z[:, :2 * n_users].reshape(-1, 2, n_users), sum_cap_bits)
         if haar:
             p = haar_unitary_rows(z[:, 2 * n_users:].reshape(-1, n_users, 2, 2, 2))
@@ -650,9 +651,7 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
             fa = _search(f) @ f.swapaxes(-1, -2)
             var = _variances(fa, mode)
             stored[(other, *key)] = _variances(fa, other)
-        rates = _rates(var, lambda row: (
-            f" in trial {sum(map(len, samples)) + row} (C = {sum_cap_bits} bits)"))
-        samples.append(n_users * rates.min(axis=-1))
+        samples.append(n_users * _rates(var).min(axis=-1))
     return np.concatenate(samples)
 
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import fadingmac
 from fadingmac import cli
 from fadingmac.cli import build_parser, main
+from fadingmac.integer_forcing import MAX_IF_CAPACITY_BITS
 
 DATA = Path(__file__).parent / "data"
 
@@ -328,7 +329,7 @@ def test_snr_list_rejects_non_finite_points(tmp_path, monkeypatch, capsys, point
 @pytest.mark.parametrize("argv, code", [
     (["simulate", "--users", "2", "--sum-cap", "1100", "--trials", "3"], 1),
     (["if-sim", "--users", "2", "--sum-cap", "1100", "--trials", "3"], 1),
-    (["if-sim", "--users", "2", "--sum-cap", "500", "--trials", "3", "--precoder", "none"], 2),
+    (["if-sim", "--users", "2", "--sum-cap", "500", "--trials", "3", "--precoder", "none"], 1),
 ])
 def test_extreme_capacities_exit_without_a_traceback(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
@@ -541,6 +542,22 @@ def test_bound_has_no_seed(capsys):
     # No bound kind draws anything.
     assert _exit_code(["bound", "atom", "--sum-cap", "2", "--seed", "0"]) == 1
     assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+
+def test_only_runs_that_draw_record_a_seed(tmp_path, monkeypatch, capsys):
+    # The top-level seed of a manifest is that of the draws: a bound, fig 1
+    # and fig 2 draw nothing and record none; their parameter sets still
+    # hold the command's default seed, which rerun reads.
+    monkeypatch.chdir(tmp_path)
+    assert main(["bound", "atom", "--sum-cap", "2", "--out", "b"]) == 0
+    assert "seed" not in json.loads((tmp_path / "b.json").read_text())
+    for figure in ("1", "2"):
+        assert main(["fig", figure, "--out", "f"]) == 0
+        doc = json.loads((tmp_path / "f.json").read_text())
+        assert "seed" not in doc and doc["params"]["seed"] == 0
+    assert main(["fig", "4", "--trials", "20", "--seed", "5", "--out", "f"]) == 0
+    doc = json.loads((tmp_path / "f.json").read_text())
+    assert doc["seed"] == doc["params"]["seed"] == 5
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -849,16 +866,37 @@ def test_fig3_needs_two_users(tmp_path, monkeypatch, capsys, users):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_if_sic_abort_names_the_trial_and_capacity(tmp_path, monkeypatch, capsys):
+_IF_RANGE = ["if-sim --mode if-sic --precoder none", "if-sim --mode if-sic --precoder bb",
+             "if-sim --mode if-sic --precoder haar", "if-sim --mode if --precoder haar",
+             "fig 7", "fig 8", "fig 8 --users 3"]
+
+
+@pytest.mark.parametrize("cap", [str(MAX_IF_CAPACITY_BITS + 1), "150"])
+@pytest.mark.parametrize("argv", _IF_RANGE)
+def test_capacities_above_the_if_range_exit_one(tmp_path, monkeypatch, capsys, argv, cap):
+    # Integer forcing runs up to MAX_IF_CAPACITY_BITS: above it, if-sim,
+    # fig 7 and fig 8 refuse the capacity with one line and write nothing.
     monkeypatch.chdir(tmp_path)
-    argv = ["if-sim", "--users", "2", "--sum-cap", "150", "--trials", "60", "--seed", "1",
-            "--precoder", "haar", "--mode", "if-sic"]
-    assert main(argv) == 2
+    assert main(argv.split() + ["--sum-cap", cap, "--trials", "60", "--seed", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("fadingmac: numerical error: integer-forcing noise variance "
-                            "is not positive in trial 0 (C = 150.0 bits)\n")
+    assert captured.err.splitlines() == [
+        "fadingmac: error: integer forcing is limited to sum capacities up to "
+        f"{MAX_IF_CAPACITY_BITS} bits"]
     assert list(tmp_path.iterdir()) == []
+    assert main(argv.split() + ["--sum-cap", str(MAX_IF_CAPACITY_BITS), "--trials", "2",
+                                "--out", "top"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["top.csv", "top.json"]
+
+
+@pytest.mark.parametrize("figure", ["7", "8"])
+def test_figs_7_and_8_report_the_if_range_before_the_trial_count(tmp_path, monkeypatch, capsys,
+                                                                  figure):
+    monkeypatch.chdir(tmp_path)
+    assert main(["fig", figure, "--sum-cap", str(MAX_IF_CAPACITY_BITS + 1), "--trials", "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "fadingmac: error: integer forcing is limited to sum capacities up to "
+        f"{MAX_IF_CAPACITY_BITS} bits"]
 
 
 # The flags, in order, and the choices each subcommand's --help lists.

@@ -13,16 +13,16 @@ the reference's 2-D rate formulas.
 
 The packed rows of the reduction are checked against wider fields, the
 filtered rank decision against exact elimination alone, and the engine's
-samples against digests that reach past the reference's reliable range.
+samples against digests that reach the top of its working range.
 A call served from the memo of the other mode's variances is checked
 against a fresh call, and the memo's one-call lifetime against counted
 searches.
 """
 
 import hashlib
+import math
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -31,9 +31,10 @@ from hypothesis import strategies as st
 
 from fadingmac import integer_forcing, linalg
 from fadingmac.capacity import MacChannel
-from fadingmac.errors import NumericalDomainError
+from fadingmac.errors import InvalidParameterError, NumericalDomainError
 from fadingmac.integer_forcing import (
     _P,
+    MAX_IF_CAPACITY_BITS,
     PRECODER_KINDS,
     Precoder,
     _add_if_independent,
@@ -382,25 +383,32 @@ def test_threads_sharing_the_memo_get_fresh_rates(monkeypatch):
     assert bad == []
 
 
-def test_a_stored_sic_abort_raises_as_a_fresh_one(monkeypatch):
-    # At C = 150 bits (seed 1, Haar) every parallel rate exists but trial 0's
-    # SIC variance underflows.  The "if" call that stores the SIC variances
-    # stays silent, and the "if-sic" call served from them raises the
-    # message of a fresh "if-sic" call.
-    cfg = SimConfig(trials=60, seed=1)
-    monkeypatch.setattr(integer_forcing, "_other_mode_variances", {})
-    with pytest.raises(NumericalDomainError) as fresh:
-        conditioned_rate_samples(2, 150.0, "haar", "if-sic", cfg)
-    assert str(fresh.value).endswith("in trial 0 (C = 150.0 bits)")
-    monkeypatch.setattr(integer_forcing, "_other_mode_variances", {})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        conditioned_rate_samples(2, 150.0, "haar", "if", cfg)
-    assert integer_forcing._other_mode_variances
-    with pytest.raises(NumericalDomainError) as served:
-        conditioned_rate_samples(2, 150.0, "haar", "if-sic", cfg)
-    assert str(served.value) == str(fresh.value)
-    assert integer_forcing._other_mode_variances == {}
+_ABOVE_RANGE = f"integer forcing is limited to sum capacities up to {MAX_IF_CAPACITY_BITS} bits"
+
+
+@pytest.mark.parametrize("cap", [math.nextafter(MAX_IF_CAPACITY_BITS, math.inf), 150.0])
+def test_a_refused_call_leaves_the_memo_of_the_last_call(searches, cap):
+    # A capacity above the working range is refused, for every precoder and
+    # mode, before the call takes the memo.  So a run at the top of the
+    # range is still served from the memo its other mode left, past any
+    # number of refused calls, and equals a fresh run.
+    cfg = SimConfig(trials=6, seed=1)
+    for kind in PRECODER_KINDS:
+        for mode in ("if", "if-sic"):
+            fresh = conditioned_rate_samples(2, MAX_IF_CAPACITY_BITS, kind, mode, cfg)
+            integer_forcing._other_mode_variances = {}
+            conditioned_rate_samples(2, MAX_IF_CAPACITY_BITS, kind, _other_mode(mode), cfg)
+            memo = set(integer_forcing._other_mode_variances)
+            assert memo
+            for refused in PRECODER_KINDS:
+                for refused_mode in ("if", "if-sic"):
+                    with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
+                        conditioned_rate_samples(2, cap, refused, refused_mode, cfg)
+            assert set(integer_forcing._other_mode_variances) == memo
+            searched = len(searches)
+            served = conditioned_rate_samples(2, MAX_IF_CAPACITY_BITS, kind, mode, cfg)
+            assert len(searches) == searched
+            assert np.array_equal(served, fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -506,47 +514,47 @@ def test_filtered_rank_decision_equals_exact_elimination(base, n, extra, depende
 
 
 # sha256 of conditioned_rate_samples(users, C, kind, mode,
-# SimConfig(trials=200, seed=7)).tobytes(), recorded with the list-row LLL and
-# the exact-only rank test that preceded the packed rows and the filter.  The
-# C = 100 cells lie beyond the range where the numpy reference above is
-# reliable.
+# SimConfig(trials=200, seed=7)).tobytes().  The C = 10 and C = 40 cells were
+# recorded with the list-row LLL and the exact-only rank test that preceded
+# the packed rows and the filter; the C = 80 cells, at the top of the
+# engine's working range, before the engine refused any C above it.
 _DIGESTS = {
     (2, 10.0, "none", "if"):
         "a51d0b72818643881d603149f2c2476f26aaf75e6925ff4cb0b2fc7bc9656763",
     (2, 40.0, "none", "if"):
         "2be417dc3b575626c455b75ec7753f41656fec3a855094c214fee1d8c561a225",
-    (2, 100.0, "none", "if"):
-        "320603cb636a84ec1ba1ab611a33f7d752508b40bb363d9adc48a5051f2c2355",
+    (2, 80.0, "none", "if"):
+        "0d707ad9cb57fd1604ac75846640908d152a4abde144028c6b1d71c78e8b4980",
     (2, 10.0, "none", "if-sic"):
         "f22b3dc63984567dac1da09c54c5d6a9cbf885555b7f2d6c1f796ecf42fad4a8",
     (2, 40.0, "none", "if-sic"):
         "9fb2c3de5fe12e5b7fa23c5891c768f6e80bc4a4321df182d71be9bfae017346",
-    (2, 100.0, "none", "if-sic"):
-        "3675fc0ab03ee0c4fd2f9ef572d1483fa57eede726d045524c0f78f7268f3d9d",
+    (2, 80.0, "none", "if-sic"):
+        "424924918ae7f69a1f2886db9f6346150cbdef1d3ed2c47aecdff6613b848038",
     (2, 10.0, "badr_belfiore", "if"):
         "a349e0ef6bc44b95af9fc9c13f9552c8be2e1c1d079a8c5a85af0ab8b61ec615",
     (2, 40.0, "badr_belfiore", "if"):
         "da3d341897f6ac5d365964b849f4920625e2ea499594c8f7a0d9c2063ff14e07",
-    (2, 100.0, "badr_belfiore", "if"):
-        "9d2da450f6c52e5bca2084361c81d4b46ad0931aee4b8693cbc7bc5926f4ea88",
+    (2, 80.0, "badr_belfiore", "if"):
+        "d6e081191c78221a31754b96ff2a74fd08d792767944dbf81fd607c79c386c6b",
     (2, 10.0, "badr_belfiore", "if-sic"):
         "47928cca96f79c57da62e7892b712ecbef6845ec58f09303c23bb85526079efe",
     (2, 40.0, "badr_belfiore", "if-sic"):
         "6277dff31728dce5b98e92d7142de3f02d301d2c7d7c717a388e231acc702818",
-    (2, 100.0, "badr_belfiore", "if-sic"):
-        "395f73250116cd03991f00cc93789100c75a390b8ebeb39516d7dffdb7e081ab",
+    (2, 80.0, "badr_belfiore", "if-sic"):
+        "e4c92b748ac9b2f25547566e7000620ba01e7c168b26748fae6c03e4d250bc40",
     (2, 10.0, "haar", "if"):
         "1424c5a251b5fed30b20eb8b16cd4a7ae98db86cfa8e31960424519c50c965a1",
     (2, 40.0, "haar", "if"):
         "06a4ee005f41345951b4d08b2e7d7ab1ddc825fb645033c77d062bfd5c0edc25",
-    (2, 100.0, "haar", "if"):
-        "111c85551f77eddd6a644a1bbebed255ce513b7748b1bad508c1a4b0499f90b1",
+    (2, 80.0, "haar", "if"):
+        "a4d776c198d32708dd5f7d31d18f8d3a6469cf59e9a867027b125eb86806a03d",
     (2, 10.0, "haar", "if-sic"):
         "699f0826f7a650343f57e808c64fec89b20546e986e5ac6e908821a0a3d48e45",
     (2, 40.0, "haar", "if-sic"):
         "ef5b6c7b2dac452101aa6e6a4204449ea7aad965d4aa6dc01d7ff01d1381278d",
-    (2, 100.0, "haar", "if-sic"):
-        "741b98963fe98ceb0b02603c28a09fb0c2685c6ab6d3465fe4227a079a680498",
+    (2, 80.0, "haar", "if-sic"):
+        "107ed0f87f3b576975a3ab43710f98fa4c1a54d30c0678edac698e008cc08160",
     (3, 40.0, "haar", "if"):
         "3a8783447e1a85d9ba2a561230632d5da601d6bc29e45a9b30a1d4eee083ca4f",
     (3, 40.0, "haar", "if-sic"):

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fadingmac import linalg
+from fadingmac import integer_forcing, linalg
 from fadingmac.bounds import scalar_bounds, two_user_cdf
 from fadingmac.capacity import MacChannel, sum_capacity
 from fadingmac.errors import InvalidParameterError, NumericalDomainError
 from fadingmac.integer_forcing import (
+    MAX_IF_CAPACITY_BITS,
     PRECODER_KINDS,
     EffectiveChannel,
     IfResult,
@@ -395,31 +396,50 @@ def test_if_rate_never_returns_non_finite_rates_at_high_capacity():
 def test_underflowing_factor_raises_a_domain_error(cap):
     # F underflows at a few hundred bits, which leaves zeros on the diagonal
     # of its embedding's triangular factor; LLL must not divide by them.
+    h = sample_capacity_sphere(2, cap, RngStream(1, 0).generator())
+    eff = build_effective_channel(MacChannel.from_scalar(h), Precoder.identity(2))
     with pytest.raises(NumericalDomainError, match="singular"):
-        conditioned_rate_samples(2, cap, "none", "if", SimConfig(trials=60, seed=1))
+        if_rate(eff)
 
 
-def test_if_sic_abort_names_the_trial_and_capacity():
-    # At C = 150 bits (seed 1) Haar SIC variances underflow to zero: the run
-    # still raises rather than drop a trial, and names the first such trial.
-    with pytest.raises(NumericalDomainError,
-                       match=r"is not positive in trial 0 \(C = 150 bits\)$"):
-        conditioned_rate_samples(2, 150, "haar", "if-sic", SimConfig(trials=60, seed=1))
+_ABOVE_RANGE = f"integer forcing is limited to sum capacities up to {MAX_IF_CAPACITY_BITS} bits"
 
 
-def test_if_sic_abort_counts_the_trials_of_earlier_blocks(monkeypatch):
-    # At C = 140 bits (seed 1, Haar) four trials run and the fifth raises.
-    # Cut into blocks of three rows, the rates are the same and the index
-    # still counts from the first trial of the run.
-    def run(trials):
-        return conditioned_rate_samples(2, 140.0, "haar", "if-sic",
-                                        SimConfig(trials=trials, seed=1))
-    four = run(4)
-    for _ in range(2):
-        assert np.array_equal(run(4), four)
-        with pytest.raises(NumericalDomainError, match=r"in trial 4 \(C = 140.0 bits\)$"):
-            run(5)
-        monkeypatch.setattr(linalg, "_TRIAL_BLOCK", 3)
+@pytest.mark.parametrize("cap", [math.nextafter(MAX_IF_CAPACITY_BITS, math.inf), 85.0, 150,
+                                 500.0, 1024.0])
+def test_capacities_above_the_range_are_refused_before_any_draw(monkeypatch, cap):
+    # Above the working range float64 rates are noise: totals above C from
+    # C = 100 and zero SIC variances from C = 140.  Every precoder and mode
+    # refuses such a C with one message, before it draws a trial.
+    def no_draw(*args):
+        raise AssertionError("a refused capacity drew trials")
+
+    monkeypatch.setattr(integer_forcing, "trial_normals", no_draw)
+    for kind in PRECODER_KINDS:
+        for mode in ("if", "if-sic"):
+            with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
+                conditioned_rate_samples(2, cap, kind, mode, SimConfig(trials=60, seed=1))
+            with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
+                if_rate_cdf_conditioned(2, cap, kind, mode, SimConfig(trials=60, seed=1))
+        with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
+            fraction_of_capacity(2, [cap], 0.01, "if-sic", SimConfig(trials=5, seed=1),
+                                 precoder_kind=kind)
+
+
+def test_the_top_of_the_range_runs_in_any_block_size(monkeypatch):
+    # At C = MAX_IF_CAPACITY_BITS (seed 1) every precoder and mode runs, with
+    # each total at or below C.  Cut into blocks of three rows, the rates are
+    # the same, and C = 150 is still refused.
+    def run(kind, mode, cap=MAX_IF_CAPACITY_BITS):
+        return conditioned_rate_samples(2, cap, kind, mode, SimConfig(trials=8, seed=1))
+    whole = {(kind, mode): run(kind, mode) for kind in PRECODER_KINDS
+             for mode in ("if", "if-sic")}
+    assert all(np.all(v <= MAX_IF_CAPACITY_BITS + 1e-9) for v in whole.values())
+    monkeypatch.setattr(linalg, "_TRIAL_BLOCK", 3)
+    for (kind, mode), samples in whole.items():
+        assert np.array_equal(run(kind, mode), samples)
+        with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
+            run(kind, mode, 150.0)
 
 
 def test_sic_on_haar_trials_at_high_capacity_stays_within_capacity():
