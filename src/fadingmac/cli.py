@@ -325,8 +325,8 @@ def _fig_10(params):
     rows = []
     if users == 2:
         rows.extend(("ml", c, ml_mean_rate_fraction(c), None) for c in caps)
-    # Both modes of each (precoder, C) run back to back, so the second
-    # reuses the first's search; the rows keep one curve after another.
+    # Both modes of each (precoder, C) run back to back, so the second is
+    # served from the first's samples; the rows keep one curve after another.
     schemes = _if_schemes(users, with_haar=False)
     curves = {scheme: [] for scheme in schemes}
     for c in caps:

@@ -35,15 +35,13 @@ row, so coefficients of any size (about 10^7 at C = 100 bits) never make an
 independent row look dependent.
 
 The two receiver modes share the search, and figures compare them on the
-same draws.  So each block that conditioned_rate_samples searches also
-stores the other mode's variances in a module-level memo, keyed by (that
-mode, F's shape, sha256 of F's bytes).  The memo lasts one call: the next
-call takes it, uses each entry at most once, and leaves its own.  An "if"
-call followed by an "if-sic" call on the same draws, or the reverse,
-searches each channel once.
+same draws.  So conditioned_rate_samples computes both modes from one
+search and keeps them for its last inputs (users, C, precoder, seed,
+trials), which fix every draw: an "if" call followed by an "if-sic" call on
+the same inputs, or the reverse, searches each channel once.
 """
 
-import hashlib
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -599,12 +597,6 @@ def if_rate(eff, mode="if", a=None):
 # ---------------------------------------------------------------------------
 # conditioned simulations and capacity fractions
 
-# The other mode's variances of each block that the last
-# conditioned_rate_samples call searched, keyed by (that mode, F's shape,
-# sha256 of F's bytes); see conditioned_rate_samples.
-_other_mode_variances = {}
-
-
 def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     """Total symmetric IF rate (N users x per-user rate) for channels drawn
     conditioned on a sum capacity C <= MAX_IF_CAPACITY_BITS; Haar precoders
@@ -614,45 +606,40 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     greedy basis is a stacked numpy call, and row t equals
     N * if_rate(...).symmetric_rate_bits of trial t's channel.
 
-    The search for A does not depend on the mode, so a searched block also
-    yields the other mode's variances from the same product F A^T.  They are
-    kept for the next call only: each call takes the previous call's memo
-    and starts a fresh one.  A block whose (mode, F's shape, sha256 of F's
-    bytes) is in the taken memo uses that entry once and skips the search;
-    every other block is searched and stores the other mode's variances.
-    So the memo holds n floats per trial of the last call, a call of the
-    same mode as the last one searches again, and since the search is a
-    function of F alone, a hit gives the rates a search would, bit for bit.
+    The search for A does not depend on the mode, so both modes' samples
+    come from the same product F A^T, and the samples of the last inputs
+    (users, C, precoder, seed, trials) are kept: a call on the same inputs,
+    in either mode, is served from them without a draw or a search.  Each
+    call returns its own copy.
     """
     check_if_capacity(sum_cap_bits)
     n_users = check_int(n_users, "n_users", 1)
     check_choice(precoder_kind, PRECODER_KINDS, "precoder kind")
     check_choice(mode, _MODES, "mode")
-    global _other_mode_variances
-    other = "if-sic" if mode == "if" else "if"
-    served, stored = _other_mode_variances, {}
-    _other_mode_variances = stored
+    seed = check_int(cfg.seed, "seed", 0)
+    return _both_mode_samples(n_users, float(sum_cap_bits), precoder_kind, seed,
+                              cfg.trials)[mode].copy()
+
+
+@functools.lru_cache(maxsize=1)
+def _both_mode_samples(n_users, sum_cap_bits, precoder_kind, seed, trials):
+    """The samples of conditioned_rate_samples in each mode, by mode."""
     haar = precoder_kind == "haar"
     if not haar:
         fixed = Precoder.identity if precoder_kind == "none" else Precoder.badr_belfiore
         p = np.array(fixed(n_users).matrices)[None]
     # A Haar trial draws one 2x2 unitary per user after its sphere draw; as
     # standard_normal keeps no state, those are its stream's next 8N normals.
-    samples = []
-    blocks = trial_normals(cfg.seed, cfg.trials, ((10 if haar else 2) * n_users,))
-    for z in blocks:
+    samples = {mode: [] for mode in _MODES}
+    for z in trial_normals(seed, trials, ((10 if haar else 2) * n_users,)):
         h = capacity_sphere_rows(z[:, :2 * n_users].reshape(-1, 2, n_users), sum_cap_bits)
         if haar:
             p = haar_unitary_rows(z[:, 2 * n_users:].reshape(-1, n_users, 2, 2, 2))
         f = _sqrt_factors(_effective_matrices(p, h[:, :, None, None]))
-        key = (f.shape, hashlib.sha256(f.tobytes()).digest())
-        var = served.pop((mode, *key), None)
-        if var is None:
-            fa = _search(f) @ f.swapaxes(-1, -2)
-            var = _variances(fa, mode)
-            stored[(other, *key)] = _variances(fa, other)
-        samples.append(n_users * _rates(var).min(axis=-1))
-    return np.concatenate(samples)
+        fa = _search(f) @ f.swapaxes(-1, -2)
+        for mode, blocks in samples.items():
+            blocks.append(n_users * _rates(_variances(fa, mode)).min(axis=-1))
+    return {mode: np.concatenate(blocks) for mode, blocks in samples.items()}
 
 
 def if_rate_cdf_conditioned(n_users, sum_cap_bits, precoder_kind, mode, cfg,
@@ -706,9 +693,12 @@ def fraction_of_capacity(n_users, cap_grid, outage_level, scheme, cfg=None,
     check_choice(precoder_kind, PRECODER_KINDS, "precoder kind")
     if scheme != "ml" and cfg is None:
         raise InvalidParameterError("empirical schemes need a SimConfig")
+    caps = [float(cap) for cap in cap_grid]
+    if scheme != "ml":
+        for cap in caps:
+            check_if_capacity(cap)   # the whole grid, before the first draw
     out = []
-    for cap in cap_grid:
-        cap = float(cap)
+    for cap in caps:
         if scheme == "ml":
             r = ml_rate_quantile(n_users, cap, outage_level)
         else:

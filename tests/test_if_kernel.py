@@ -14,9 +14,9 @@ the reference's 2-D rate formulas.
 The packed rows of the reduction are checked against wider fields, the
 filtered rank decision against exact elimination alone, and the engine's
 samples against digests that reach the top of its working range.
-A call served from the memo of the other mode's variances is checked
-against a fresh call, and the memo's one-call lifetime against counted
-searches.
+A call served from the cache of the last inputs' samples, in either mode,
+is checked against a fresh call, and the cache's key against counted
+searches and failing draws.
 """
 
 import hashlib
@@ -247,6 +247,7 @@ def test_engine_rows_do_not_depend_on_the_trial_block(monkeypatch):
     whole = {mode: conditioned_rate_samples(2, 10.0, "haar", mode, cfg)
              for mode in ("if", "if-sic")}
     monkeypatch.setattr(linalg, "_TRIAL_BLOCK", 7)
+    integer_forcing._both_mode_samples.cache_clear()   # or the calls are served
     for mode in ("if", "if-sic"):
         got = conditioned_rate_samples(2, 10.0, "haar", mode, cfg)
         assert np.array_equal(got, whole[mode])
@@ -271,6 +272,7 @@ def test_an_all_zero_sphere_draw_raises(monkeypatch, kind):
             yield block
 
     monkeypatch.setattr(integer_forcing, "trial_normals", zero_sphere)
+    integer_forcing._both_mode_samples.cache_clear()
     with pytest.raises(NumericalDomainError, match="all zero"):
         conditioned_rate_samples(2, 10.0, kind, "if-sic", cfg)
 
@@ -285,16 +287,20 @@ def test_tie_sensitive_trial_keeps_its_rate():
 
 
 # ---------------------------------------------------------------------------
-# the memo of the other mode's variances
+# the cache of both modes' samples for the last inputs
 
 def _other_mode(mode):
     return "if-sic" if mode == "if" else "if"
 
 
+def _no_draw(*args):
+    raise AssertionError("a served or refused call drew trials")
+
+
 @pytest.fixture
 def searches(monkeypatch):
-    """Start from an empty memo and count the blocks searched."""
-    monkeypatch.setattr(integer_forcing, "_other_mode_variances", {})
+    """Start from an empty cache and count the blocks searched."""
+    integer_forcing._both_mode_samples.cache_clear()
     real = integer_forcing._search
     calls = []
 
@@ -309,56 +315,121 @@ def searches(monkeypatch):
 @pytest.mark.parametrize("mode", ["if", "if-sic"])
 @pytest.mark.parametrize("cap", [10.0, 40.0])
 @pytest.mark.parametrize("kind", PRECODER_KINDS)
-def test_a_served_call_equals_a_fresh_one_and_searches_nothing(searches, kind, cap, mode):
+def test_a_served_call_equals_a_fresh_one_and_searches_nothing(searches, monkeypatch,
+                                                               kind, cap, mode):
+    # After a call in the other mode, and after a repeat, a call is served:
+    # it neither searches nor draws, and its rates are a fresh call's.
     cfg = SimConfig(trials=30, seed=24)
     fresh = conditioned_rate_samples(2, cap, kind, mode, cfg)
-    integer_forcing._other_mode_variances = {}
+    integer_forcing._both_mode_samples.cache_clear()
     conditioned_rate_samples(2, cap, kind, _other_mode(mode), cfg)
-    assert len(searches) == 2
-    served = conditioned_rate_samples(2, cap, kind, mode, cfg)
-    assert len(searches) == 2
-    assert np.array_equal(served, fresh)
-    assert integer_forcing._other_mode_variances == {}
+    assert searches == [30, 30]
+    monkeypatch.setattr(integer_forcing, "trial_normals", _no_draw)
+    for _ in range(2):
+        served = conditioned_rate_samples(2, cap, kind, mode, cfg)
+        assert np.array_equal(served, fresh)
+    assert searches == [30, 30]
 
 
-@pytest.mark.parametrize("kind", PRECODER_KINDS)
-def test_a_repeat_or_a_call_in_between_searches_again(searches, kind):
-    cfg = SimConfig(trials=10, seed=25)
+_BASE = dict(n_users=2, cap=10.0, kind="haar", seed=25, trials=10)
+
+
+def _run(mode, n_users, cap, kind, seed, trials):
+    return conditioned_rate_samples(n_users, cap, kind, mode, SimConfig(trials=trials, seed=seed))
+
+
+@pytest.mark.parametrize("name, value", [("n_users", 3), ("cap", 12.0), ("kind", "none"),
+                                         ("kind", "badr_belfiore"), ("seed", 26),
+                                         ("trials", 9)])
+def test_changing_any_one_input_searches_again(searches, name, value):
+    # Users, C, precoder, seed and trials fix every draw, so a change in any
+    # one of them searches and gives that input's rates.  The cache holds one
+    # entry, so the call after it searches the first inputs again.
+    changed = {**_BASE, name: value}
     for mode in ("if", "if-sic"):
-        conditioned_rate_samples(2, 10.0, kind, mode, cfg)
+        _run(mode, **_BASE)
         searches.clear()
-        conditioned_rate_samples(2, 10.0, kind, mode, cfg)
-        assert searches == [10]
-        for cap, between in [(40.0, cfg), (10.0, SimConfig(trials=10, seed=26)),
-                             (10.0, SimConfig(trials=9, seed=25))]:
-            conditioned_rate_samples(2, 10.0, kind, _other_mode(mode), cfg)
-            conditioned_rate_samples(2, cap, kind, mode, between)
-            searches.clear()
-            conditioned_rate_samples(2, 10.0, kind, mode, cfg)
-            assert searches == [10]
+        got = _run(mode, **changed)
+        assert searches == [changed["trials"]]
+        assert np.array_equal(got, _per_trial_samples(
+            changed["n_users"], changed["cap"], changed["kind"], mode, changed["seed"],
+            changed["trials"]))
+        searches.clear()
+        _run(mode, **_BASE)
+        assert searches == [_BASE["trials"]]
 
 
-def test_the_memo_holds_at_most_the_last_calls_blocks(searches, monkeypatch):
-    monkeypatch.setattr(linalg, "_TRIAL_BLOCK", 7)
-    sizes = []
-    for trials, mode in [(20, "if"), (20, "if-sic"), (20, "if-sic"), (5, "if"),
-                         (14, "if-sic"), (20, "if")]:
-        conditioned_rate_samples(2, 10.0, "haar", mode, SimConfig(trials=trials, seed=27))
-        sizes.append(len(integer_forcing._other_mode_variances))
-        assert sizes[-1] <= -(-trials // 7)
-    # A served block stores nothing.  The last call is served the two blocks
-    # of 7 trials that the call before it searched, and searches its third.
-    assert sizes == [3, 0, 3, 1, 2, 1]
-    assert searches == [7, 7, 6, 7, 7, 6, 5, 7, 7, 6]
+def test_inputs_that_fix_no_draw_are_served(searches):
+    # The rate grid fixes no draw; C = 10 as an int, a numpy float or a 0-d
+    # array is the float 10, and a numpy seed is its int: each call is served
+    # from the first.
+    cfg = SimConfig(trials=10, seed=25)
+    want = conditioned_rate_samples(2, 10.0, "haar", "if", cfg)
+    grid_cfg = SimConfig(trials=10, seed=25, rate_grid=np.linspace(0.0, 10.0, 5))
+    numpy_seed = SimConfig(trials=10, seed=np.int64(25))
+    for cap, c in [(10.0, grid_cfg), (10, cfg), (np.float64(10.0), cfg),
+                   (np.array(10.0), cfg), (np.array(10.0), numpy_seed)]:
+        assert np.array_equal(conditioned_rate_samples(2, cap, "haar", "if", c), want)
+    assert searches == [10]
 
 
-def test_threads_sharing_the_memo_get_fresh_rates(monkeypatch):
-    # Threads that take and replace the memo at once can only miss an
-    # entry: every key names F's content, so no call gets another's rates.
+@pytest.mark.parametrize("seed", [[1], -1, 1.5])
+def test_a_bad_seed_is_refused_before_any_draw(monkeypatch, seed):
+    monkeypatch.setattr(integer_forcing, "trial_normals", _no_draw)
+    with pytest.raises(InvalidParameterError, match="^seed must be a non-negative integer$"):
+        conditioned_rate_samples(2, 10.0, "none", "if", SimConfig(trials=5, seed=seed))
+
+
+_ABOVE_RANGE = f"integer forcing is limited to sum capacities up to {MAX_IF_CAPACITY_BITS} bits"
+
+
+@pytest.mark.parametrize("cap", [math.nextafter(MAX_IF_CAPACITY_BITS, math.inf), 150.0])
+def test_a_refused_call_leaves_the_cached_entry(searches, monkeypatch, cap):
+    # A capacity above the working range is refused, for every precoder and
+    # mode, before the cache is consulted; so are a bad mode and a bad seed.
+    # So a run at the top of the range is still served from the entry its
+    # inputs left, past any number of refused calls, and equals a fresh run.
+    cfg = SimConfig(trials=6, seed=1)
+    for kind in PRECODER_KINDS:
+        integer_forcing._both_mode_samples.cache_clear()
+        fresh = {mode: conditioned_rate_samples(2, MAX_IF_CAPACITY_BITS, kind, mode, cfg)
+                 for mode in ("if", "if-sic")}
+        searched = len(searches)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integer_forcing, "trial_normals", _no_draw)
+            for refused in PRECODER_KINDS:
+                for refused_mode in ("if", "if-sic"):
+                    with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
+                        conditioned_rate_samples(2, cap, refused, refused_mode, cfg)
+            with pytest.raises(InvalidParameterError, match="^mode must be"):
+                conditioned_rate_samples(2, MAX_IF_CAPACITY_BITS, kind, "zf", cfg)
+            with pytest.raises(InvalidParameterError, match="^seed must be"):
+                conditioned_rate_samples(2, MAX_IF_CAPACITY_BITS, kind, "if",
+                                         SimConfig(trials=6, seed=-1))
+            for mode, want in fresh.items():
+                assert np.array_equal(
+                    conditioned_rate_samples(2, MAX_IF_CAPACITY_BITS, kind, mode, cfg), want)
+        assert len(searches) == searched
+
+
+def test_mutating_a_returned_array_leaves_the_next_served_result(searches):
+    cfg = SimConfig(trials=10, seed=28)
+    for mode in ("if", "if-sic", "if"):
+        got = conditioned_rate_samples(2, 10.0, "haar", mode, cfg)
+        want = got.copy()
+        got[:] = -1.0
+        assert np.array_equal(conditioned_rate_samples(2, 10.0, "haar", mode, cfg), want)
+    assert searches == [10]
+
+
+def test_threads_sharing_the_cache_get_their_own_rates():
+    # Threads whose calls on different inputs interleave each get their own
+    # inputs' rates: the cache is keyed by every input that fixes a draw,
+    # and each call returns its own copy.
     runs = [(seed, mode) for seed in (30, 31, 32) for mode in ("if", "if-sic")]
     want = {}
     for seed, mode in runs:
-        monkeypatch.setattr(integer_forcing, "_other_mode_variances", {})
+        integer_forcing._both_mode_samples.cache_clear()
         want[seed, mode] = conditioned_rate_samples(2, 10.0, "haar", mode,
                                                     SimConfig(trials=6, seed=seed))
     bad = []
@@ -381,34 +452,6 @@ def test_threads_sharing_the_memo_get_fresh_rates(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
-
-
-_ABOVE_RANGE = f"integer forcing is limited to sum capacities up to {MAX_IF_CAPACITY_BITS} bits"
-
-
-@pytest.mark.parametrize("cap", [math.nextafter(MAX_IF_CAPACITY_BITS, math.inf), 150.0])
-def test_a_refused_call_leaves_the_memo_of_the_last_call(searches, cap):
-    # A capacity above the working range is refused, for every precoder and
-    # mode, before the call takes the memo.  So a run at the top of the
-    # range is still served from the memo its other mode left, past any
-    # number of refused calls, and equals a fresh run.
-    cfg = SimConfig(trials=6, seed=1)
-    for kind in PRECODER_KINDS:
-        for mode in ("if", "if-sic"):
-            fresh = conditioned_rate_samples(2, MAX_IF_CAPACITY_BITS, kind, mode, cfg)
-            integer_forcing._other_mode_variances = {}
-            conditioned_rate_samples(2, MAX_IF_CAPACITY_BITS, kind, _other_mode(mode), cfg)
-            memo = set(integer_forcing._other_mode_variances)
-            assert memo
-            for refused in PRECODER_KINDS:
-                for refused_mode in ("if", "if-sic"):
-                    with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
-                        conditioned_rate_samples(2, cap, refused, refused_mode, cfg)
-            assert set(integer_forcing._other_mode_variances) == memo
-            searched = len(searches)
-            served = conditioned_rate_samples(2, MAX_IF_CAPACITY_BITS, kind, mode, cfg)
-            assert len(searches) == searched
-            assert np.array_equal(served, fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,11 @@ def test_capacities_above_the_range_are_refused_before_any_draw(monkeypatch, cap
         with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
             fraction_of_capacity(2, [cap], 0.01, "if-sic", SimConfig(trials=5, seed=1),
                                  precoder_kind=kind)
+        # The whole grid is checked before the first draw, so C = 40 draws
+        # nothing.
+        with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
+            fraction_of_capacity(2, [40.0, cap], 0.01, "if-sic", SimConfig(trials=5, seed=1),
+                                 precoder_kind=kind)
 
 
 def test_the_top_of_the_range_runs_in_any_block_size(monkeypatch):
@@ -436,6 +441,7 @@ def test_the_top_of_the_range_runs_in_any_block_size(monkeypatch):
              for mode in ("if", "if-sic")}
     assert all(np.all(v <= MAX_IF_CAPACITY_BITS + 1e-9) for v in whole.values())
     monkeypatch.setattr(linalg, "_TRIAL_BLOCK", 3)
+    integer_forcing._both_mode_samples.cache_clear()   # or the calls are served
     for (kind, mode), samples in whole.items():
         assert np.array_equal(run(kind, mode), samples)
         with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
