@@ -4,13 +4,13 @@ The engines work on blocks of trials at once.  linalg.trial_normals hands
 them each trial's draws as one row of an array, in the package's RNG layout:
 one standard_normal call per block draws the rows of consecutive trials of
 one stream, so no engine builds a generator per trial.
-Every step after the draw (sphere normalization, subset rates,
-subset-Gram eigenvalues, the averaged bounds) is an array operation over the
-block.  Results are therefore bit-reproducible, independent of scheduling and
-of the block size, and use the same random numbers as a per-trial loop over
-the public samplers; aggregation is pure counting.  Empirical CDFs use the
-strict event {rate < R}, matching the analytic formulas, and report the atom
-mass at the conditioning capacity separately.
+Every step after the draw (sphere normalization, subset rates, the subset
+Grams' determinant polynomials, the averaged bounds) is an array operation
+over the block.  Results are therefore bit-reproducible, independent of
+scheduling and of the block size, and use the same random numbers as a
+per-trial loop over the public samplers; aggregation is pure counting.
+Empirical CDFs use the strict event {rate < R}, matching the analytic
+formulas, and report the atom mass at the conditioning capacity separately.
 """
 
 import math
@@ -167,23 +167,81 @@ def _rates_at_snrs(lam, snrs):
     return np.log1p(snrs[:, None] * lam[:, None, :]).sum(axis=2) / _LN2
 
 
+def _det_coefficients(grams):
+    """[e_1, ..., e_r] of det(I + s G) = 1 + e_1 s + ... + e_r s^r for a
+    stack of Hermitian r x r Grams G.  e_k is the sum of G's k x k principal
+    minors: closed forms for r <= 3, elementary symmetric sums of the
+    eigenvalues above.  Rounding can leave a minor of a PSD Gram slightly
+    negative, so the closed forms are clipped at 0."""
+    r = grams.shape[-1]
+    if r > 3:
+        lam = np.clip(np.linalg.eigvalsh(grams), 0.0, None)
+        coeffs = [np.zeros(grams.shape[:-2]) for _ in range(r)]
+        for j in range(r):
+            for k in range(j, 0, -1):
+                coeffs[k] += lam[..., j] * coeffs[k - 1]
+            coeffs[0] += lam[..., j]
+        return coeffs
+    d = [grams[..., i, i].real for i in range(r)]
+    off = {(i, j): grams[..., i, j] for i in range(r) for j in range(i + 1, r)}
+    sq = {ij: g.real ** 2 + g.imag ** 2 for ij, g in off.items()}
+    if r == 1:
+        coeffs = d
+    elif r == 2:
+        coeffs = [d[0] + d[1], d[0] * d[1] - sq[0, 1]]
+    else:
+        minors = [d[i] * d[j] - sq[i, j] for i, j in sq]
+        coeffs = [d[0] + d[1] + d[2], minors[0] + minors[1] + minors[2],
+                  d[0] * minors[2] - d[1] * sq[0, 2] - d[2] * sq[0, 1]
+                  + 2.0 * (off[0, 1] * off[1, 2] * off[0, 2].conj()).real]
+    return [np.maximum(e, 0.0) for e in coeffs]
+
+
+def _log_det(coeffs, snrs):
+    """ln det(I + s G) from det's coefficients [e_1, ..., e_r] (arrays of one
+    shape), at every SNR s on a new last axis.
+
+    Horner's rule evaluates the polynomial, so each value costs one log1p.
+    Where det overflows (a rate above about 1,024 bits) the terms e_k s^k
+    are summed in the log domain instead."""
+    with np.errstate(over="ignore"):
+        poly = coeffs[-1][..., None] * snrs
+        for e in coeffs[-2::-1]:
+            poly = (poly + e[..., None]) * snrs
+    out = np.log1p(poly)
+    over = np.isinf(poly)
+    if over.any():
+        *at, col = np.nonzero(over)
+        log_s = np.log(snrs[col])
+        with np.errstate(divide="ignore"):
+            terms = np.stack([np.zeros_like(log_s)] + [np.log(e[tuple(at)]) + k * log_s
+                                                      for k, e in enumerate(coeffs, 1)])
+        top = terms.max(axis=0)
+        out[over] = top + np.log(np.exp(terms - top).sum(axis=0))
+    return out
+
+
 def _symmetric_capacity(mats, snrs):
     """Symmetric capacity of each trial of a block (rows) at each linear SNR
     (columns), by enumerating the user subsets S.
 
-    Channel draws enter only through the eigenvalues of the subset Grams
-    sum_{i in S} W_i W_i^H, so one batched eigendecomposition per subset
-    serves the whole SNR grid."""
-    n = mats.shape[1]
+    Subset S's rate is log2 det(I + s G_S), with G_S the Gram of its stacked
+    matrix W_S in its smaller dimension r = min(n_rx, |S| n_t): W_S^H W_S
+    when |S| n_t < n_rx, otherwise sum_{i in S} W_i W_i^H.  Its determinant
+    polynomial is read off G_S once (closed forms for r <= 3, eigenvalues
+    above) and evaluated on the whole SNR grid."""
+    n, n_rx, n_tx = mats.shape[1:]
     grams = mats @ mats.conj().swapaxes(-1, -2)
     best = np.full((len(mats), snrs.size), np.inf)
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
-        acc = np.zeros_like(grams[:, 0])
-        for i in members:
-            acc += grams[:, i]
-        lam = np.clip(np.linalg.eigvalsh(acc), 0.0, None)
-        best = np.minimum(best, (n / len(members)) * _rates_at_snrs(lam, snrs))
+        if len(members) * n_tx < n_rx:
+            stacked = np.concatenate([mats[:, i] for i in members], axis=-1)
+            gram = stacked.conj().swapaxes(-1, -2) @ stacked
+        else:
+            gram = sum(grams[:, i] for i in members)
+        rates = _log_det(_det_coefficients(gram), snrs)
+        best = np.minimum(best, rates * (n / len(members) / _LN2))
     return best
 
 

@@ -9,6 +9,7 @@ to rounding.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,25 @@ def _reference_symmetric_capacity(dims, seed, trials, snrs):
         mats = _draw_users(dims, rng)
         for j, snr in enumerate(snrs):
             out[t, j] = symmetric_capacity(MacChannel([math.sqrt(snr) * m for m in mats]))[0]
+    return out
+
+
+def _singular_value_symmetric_capacity(dims, seed, trials, snrs):
+    """As _reference_symmetric_capacity, with each subset's rate summed as
+    log2(1 + s sigma^2) over the singular values sigma of its stacked matrix
+    [W_i for i in S].  No I + sG is formed, so it holds at any SNR where
+    s sigma^2 is finite; the Cholesky factor of I + sG fails on most draws
+    from about 1,000 dB whenever G is rank-deficient."""
+    n = dims.n_users
+    subsets = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+    out = np.empty((trials, len(snrs)))
+    for t, rng in enumerate(trial_generators(seed, trials)):
+        mats = _draw_users(dims, rng)
+        power = [np.linalg.svd(np.hstack([mats[i] for i in s]), compute_uv=False) ** 2
+                 for s in subsets]
+        for j, snr in enumerate(snrs):
+            out[t, j] = min((n / len(s)) * np.sum(np.log1p(snr * p)) / _LN2
+                            for s, p in zip(subsets, power))
     return out
 
 
@@ -213,7 +233,11 @@ def test_outage_shares_the_subset_enumeration_limit_of_the_reference():
         symmetric_capacity(MacChannel.from_scalar([1.0] * 21))
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 3), (4, 1, 2), (2, 1, 6), (3, 2, 2)])
+# (2, 2, 4): the full set's Gram has rank 4, so its determinant polynomial
+# comes from eigenvalues.  (6, 1, 1) and (3, 2, 1): one receive antenna, so
+# every subset Gram is 1 x 1.
+@pytest.mark.parametrize("dims", [(2, 2, 3), (4, 1, 2), (2, 1, 6), (3, 2, 2), (2, 2, 4),
+                                  (6, 1, 1), (3, 2, 1)])
 def test_outage_counts_equal_the_per_trial_reference(dims):
     dims = ScenarioDims(*dims)
     trials, seed = 120, 36
@@ -225,6 +249,52 @@ def test_outage_counts_equal_the_per_trial_reference(dims):
         want = list(np.sum(sym < threshold, axis=0) / trials)
         assert got == want
         assert 0.0 < got[1] and got[-1] < 1.0
+
+
+# At 3,000 dB every 2u2x3 subset's det(I + sG) overflows a double (symmetric
+# rates near 3,000 bits), so its log comes from the log-domain sum of terms;
+# (3, 2, 1) has 1 x 1 subset Grams.  2u1x6 subsets have rank at most 2, so
+# an eigendecomposition of their 6 x 6 Grams would add noise eigenvalues
+# worth hundreds of bits at these SNRs.  No overflow warning may escape.
+# The Cholesky reference holds at 0 dB only, the singular-value one at all
+# three points.
+@pytest.mark.parametrize("dims, target", [((2, 2, 3), 2000.0), ((3, 2, 1), 700.0),
+                                          ((2, 1, 6), 1500.0)])
+def test_outage_at_extreme_snr_equals_the_per_trial_reference(dims, target):
+    dims = ScenarioDims(*dims)
+    snr_db = np.array([0.0, 1000.0, 3000.0])
+    snrs = 10.0 ** (snr_db / 10.0)
+    trials, seed = 40, 38
+    cfg = SimConfig(trials=trials, seed=seed, snr_grid_db=snr_db)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [e.p_hat for e in outage_vs_snr(dims, target, cfg)]
+        (mats,) = montecarlo._user_matrix_blocks(dims, cfg)
+        rates = montecarlo._symmetric_capacity(mats, snrs)
+    sym = _singular_value_symmetric_capacity(dims, seed, trials, snrs)
+    assert got == list(np.sum(sym < target, axis=0) / trials) == [1.0, 1.0, 0.0]
+    np.testing.assert_allclose(rates, sym, rtol=_REL, atol=0.0)
+    at_0db = _reference_symmetric_capacity(dims, seed, trials, snrs[:1])
+    np.testing.assert_allclose(rates[:, :1], at_0db, rtol=_REL, atol=0.0)
+
+
+@pytest.mark.parametrize("n_users, n_tx", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
+def test_orthogonal_users_add_their_single_stream_rates(n_users, n_tx):
+    # Each column of each user on its own receive axis: every subset Gram is
+    # diagonal, so C(S) = sum over the columns of S of log2(1 + s |w|^2).
+    # The subsets then reach every Gram rank from 1 to n_users * n_tx.
+    gains = np.array([0.3, 1.7, 4.0, 0.9, 2.5, 0.05])[:n_users * n_tx]
+    mats = np.zeros((1, n_users, n_users * n_tx, n_tx), dtype=complex)
+    for c, g in enumerate(gains):
+        mats[0, c // n_tx, c, c % n_tx] = math.sqrt(g) * np.exp(1j * (c + 1))
+    snrs = 10.0 ** (np.array([-10.0, 0.0, 15.0, 40.0, 3000.0]) / 10.0)
+    want = [min((n_users / k) * sum(math.log1p(s * g) / _LN2
+                                    for i in subset for g in gains[i * n_tx:(i + 1) * n_tx])
+                for k in range(1, n_users + 1)
+                for subset in itertools.combinations(range(n_users), k))
+            for s in snrs]
+    got = montecarlo._symmetric_capacity(mats, snrs)
+    np.testing.assert_allclose(got[0], want, rtol=_REL, atol=0.0)
 
 
 @pytest.mark.parametrize("dims, which", [((2, 2, 3), "union"), ((4, 1, 2), "union"),
@@ -280,7 +350,7 @@ def test_bound_arrays_check_their_conditioning_values():
 # property: batched draws and symmetric capacity
 
 @settings(max_examples=40, deadline=None)
-@given(n_users=st.integers(1, 4), n_tx=st.integers(1, 2), n_rx=st.integers(1, 3),
+@given(n_users=st.integers(1, 4), n_tx=st.integers(1, 2), n_rx=st.integers(1, 5),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_batched_symmetric_capacity_equals_subset_enumeration(n_users, n_tx, n_rx, seed):
     dims = ScenarioDims(n_users, n_tx, n_rx)
