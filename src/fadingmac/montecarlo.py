@@ -4,11 +4,12 @@ The engines work on blocks of trials at once.  linalg.trial_normals hands
 them each trial's draws as one row of an array, in the package's RNG layout:
 one standard_normal call per block draws the rows of consecutive trials of
 one stream, so no engine builds a generator per trial.
-Every step after the draw (sphere normalization, subset rates, the subset
-Grams' determinant polynomials, the averaged bounds) is an array operation
-over the block.  Results are therefore bit-reproducible, independent of
-scheduling and of the block size, and use the same random numbers as a
-per-trial loop over the public samplers; aggregation is pure counting.
+Every step after the draw is an array operation over the block: sphere
+normalization, and the subset Grams' determinant polynomials that give the
+outage engine's subset rates and the averaged bounds' conditioning values.
+Results are therefore bit-reproducible, independent of scheduling and of the
+block size, and use the same random numbers as a per-trial loop over the
+public samplers; aggregation is pure counting.
 Empirical CDFs use the strict event {rate < R}, matching the analytic
 formulas, and report the atom mass at the conditioning capacity separately.
 """
@@ -161,12 +162,6 @@ def _user_matrix_blocks(dims, cfg):
         yield math.sqrt(0.5) * (z[:, :, 0] + 1j * z[:, :, 1])
 
 
-def _rates_at_snrs(lam, snrs):
-    """sum log2(1 + s * lam) over the last axis of lam, per row (trial) and
-    column (SNR s): the mutual information of Gram eigenvalues lam at SNR s."""
-    return np.log1p(snrs[:, None] * lam[:, None, :]).sum(axis=2) / _LN2
-
-
 def _det_coefficients(grams):
     """[e_1, ..., e_r] of det(I + s G) = 1 + e_1 s + ... + e_r s^r for a
     stack of Hermitian r x r Grams G.  e_k is the sum of G's k x k principal
@@ -221,26 +216,29 @@ def _log_det(coeffs, snrs):
     return out
 
 
+def _subset_gram(mats, members, grams=None):
+    """G_S, the Gram of subset S's stacked matrix W_S in its smaller dimension
+    r = min(n_rx, |S| n_t): W_S^H W_S when |S| n_t < n_rx, otherwise the sum
+    of the users' grams[:, i] = W_i W_i^H (formed here if not given)."""
+    if len(members) * mats.shape[-1] < mats.shape[-2]:
+        stacked = np.concatenate([mats[:, i] for i in members], axis=-1)
+        return stacked.conj().swapaxes(-1, -2) @ stacked
+    grams = mats @ mats.conj().swapaxes(-1, -2) if grams is None else grams
+    return sum(grams[:, i] for i in members)
+
+
 def _symmetric_capacity(mats, snrs):
     """Symmetric capacity of each trial of a block (rows) at each linear SNR
     (columns), by enumerating the user subsets S.
 
-    Subset S's rate is log2 det(I + s G_S), with G_S the Gram of its stacked
-    matrix W_S in its smaller dimension r = min(n_rx, |S| n_t): W_S^H W_S
-    when |S| n_t < n_rx, otherwise sum_{i in S} W_i W_i^H.  Its determinant
-    polynomial is read off G_S once (closed forms for r <= 3, eigenvalues
-    above) and evaluated on the whole SNR grid."""
-    n, n_rx, n_tx = mats.shape[1:]
+    Subset S's rate is log2 det(I + s G_S) for its _subset_gram G_S, whose
+    determinant polynomial is evaluated on the whole SNR grid."""
+    n = mats.shape[1]
     grams = mats @ mats.conj().swapaxes(-1, -2)
     best = np.full((len(mats), snrs.size), np.inf)
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
-        if len(members) * n_tx < n_rx:
-            stacked = np.concatenate([mats[:, i] for i in members], axis=-1)
-            gram = stacked.conj().swapaxes(-1, -2) @ stacked
-        else:
-            gram = sum(grams[:, i] for i in members)
-        rates = _log_det(_det_coefficients(gram), snrs)
+        rates = _log_det(_det_coefficients(_subset_gram(mats, members, grams)), snrs)
         best = np.minimum(best, rates * (n / len(members) / _LN2))
     return best
 
@@ -266,10 +264,8 @@ def outage_vs_snr(dims, target_rate_bits, cfg):
     counts = np.zeros(grid_lin.size, dtype=int)
     for mats in _user_matrix_blocks(dims, cfg):
         counts += (_symmetric_capacity(mats, grid_lin) < target_rate_bits).sum(axis=0)
-    return [OutageEstimate(point=float(db), p_hat=c / cfg.trials,
-                           stderr=binomial_stderr(c / cfg.trials, cfg.trials),
-                           trials=cfg.trials)
-            for db, c in zip(grid_db, counts)]
+    p_hat = counts / cfg.trials
+    return _estimates(grid_db, p_hat, np.maximum(p_hat * (1.0 - p_hat), 0.0), cfg.trials)
 
 
 def averaged_bound_vs_snr(dims, target_rate_bits, which, cfg):
@@ -278,6 +274,9 @@ def averaged_bound_vs_snr(dims, target_rate_bits, which, cfg):
     which = "union": Frobenius-conditioned union bound, any dims.
     which = "simo":  two scalar users, multi-antenna receiver bound,
                          conditioned on the true sum capacity.
+    Both take the conditioning value from _log_det, as the outage engine
+    does: the union from 1 + s F (F the Frobenius total), the SIMO from the
+    determinant polynomial of both users' _subset_gram.
     Draws with conditioning value below the target contribute probability 1.
     stderr is the standard error of the mean of the averaged bound values.
     """
@@ -289,25 +288,26 @@ def averaged_bound_vs_snr(dims, target_rate_bits, which, cfg):
     grid_db, grid_lin = _snr_grid_linear(cfg)
     bound = partial(mimo_union_bound_array, dims) if which == "union" \
         else two_user_simo_bound_array
-    acc = np.zeros(grid_lin.size)
-    acc_sq = np.zeros(grid_lin.size)
+    acc, acc_sq = np.zeros((2, grid_lin.size))
     for mats in _user_matrix_blocks(dims, cfg):
-        if which == "union":
-            # one "eigenvalue": the Frobenius total, summed user by user
+        if which == "union":  # the Frobenius total, summed user by user
             unit_frob = (np.abs(mats) ** 2).reshape(len(mats), dims.n_users, -1).sum(axis=2)
-            lam = unit_frob.sum(axis=1)[:, None]
+            coeffs = [unit_frob.sum(axis=1)]
         else:
-            stack = mats.transpose(0, 2, 1, 3).reshape(len(mats), dims.n_rx, -1)
-            lam = np.clip(np.linalg.eigvalsh(stack @ stack.conj().swapaxes(-1, -2)), 0.0, None)
-        conds = _rates_at_snrs(lam, grid_lin)
+            coeffs = _det_coefficients(_subset_gram(mats, (0, 1)))
+        conds = _log_det(coeffs, grid_lin) / _LN2
         above = target_rate_bits < conds
         values = np.ones_like(conds)
         values[above] = bound(target_rate_bits, conds[above])
         acc += values.sum(axis=0)
         acc_sq += (values * values).sum(axis=0)
     means = acc / cfg.trials
-    variances = np.maximum(acc_sq / cfg.trials - means ** 2, 0.0)
-    sems = np.sqrt(variances / cfg.trials)
-    return [OutageEstimate(point=float(db), p_hat=float(m), stderr=float(s),
-                           trials=cfg.trials)
-            for db, m, s in zip(grid_db, means, sems)]
+    return _estimates(grid_db, means, np.maximum(acc_sq / cfg.trials - means ** 2, 0.0),
+                      cfg.trials)
+
+
+def _estimates(grid_db, p_hat, variances, trials):
+    """OutageEstimates of Python numbers, stderr = sqrt(variance / trials)."""
+    stderr = np.sqrt(variances / trials)
+    return [OutageEstimate(point=db, p_hat=p, stderr=se, trials=trials)
+            for db, p, se in zip(grid_db.tolist(), p_hat.tolist(), stderr.tolist())]

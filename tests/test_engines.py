@@ -10,6 +10,7 @@ to rounding.
 import itertools
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from fadingmac.linalg import sample_capacity_sphere, sample_complex_gaussian, tr
 from fadingmac.montecarlo import (
     SimConfig,
     averaged_bound_vs_snr,
+    binomial_stderr,
     conditional_cdf_cardinality,
     conditional_cdf_mimo_frobenius,
     conditional_cdf_scalar,
@@ -297,8 +299,10 @@ def test_orthogonal_users_add_their_single_stream_rates(n_users, n_tx):
     np.testing.assert_allclose(got[0], want, rtol=_REL, atol=0.0)
 
 
+# (2, 1, 2): the SIMO Gram of both users is the 2 x 2 sum of W_i W_i^H.
 @pytest.mark.parametrize("dims, which", [((2, 2, 3), "union"), ((4, 1, 2), "union"),
-                                         ((2, 1, 6), "union"), ((2, 1, 6), "simo")])
+                                         ((2, 1, 6), "union"), ((2, 1, 6), "simo"),
+                                         ((2, 1, 2), "simo")])
 def test_averaged_bounds_equal_the_per_trial_reference(dims, which):
     dims = ScenarioDims(*dims)
     cfg = SimConfig(trials=120, seed=37, snr_grid_db=_SNR_DB)
@@ -307,6 +311,84 @@ def test_averaged_bounds_equal_the_per_trial_reference(dims, which):
                                             10.0 ** (_SNR_DB / 10.0))
     np.testing.assert_allclose([e.p_hat for e in got], means, rtol=_REL, atol=0.0)
     np.testing.assert_allclose([e.stderr for e in got], sems, rtol=_REL, atol=0.0)
+
+
+# 2u1x6 sum capacities near 71, 138 and 204 bits at these SNRs; each target
+# lies a few bits below the median.  The Gram of both users has rank 2, so
+# its 6 x 6 eigendecomposition would add noise eigenvalues worth 6e-5 bits
+# at 100 dB and tens of bits above: the conditioning value must come from
+# the 2 x 2 Gram.  The reference conditions each trial on the singular
+# values of its stacked matrix.
+@pytest.mark.parametrize("snr_db, target", [(100.0, 68.0), (200.0, 134.0), (300.0, 201.0)])
+def test_simo_bound_at_high_snr_conditions_on_the_singular_values(snr_db, target):
+    dims = ScenarioDims(2, 1, 6)
+    cfg = SimConfig(trials=100, seed=39, snr_grid_db=np.array([snr_db]))
+    snr = 10.0 ** (snr_db / 10.0)
+    values = []
+    for rng in trial_generators(cfg.seed, cfg.trials):
+        power = np.linalg.svd(np.hstack(_draw_users(dims, rng)), compute_uv=False) ** 2
+        cond = float(np.sum(np.log1p(snr * power))) / _LN2
+        values.append(1.0 if target >= cond else two_user_simo_bound(target, cond))
+    mean = sum(values) / cfg.trials
+    sem = math.sqrt(max(sum(v * v for v in values) / cfg.trials - mean * mean, 0.0)
+                    / cfg.trials)
+    (got,) = averaged_bound_vs_snr(dims, target, "simo", cfg)
+    assert 0.0 < mean < 1.0
+    np.testing.assert_allclose([got.p_hat, got.stderr], [mean, sem], rtol=_REL, atol=0.0)
+
+
+# At 3,080 dB s times the Frobenius total or the Gram's determinant passes the
+# largest double.  The log-domain sum keeps the conditioning value finite and
+# silent, so the bounds refuse it for its 2**C - 1, not as a non-positive C.
+@pytest.mark.parametrize("dims, which", [((2, 1, 6), "union"), ((2, 2, 3), "union"),
+                                         ((2, 1, 6), "simo")])
+def test_averaged_bounds_refuse_an_overflowing_capacity_without_a_warning(dims, which):
+    cfg = SimConfig(trials=20, seed=1, snr_grid_db=np.array([3080.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError,
+                           match=r"^sum capacity is too large: 2\*\*C - 1 overflows"):
+            averaged_bound_vs_snr(ScenarioDims(*dims), 3.0, which, cfg)
+
+
+@pytest.mark.parametrize("seed", [40, 41])
+@pytest.mark.parametrize("dims", [(2, 2, 3), (4, 1, 2), (2, 1, 6)])
+def test_estimates_are_python_numbers_equal_to_the_per_point_formulas(monkeypatch, dims,
+                                                                       seed):
+    # The formulas run on Python floats, point by point, from the engines'
+    # own counts and conditioning values (recorded from _log_det).
+    dims = ScenarioDims(*dims)
+    cfg = SimConfig(trials=100, seed=seed, snr_grid_db=_SNR_DB)
+    trials, target = cfg.trials, 3.0
+
+    def check(got, want):
+        assert [type(v) for e in got for v in (e.point, e.p_hat, e.stderr, e.trials)] \
+            == [float, float, float, int] * len(_SNR_DB)
+        assert [e.point for e in got] == _SNR_DB.tolist()
+        assert [(e.p_hat, e.stderr) for e in got] == want
+        assert all(e.trials == trials for e in got)
+
+    (mats,) = montecarlo._user_matrix_blocks(dims, cfg)
+    below = montecarlo._symmetric_capacity(mats, 10.0 ** (_SNR_DB / 10.0)) < target
+    check(outage_vs_snr(dims, target, cfg),
+          [(c / trials, binomial_stderr(c / trials, trials)) for c in below.sum(axis=0).tolist()])
+    logs = []
+    log_det = montecarlo._log_det
+    monkeypatch.setattr(montecarlo, "_log_det", lambda *a: logs.append(log_det(*a)) or logs[-1])
+    branches = [("union", partial(mimo_union_bound_array, dims))]
+    if dims == ScenarioDims(2, 1, 6):
+        branches.append(("simo", two_user_simo_bound_array))
+    for which, bound in branches:
+        got = averaged_bound_vs_snr(dims, target, which, cfg)
+        conds = logs.pop() / _LN2
+        values = np.ones_like(conds)
+        values[target < conds] = bound(target, conds[target < conds])
+        want = []
+        sums = zip(values.sum(axis=0).tolist(), (values * values).sum(axis=0).tolist())
+        for acc, acc_sq in sums:
+            mean = acc / trials
+            want.append((mean, math.sqrt(max(acc_sq / trials - mean * mean, 0.0) / trials)))
+        check(got, want)
 
 
 # ---------------------------------------------------------------------------
