@@ -136,10 +136,19 @@ def scalar_symmetric_capacity(gains):
 
 def scaled_subset_rates(gains_sorted):
     """(N/k) * log2(1 + sum of the k weakest gains) for k = 1..N, from gains
-    sorted ascending along the last axis: the candidate subset rates of a
-    scalar channel, for one channel or for a stack of them."""
-    n = gains_sorted.shape[-1]
-    return (n / np.arange(1, n + 1)) * np.log1p(np.cumsum(gains_sorted, axis=-1)) / _LN2
+    sorted ascending along the first axis, the users': the candidate subset
+    rates of a scalar channel, for one channel or for a stack of them in the
+    columns.  A stack is summed row by row, in np.cumsum's order, since
+    np.cumsum along the first axis makes a strided pass per column."""
+    n = len(gains_sorted)
+    if gains_sorted.ndim == 1:
+        sums = np.cumsum(gains_sorted)
+    else:
+        sums = gains_sorted.copy()
+        for k in range(1, n):
+            sums[k] += sums[k - 1]
+    scale = (n / np.arange(1, n + 1)).reshape(n, *(1,) * (gains_sorted.ndim - 1))
+    return scale * np.log1p(sums) / _LN2
 
 
 def frobenius_subset_info(ch, subset):

@@ -18,8 +18,8 @@ rates and at or below C.  An exhaustive bounded-box search provides the
 oracle the reduction is validated against.
 
 conditioned_rate_samples works on blocks of trials, drawn through
-linalg.trial_normals and capacity_sphere_rows as the conditioned engines are:
-each trial's sphere and Haar normals are one row.  The sphere normalization,
+linalg.trial_normals as the conditioned engines are: each trial's sphere
+and Haar normals are one row.  capacity_sphere_rows' sphere normalization,
 the Haar QRs, the effective channels, F, the QR factors of F's real
 embeddings, F A^T, the variances and the rates are stacked numpy calls over
 the block.  if_rate calls the same helpers on a stack of one, so a row

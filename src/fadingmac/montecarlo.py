@@ -4,12 +4,13 @@ The engines work on blocks of trials at once.  linalg.trial_normals hands
 them each trial's draws as one row of an array, in the package's RNG layout:
 one standard_normal call per block draws the rows of consecutive trials of
 one stream, so no engine builds a generator per trial.
-Every step after the draw is an array operation over the block: sphere
-normalization, and the subset Grams' determinant polynomials that give the
+Every step after the draw is an array operation over the block: each user's
+share of the capacity sphere, read off the squared normals with users on the
+leading axis, and the subset Grams' determinant polynomials that give the
 outage engine's subset rates and the averaged bounds' conditioning values.
 Results are therefore bit-reproducible, independent of scheduling and of the
 block size, and use the same random numbers as a per-trial loop over the
-public samplers; aggregation is pure counting.
+public samplers (CDF samples equal its to rounding); aggregation is counting.
 Empirical CDFs use the strict event {rate < R}, matching the analytic
 formulas, and report the atom mass at the conditioning capacity separately.
 """
@@ -22,9 +23,9 @@ import numpy as np
 
 from .bounds import ScenarioDims, mimo_union_bound_array, two_user_simo_bound_array
 from .capacity import check_enumerable, scaled_subset_rates
-from .errors import (InvalidParameterError, check_capacity, check_choice, check_int,
-                     check_positive, check_subset_size, check_type)
-from .linalg import capacity_sphere_rows, trial_normals
+from .errors import (InvalidParameterError, NumericalDomainError, check_capacity, check_choice,
+                     check_gain, check_int, check_positive, check_subset_size, check_type)
+from .linalg import trial_normals
 
 _LN2 = math.log(2.0)
 
@@ -97,6 +98,34 @@ def empirical_cdf(samples, grid, trials, atom_count=None):
                     trials=trials, atom_mass=atom_mass, atom_stderr=atom_stderr)
 
 
+def _sphere_gains(z, m, sum_cap_bits):
+    """Users' gains on the capacity sphere of sum capacity C, shape (N, rows),
+    from standard normals z, shape (rows, 2, N*m): user i's squared normals
+    over its m coordinates as a share of the row's total, times 2^C - 1.
+    Shares lie in [0, 1], so the scaling stays finite at any C.  An all-zero
+    row has no direction and raises, as sample_capacity_sphere does."""
+    sq = np.ascontiguousarray(z.reshape(len(z), -1).T)
+    sq = np.square(sq, out=sq).reshape(2, -1, m, len(z)).sum(axis=(0, 2))
+    total = sq.sum(axis=0)
+    if not np.all(total > 0):
+        raise NumericalDomainError("capacity-sphere normals are all zero")
+    return sq / total * check_gain(sum_cap_bits, "sum capacity")
+
+
+def _sorted_users(gains):
+    """gains sorted along the user axis; up to seven users in place, by a
+    bubble network of minima and maxima over whole rows, which beats
+    np.sort's call per column."""
+    if len(gains) > 7:
+        return np.sort(gains, axis=0)
+    for top in range(len(gains) - 1, 0, -1):
+        for j in range(top):
+            low = np.minimum(gains[j], gains[j + 1])
+            np.maximum(gains[j], gains[j + 1], out=gains[j + 1])
+            gains[j] = low
+    return gains
+
+
 def conditional_cdf_scalar(n_users, sum_cap_bits, cfg):
     """Empirical CDF of the symmetric capacity of N scalar users given C.
 
@@ -123,8 +152,7 @@ def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):
         # only add rounding noise around it.
         return empirical_cdf(np.full(cfg.trials, float(sum_cap_bits)), grid, cfg.trials)
     samples = np.concatenate([
-        (n_users / k) * np.log1p((np.abs(capacity_sphere_rows(z, sum_cap_bits)[:, :k]) ** 2)
-                                 .sum(axis=1)) / _LN2
+        (n_users / k) * np.log1p(_sphere_gains(z, 1, sum_cap_bits)[:k].sum(axis=0)) / _LN2
         for z in trial_normals(cfg.seed, cfg.trials, (2, n_users))])
     return empirical_cdf(samples, grid, cfg.trials)
 
@@ -144,10 +172,8 @@ def conditional_cdf_mimo_frobenius(dims, frob_cap_bits, cfg):
                              cfg.trials)
     samples = []
     for z in trial_normals(cfg.seed, cfg.trials, (2, n * m)):
-        h = capacity_sphere_rows(z, frob_cap_bits)
-        gains = (np.abs(h) ** 2).reshape(len(h), n, m).sum(axis=2)
-        partial_min = scaled_subset_rates(np.sort(gains, axis=1))[:, :-1].min(axis=1)
-        samples.append(np.minimum(partial_min, frob_cap_bits))
+        rates = scaled_subset_rates(_sorted_users(_sphere_gains(z, m, frob_cap_bits)))
+        samples.append(np.minimum(rates[:-1].min(axis=0), frob_cap_bits))
     samples = np.concatenate(samples)
     return empirical_cdf(samples, grid, cfg.trials,
                          int(np.count_nonzero(samples == frob_cap_bits)))
@@ -232,9 +258,10 @@ def _symmetric_capacity(mats, snrs):
     (columns), by enumerating the user subsets S.
 
     Subset S's rate is log2 det(I + s G_S) for its _subset_gram G_S, whose
-    determinant polynomial is evaluated on the whole SNR grid."""
-    n = mats.shape[1]
-    grams = mats @ mats.conj().swapaxes(-1, -2)
+    determinant polynomial is evaluated on the whole SNR grid.  The users'
+    n_rx x n_rx Grams are formed once, and only if the full set reads them."""
+    _, n, n_rx, n_tx = mats.shape
+    grams = mats @ mats.conj().swapaxes(-1, -2) if n * n_tx >= n_rx else None
     best = np.full((len(mats), snrs.size), np.inf)
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]

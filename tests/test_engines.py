@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fadingmac import linalg, montecarlo
@@ -57,15 +57,17 @@ def _counts_below(samples, grid):
     return np.array([sum(s < r for s in samples) for r in grid]) / len(samples)
 
 
-def _reference_conditioned(n_users, cap, seed, trials, block_dim=1):
+def _reference_conditioned(n_users, cap, seed, trials, block_dim=1, frobenius=False):
     """Samples of the conditioned symmetric capacity and the atom count.
 
-    Scalar users go through symmetric_capacity; Frobenius users through
-    frobenius_subset_info over every proper subset."""
+    Scalar users go through symmetric_capacity, whose Cholesky factor of
+    1 + |h|^2 loses the last digits of a small gain; Frobenius users, and
+    scalar ones with frobenius=True, through frobenius_subset_info over
+    every proper subset, a log1p of the subset's squared norm."""
     samples, atom = [], 0
     for rng in trial_generators(seed, trials):
         h = sample_capacity_sphere(n_users * block_dim, cap, rng)
-        if block_dim == 1:
+        if block_dim == 1 and not frobenius:
             sym, report = symmetric_capacity(MacChannel.from_scalar(h))
             in_atom = len(report.subset) == n_users
         else:
@@ -77,6 +79,13 @@ def _reference_conditioned(n_users, cap, seed, trials, block_dim=1):
         atom += in_atom
         samples.append(cap if in_atom else sym)
     return samples, atom
+
+
+def _reference_cardinality(k, n_users, cap, seed, trials, info=subset_mutual_info):
+    """(N/k) info(S) of the first k users of each trial's sphere draw."""
+    return [(n_users / k) * info(
+                MacChannel.from_scalar(sample_capacity_sphere(n_users, cap, rng)), range(k))
+            for rng in trial_generators(seed, trials)]
 
 
 def _draw_users(dims, rng):
@@ -160,10 +169,63 @@ def test_cardinality_cdf_equals_the_per_trial_reference(k):
     n_users, cap = 4, 8.0
     cfg = SimConfig(trials=1500, seed=33)
     curve = conditional_cdf_cardinality(k, n_users, cap, cfg)
-    samples = [(n_users / k) * subset_mutual_info(
-                   MacChannel.from_scalar(sample_capacity_sphere(n_users, cap, rng)), range(k))
-               for rng in trial_generators(cfg.seed, cfg.trials)]
+    samples = _reference_cardinality(k, n_users, cap, cfg.seed, cfg.trials)
     assert np.array_equal(curve.probs, _counts_below(samples, curve.rates))
+
+
+# At C = 1,023 bits 2^C - 1 is within a factor of two of the largest double,
+# so a gain scaled before its share is taken overflows.  At this C every
+# scalar and Frobenius draw lies in the atom; the cardinality samples lie a
+# few bits below (N/k) C.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("engine", ["scalar", "frobenius", "cardinality"])
+def test_engines_at_1023_bits_equal_the_per_trial_reference(engine):
+    cap, n_users, k = 1023.0, 3, 2
+    if engine == "cardinality":
+        cfg = SimConfig(trials=400, seed=42, rate_grid=1.5 * cap + np.linspace(-8.0, 0.0, 33))
+        curve = conditional_cdf_cardinality(k, n_users, cap, cfg)
+        samples = _reference_cardinality(k, n_users, cap, cfg.seed, cfg.trials)
+        assert 0.0 < curve.probs[16] < 1.0
+    else:
+        cfg = SimConfig(trials=400, seed=42)
+        block_dim = 1 if engine == "scalar" else 4
+        curve = conditional_cdf_mimo_frobenius(ScenarioDims(n_users, 1, block_dim), cap, cfg)
+        samples, atom = _reference_conditioned(n_users, cap, cfg.seed, cfg.trials, block_dim)
+        assert curve.atom_mass == atom / cfg.trials == 1.0
+    assert np.array_equal(curve.probs, _counts_below(samples, curve.rates))
+
+
+# Eight users sort with np.sort, fewer with a network of minima and maxima.
+@settings(max_examples=30, deadline=None)
+@given(n_users=st.integers(2, 8), m=st.integers(1, 3), cap=st.floats(0.01, 1023.0),
+       seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 7))
+@example(n_users=8, m=1, cap=3.0, seed=0, k=7)
+@example(n_users=7, m=2, cap=3.0, seed=1, k=3)
+@example(n_users=3, m=3, cap=1023.0, seed=2, k=2)
+def test_conditioned_engines_equal_the_per_trial_samplers(n_users, m, cap, seed, k):
+    # Counts and atoms equal the references exactly; samples, recorded as the
+    # engines hand them to empirical_cdf, agree to rounding with the log1p
+    # references, which stay exact where a gain is small.
+    k = min(k, n_users - 1)
+    cfg = SimConfig(trials=16, seed=seed)
+    recorded = []
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr(montecarlo, "empirical_cdf",
+                      lambda s, *rest, cdf=montecarlo.empirical_cdf: recorded.append(s)
+                      or cdf(s, *rest))
+        frob = conditional_cdf_mimo_frobenius(ScenarioDims(n_users, 1, m), cap, cfg)
+        card = conditional_cdf_cardinality(k, n_users, cap, cfg)
+    samples, atom = _reference_conditioned(n_users, cap, seed, cfg.trials, m)
+    assert frob.atom_mass == atom / cfg.trials
+    assert np.array_equal(frob.probs, _counts_below(samples, frob.rates))
+    if m == 1:
+        samples, _ = _reference_conditioned(n_users, cap, seed, cfg.trials, frobenius=True)
+    np.testing.assert_allclose(recorded[0], samples, rtol=_REL, atol=0.0)
+    samples = _reference_cardinality(k, n_users, cap, seed, cfg.trials)
+    assert np.array_equal(card.probs, _counts_below(samples, card.rates))
+    samples = _reference_cardinality(k, n_users, cap, seed, cfg.trials, frobenius_subset_info)
+    np.testing.assert_allclose(recorded[1], samples, rtol=_REL, atol=0.0)
 
 
 def test_results_do_not_depend_on_the_trial_block(monkeypatch):
@@ -185,7 +247,8 @@ def test_results_do_not_depend_on_the_trial_block(monkeypatch):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 12])
 def test_sphere_rows_equal_the_sampler_bit_for_bit(dim):
     # np.linalg.norm(v, axis=1) rounds differently from the 1-D norm the
-    # sampler takes on about one row in seven; the engines must not.
+    # sampler takes on about one row in seven; the integer-forcing engine,
+    # which normalizes its sphere draws here, must not.
     h = linalg.capacity_sphere_rows(next(linalg.trial_normals(41, 3000, (2, dim))), 7.0)
     want = np.array([sample_capacity_sphere(dim, 7.0, rng)
                      for rng in trial_generators(41, 3000)])
