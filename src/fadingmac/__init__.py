@@ -63,7 +63,7 @@ from .montecarlo import (
     outage_vs_snr,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BoundPair",

@@ -134,12 +134,12 @@ def scalar_symmetric_capacity(gains):
     return float(scaled_subset_rates(np.sort(g)).min())
 
 
-def scaled_subset_rates(gains_sorted):
-    """(N/k) * log2(1 + sum of the k weakest gains) for k = 1..N, from gains
-    sorted ascending along the first axis, the users': the candidate subset
-    rates of a scalar channel, for one channel or for a stack of them in the
-    columns.  A stack is summed row by row, in np.cumsum's order, since
-    np.cumsum along the first axis makes a strided pass per column."""
+def scaled_subset_rates(gains_sorted, n_users=None):
+    """(N/k) * log2(1 + sum of the k weakest gains) for k = 1..len(gains_sorted)
+    (N = n_users, by default all), from gains sorted ascending along the first
+    axis, the users': a scalar channel's candidate subset rates, for one
+    channel or a stack of them in the columns.  A stack is summed row by row,
+    in np.cumsum's order; np.cumsum along axis 0 makes a strided pass per column."""
     n = len(gains_sorted)
     if gains_sorted.ndim == 1:
         sums = np.cumsum(gains_sorted)
@@ -147,7 +147,7 @@ def scaled_subset_rates(gains_sorted):
         sums = gains_sorted.copy()
         for k in range(1, n):
             sums[k] += sums[k - 1]
-    scale = (n / np.arange(1, n + 1)).reshape(n, *(1,) * (gains_sorted.ndim - 1))
+    scale = ((n_users or n) / np.arange(1, n + 1)).reshape(n, *(1,) * (gains_sorted.ndim - 1))
     return scale * np.log1p(sums) / _LN2
 
 

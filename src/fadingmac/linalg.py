@@ -5,16 +5,16 @@ reproducible.  :class:`RngStream` is a small value type naming a
 (seed, stream) pair; a given stream always produces the same draws no matter
 how many workers run concurrently.
 
-The reproducibility contract is RNG layout 2 (:data:`RNG_LAYOUT`): the
+The reproducibility contract is RNG layout 3 (:data:`RNG_LAYOUT`): the
 trials of a run with seed s fall into streams of :data:`RNG_BLOCK`
 consecutive trials, stream b is ``RngStream(s, b)``, and trial t takes the
 next draws of stream t // RNG_BLOCK after the trials before it in that
 stream.  :func:`trial_generators` hands trial t that stream's generator, so
 a loop that makes each trial's draws in turn follows the layout; the
-batched engines, the integer-forcing one included, take the same numbers
-from :func:`trial_normals`, which draws the rows of a block of consecutive
-trials with one ``standard_normal`` call.  :func:`capacity_sphere_rows` and
-:func:`haar_unitary_rows` turn those rows into exactly what the per-trial
+batched engines take the same numbers from :func:`trial_normals`, or, for
+the conditioned CDF engines' Gamma(m, 1) user gains, :func:`trial_gammas`:
+one call per block of consecutive trials.  :func:`capacity_sphere_rows` and
+:func:`haar_unitary_rows` turn normal rows into exactly what the per-trial
 samplers return.  Because streams are fixed at RNG_BLOCK trials, the size
 of the blocks an engine works on never changes a draw.
 """
@@ -29,10 +29,10 @@ from .errors import (InvalidParameterError, NumericalDomainError, check_gain, ch
 
 # The reproducibility contract: its id, recorded in every run's manifest,
 # and the number of consecutive trials that share one stream.
-RNG_LAYOUT = 2
+RNG_LAYOUT = 3
 RNG_BLOCK = 4096
 
-# Trials per block of trial_normals: large enough that numpy's per-call
+# Trials per block of trial_normals and trial_gammas: large enough that numpy's per-call
 # overhead vanishes beside the work, small enough to keep blocks a few MB.
 _TRIAL_BLOCK = 4096
 
@@ -92,6 +92,18 @@ def trial_normals(seed, trials, shape):
     seed = check_int(seed, "seed", 0)
     for gen, rows in _stream_spans(seed, trials, _TRIAL_BLOCK):
         yield gen.standard_normal((rows, *shape))
+
+
+def trial_gammas(seed, trials, k, size):
+    """Yield a seeded run's Gamma(k, 1) variates as (rows, size) arrays.
+
+    Row t of the concatenated blocks is ``standard_gamma(k, size)`` drawn by
+    trial t from its generator, in the blocks of trial_normals; k = 1 draws
+    ``standard_exponential``'s numbers.
+    """
+    seed = check_int(seed, "seed", 0)
+    for gen, rows in _stream_spans(seed, trials, _TRIAL_BLOCK):
+        yield gen.standard_gamma(k, (rows, size))
 
 
 def _as_generator(rng):

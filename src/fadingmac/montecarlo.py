@@ -1,16 +1,16 @@
 """Monte-Carlo engines for the conditioned and unconditioned outage curves.
 
-The engines work on blocks of trials at once.  linalg.trial_normals hands
-them each trial's draws as one row of an array, in the package's RNG layout:
-one standard_normal call per block draws the rows of consecutive trials of
-one stream, so no engine builds a generator per trial.
-Every step after the draw is an array operation over the block: each user's
-share of the capacity sphere, read off the squared normals with users on the
-leading axis, and the subset Grams' determinant polynomials that give the
-outage engine's subset rates and the averaged bounds' conditioning values.
-Results are therefore bit-reproducible, independent of scheduling and of the
-block size, and use the same random numbers as a per-trial loop over the
-public samplers (CDF samples equal its to rounding); aggregation is counting.
+The engines work on blocks of trials at once.  linalg.trial_gammas and
+linalg.trial_normals hand them each trial's draws as one row of an array, in
+the package's RNG layout, one call per block of consecutive trials of one
+stream.  The conditioned CDF engines draw each user's squared norm, Gamma(m,
+1) for m channel entries, and take the users' shares of the capacity sphere
+with users on the leading axis: sample_capacity_sphere's law, not its draws.
+The sweeps draw normals, the numbers of a per-trial loop over
+sample_complex_gaussian, and read the subset Grams' determinant polynomials.
+Every step after the draw is an array operation over the block, so results
+are bit-reproducible and independent of scheduling and of the block size;
+aggregation is counting.
 Empirical CDFs use the strict event {rate < R}, matching the analytic
 formulas, and report the atom mass at the conditioning capacity separately.
 """
@@ -25,7 +25,7 @@ from .bounds import ScenarioDims, mimo_union_bound_array, two_user_simo_bound_ar
 from .capacity import check_enumerable, scaled_subset_rates
 from .errors import (InvalidParameterError, NumericalDomainError, check_capacity, check_choice,
                      check_gain, check_int, check_positive, check_subset_size, check_type)
-from .linalg import trial_normals
+from .linalg import trial_gammas, trial_normals
 
 _LN2 = math.log(2.0)
 
@@ -98,18 +98,18 @@ def empirical_cdf(samples, grid, trials, atom_count=None):
                     trials=trials, atom_mass=atom_mass, atom_stderr=atom_stderr)
 
 
-def _sphere_gains(z, m, sum_cap_bits):
+def _sphere_gains(g, sum_cap_bits, first=None):
     """Users' gains on the capacity sphere of sum capacity C, shape (N, rows),
-    from standard normals z, shape (rows, 2, N*m): user i's squared normals
-    over its m coordinates as a share of the row's total, times 2^C - 1.
-    Shares lie in [0, 1], so the scaling stays finite at any C.  An all-zero
-    row has no direction and raises, as sample_capacity_sphere does."""
-    sq = np.ascontiguousarray(z.reshape(len(z), -1).T)
-    sq = np.square(sq, out=sq).reshape(2, -1, m, len(z)).sum(axis=(0, 2))
-    total = sq.sum(axis=0)
+    from their squared norms g, shape (rows, N): shares of the row's total
+    times 2^C - 1, or with first=k the first k users' summed.  Shares lie in
+    [0, 1], so the scaling stays finite at any C.  An all-zero row has no
+    direction and raises, as sample_capacity_sphere does."""
+    g = np.ascontiguousarray(g.T)
+    total = g.sum(axis=0)
     if not np.all(total > 0):
-        raise NumericalDomainError("capacity-sphere normals are all zero")
-    return sq / total * check_gain(sum_cap_bits, "sum capacity")
+        raise NumericalDomainError("capacity-sphere gains are all zero")
+    return (g if first is None else g[:first].sum(axis=0)) / total \
+        * check_gain(sum_cap_bits, "sum capacity")
 
 
 def _sorted_users(gains):
@@ -129,9 +129,9 @@ def _sorted_users(gains):
 def conditional_cdf_scalar(n_users, sum_cap_bits, cfg):
     """Empirical CDF of the symmetric capacity of N scalar users given C.
 
-    Draws channels uniformly on the capacity sphere, so the conditioning is
-    exact rather than a rejection step.  Scalar users are the 1x1 case of
-    conditional_cdf_mimo_frobenius, whose draws they share.
+    Draws the users' gains uniformly on the capacity sphere's simplex, so
+    the conditioning is exact rather than a rejection step.  Scalar users are
+    the 1x1 case of conditional_cdf_mimo_frobenius, whose draws they share.
     """
     return conditional_cdf_mimo_frobenius(ScenarioDims(n_users, 1, 1), sum_cap_bits, cfg)
 
@@ -139,9 +139,9 @@ def conditional_cdf_scalar(n_users, sum_cap_bits, cfg):
 def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):
     """Empirical CDF of (N/k) C(S) for one fixed subset S of size k, given C.
 
-    Uses the first k sphere coordinates (unsorted: the law of a fixed subset,
-    not of the weakest one), which is what the per-cardinality beta formula
-    describes.
+    Uses the first k users' gains on the capacity sphere (unsorted: the law
+    of a fixed subset, not of the weakest one), which is what the
+    per-cardinality beta formula describes.
     """
     check_capacity(sum_cap_bits)
     n_users = check_int(n_users, "n_users", 1)
@@ -152,17 +152,17 @@ def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):
         # only add rounding noise around it.
         return empirical_cdf(np.full(cfg.trials, float(sum_cap_bits)), grid, cfg.trials)
     samples = np.concatenate([
-        (n_users / k) * np.log1p(_sphere_gains(z, 1, sum_cap_bits)[:k].sum(axis=0)) / _LN2
-        for z in trial_normals(cfg.seed, cfg.trials, (2, n_users))])
+        (n_users / k) * np.log1p(_sphere_gains(g, sum_cap_bits, k)) / _LN2
+        for g in trial_gammas(cfg.seed, cfg.trials, 1, n_users)])
     return empirical_cdf(samples, grid, cfg.trials)
 
 
 def conditional_cdf_mimo_frobenius(dims, frob_cap_bits, cfg):
     """Empirical CDF of the Frobenius-surrogate symmetric capacity given the
     Frobenius sum rate.  Validates the inflated-parameter beta law: each
-    user's squared norm aggregates N_r*N_t coordinates of one big sphere.
-    Samples are capped at the conditioning value, whose atom is counted
-    exactly; one user (the trivial MAC) draws nothing."""
+    user's squared norm, Gamma(N_r*N_t, 1), aggregates N_r*N_t coordinates
+    of one big sphere.  Samples are capped at the conditioning value, whose
+    atom is counted exactly; one user (the trivial MAC) draws nothing."""
     check_type(dims, ScenarioDims, "dims")
     check_capacity(frob_cap_bits)
     grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(frob_cap_bits)
@@ -171,9 +171,9 @@ def conditional_cdf_mimo_frobenius(dims, frob_cap_bits, cfg):
         return empirical_cdf(np.full(cfg.trials, float(frob_cap_bits)), grid, cfg.trials,
                              cfg.trials)
     samples = []
-    for z in trial_normals(cfg.seed, cfg.trials, (2, n * m)):
-        rates = scaled_subset_rates(_sorted_users(_sphere_gains(z, m, frob_cap_bits)))
-        samples.append(np.minimum(rates[:-1].min(axis=0), frob_cap_bits))
+    for g in trial_gammas(cfg.seed, cfg.trials, m, n):
+        rates = scaled_subset_rates(_sorted_users(_sphere_gains(g, frob_cap_bits))[:-1], n)
+        samples.append(np.minimum(rates.min(axis=0), frob_cap_bits))
     samples = np.concatenate(samples)
     return empirical_cdf(samples, grid, cfg.trials,
                          int(np.count_nonzero(samples == frob_cap_bits)))

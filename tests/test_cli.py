@@ -210,12 +210,12 @@ def test_manifest_records_the_rng_layout_and_versions(tmp_path, capsys):
     assert main(["simulate", "--sum-cap", "2", "--trials", "20",
                  "--out", str(tmp_path / "run")]) == 0
     doc = json.loads((tmp_path / "run.json").read_text())
-    assert doc["rng_layout"] == 2
+    assert doc["rng_layout"] == 3
     assert doc["numpy"] == np.__version__
     assert doc["python"] == platform.python_version()
 
 
-@pytest.mark.parametrize("layout", [None, 1, 3])
+@pytest.mark.parametrize("layout", [None, 1, 2])
 def test_rerun_refuses_another_rng_layout(tmp_path, capsys, layout):
     # A manifest without a layout id was written with layout 1.
     doc = json.loads((DATA / "simulate-scalar.json").read_text())
@@ -227,7 +227,7 @@ def test_rerun_refuses_another_rng_layout(tmp_path, capsys, layout):
     out = tmp_path / "old.csv"
     assert main(["rerun", "--manifest", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"RNG layout {layout or 1}" in err and "layout 2" in err
+    assert f"RNG layout {layout or 1}" in err and "layout 3" in err
     assert not out.exists()
 
 
@@ -251,7 +251,7 @@ def _without(stem, key):
     return doc
 
 
-_IF_SIM = {"command": "if-sim", "rng_layout": 2, "csv": "if-sim.csv",
+_IF_SIM = {"command": "if-sim", "rng_layout": 3, "csv": "if-sim.csv",
            "params": {"users": 2, "sum_cap": 4.0, "trials": 3, "seed": 0, "precoder": "zz",
                       "mode": "if", "rate_convention": "total"}}
 

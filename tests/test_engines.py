@@ -1,10 +1,11 @@
 """The batched Monte-Carlo engines against a per-trial reference.
 
-The reference below is written from the public samplers, trial by trial,
-with subset enumeration from ``capacity`` and the scalar bounds.  It draws
-the same random numbers as the engines, so counted statistics (CDF
-probabilities, atoms, outage counts) must match exactly and averaged bounds
-to rounding.
+The reference below is written trial by trial from trial_generators, with
+subset enumeration from ``capacity`` and the scalar bounds.  It draws the
+same random numbers as the engines: the users' matrices for the SNR sweeps,
+each user's Gamma(m, 1) squared norm for the conditioned CDFs.  Counted
+statistics (CDF probabilities, atoms, outage counts) must therefore match
+exactly and averaged bounds to rounding.
 """
 
 import itertools
@@ -57,21 +58,28 @@ def _counts_below(samples, grid):
     return np.array([sum(s < r for s in samples) for r in grid]) / len(samples)
 
 
-def _reference_conditioned(n_users, cap, seed, trials, block_dim=1, frobenius=False):
+def _sphere_channel(n_users, m, cap, rng):
+    """Scalar users whose gains are one trial's Gamma(m, 1) draws, each as a
+    share of their total, times 2^C - 1."""
+    g = rng.standard_gamma(m, n_users)
+    return MacChannel.from_scalar(np.sqrt(g / g.sum() * math.expm1(cap * _LN2)))
+
+
+def _reference_conditioned(n_users, cap, seed, trials, m=1, frobenius=False):
     """Samples of the conditioned symmetric capacity and the atom count.
 
-    Scalar users go through symmetric_capacity, whose Cholesky factor of
-    1 + |h|^2 loses the last digits of a small gain; Frobenius users, and
-    scalar ones with frobenius=True, through frobenius_subset_info over
-    every proper subset, a log1p of the subset's squared norm."""
+    Scalar users (m = 1) go through symmetric_capacity, whose Cholesky
+    factor of 1 + |h|^2 loses the last digits of a small gain; users with m
+    entries, and scalar ones with frobenius=True, through
+    frobenius_subset_info over every proper subset, a log1p of the subset's
+    squared norm."""
     samples, atom = [], 0
     for rng in trial_generators(seed, trials):
-        h = sample_capacity_sphere(n_users * block_dim, cap, rng)
-        if block_dim == 1 and not frobenius:
-            sym, report = symmetric_capacity(MacChannel.from_scalar(h))
+        ch = _sphere_channel(n_users, m, cap, rng)
+        if m == 1 and not frobenius:
+            sym, report = symmetric_capacity(ch)
             in_atom = len(report.subset) == n_users
         else:
-            ch = MacChannel([blk.reshape(1, block_dim) for blk in h.reshape(n_users, -1)])
             sym = min((n_users / k) * frobenius_subset_info(ch, s)
                       for k in range(1, n_users)
                       for s in itertools.combinations(range(n_users), k))
@@ -83,8 +91,7 @@ def _reference_conditioned(n_users, cap, seed, trials, block_dim=1, frobenius=Fa
 
 def _reference_cardinality(k, n_users, cap, seed, trials, info=subset_mutual_info):
     """(N/k) info(S) of the first k users of each trial's sphere draw."""
-    return [(n_users / k) * info(
-                MacChannel.from_scalar(sample_capacity_sphere(n_users, cap, rng)), range(k))
+    return [(n_users / k) * info(_sphere_channel(n_users, 1, cap, rng), range(k))
             for rng in trial_generators(seed, trials)]
 
 
@@ -158,7 +165,7 @@ def test_frobenius_cdf_equals_the_per_trial_reference():
     dims = ScenarioDims(2, 2, 3)
     cfg = SimConfig(trials=1500, seed=32)
     curve = conditional_cdf_mimo_frobenius(dims, 3.0, cfg)
-    samples, atom = _reference_conditioned(2, 3.0, cfg.seed, cfg.trials, block_dim=6)
+    samples, atom = _reference_conditioned(2, 3.0, cfg.seed, cfg.trials, m=6)
     assert 0 < atom < cfg.trials
     assert curve.atom_mass == atom / cfg.trials
     assert np.array_equal(curve.probs, _counts_below(samples, curve.rates))
@@ -188,9 +195,9 @@ def test_engines_at_1023_bits_equal_the_per_trial_reference(engine):
         assert 0.0 < curve.probs[16] < 1.0
     else:
         cfg = SimConfig(trials=400, seed=42)
-        block_dim = 1 if engine == "scalar" else 4
-        curve = conditional_cdf_mimo_frobenius(ScenarioDims(n_users, 1, block_dim), cap, cfg)
-        samples, atom = _reference_conditioned(n_users, cap, cfg.seed, cfg.trials, block_dim)
+        m = 1 if engine == "scalar" else 4
+        curve = conditional_cdf_mimo_frobenius(ScenarioDims(n_users, 1, m), cap, cfg)
+        samples, atom = _reference_conditioned(n_users, cap, cfg.seed, cfg.trials, m)
         assert curve.atom_mass == atom / cfg.trials == 1.0
     assert np.array_equal(curve.probs, _counts_below(samples, curve.rates))
 
@@ -256,10 +263,10 @@ def test_sphere_rows_equal_the_sampler_bit_for_bit(dim):
 
 
 def _zeroed(real, rows):
-    """trial_normals with the given trials' rows set to zero."""
-    def patched(seed, trials, shape):
+    """trial_gammas with the given trials' rows set to zero."""
+    def patched(*args):
         first = 0
-        for block in real(seed, trials, shape):
+        for block in real(*args):
             block[[t - first for t in rows if first <= t < first + len(block)]] = 0.0
             first += len(block)
             yield block
@@ -272,15 +279,15 @@ def _zeroed(real, rows):
     lambda cfg: conditional_cdf_cardinality(2, 4, 8.0, cfg),
 ], ids=["scalar", "frobenius", "cardinality"])
 def test_an_all_zero_sphere_draw_raises(monkeypatch, engine):
-    # An all-zero row has no direction on the sphere.  Every engine raises on
-    # it, as the sampler does, at any block size; trial 4100 sits in the
-    # second stream.  The engines bind trial_normals by name, so the patch
-    # goes on montecarlo.
+    # An all-zero row of gains has no direction on the sphere.  Every engine
+    # raises on it, as the sampler does on all-zero normals, at any block
+    # size; trial 4100 sits in the second stream.  The engines bind
+    # trial_gammas by name, so the patch goes on montecarlo.
     cfg = SimConfig(trials=4200, seed=35)
     engine(cfg)
     for block in (linalg._TRIAL_BLOCK, 7):
         monkeypatch.setattr(linalg, "_TRIAL_BLOCK", block)
-        monkeypatch.setattr(montecarlo, "trial_normals", _zeroed(linalg.trial_normals, (4100,)))
+        monkeypatch.setattr(montecarlo, "trial_gammas", _zeroed(linalg.trial_gammas, (4100,)))
         with pytest.raises(NumericalDomainError, match="all zero"):
             engine(cfg)
 

@@ -17,6 +17,7 @@ from fadingmac.linalg import (
     sample_capacity_sphere,
     sample_complex_gaussian,
     sample_haar_unitary,
+    trial_gammas,
     trial_generators,
     trial_normals,
 )
@@ -215,10 +216,10 @@ def test_cholesky_rejects_non_hermitian_and_indefinite():
 
 
 def test_trial_generators_follow_the_seed_sequence_layout():
-    # The reproducibility contract, RNG layout 2: trials come in streams of
+    # The reproducibility contract, RNG layout 3: trials come in streams of
     # 4,096, stream b of seed s is SeedSequence(s, spawn_key=(b,)), and each
     # trial takes the next draws of its stream.
-    assert (linalg.RNG_LAYOUT, linalg.RNG_BLOCK) == (2, 4096)
+    assert (linalg.RNG_LAYOUT, linalg.RNG_BLOCK) == (3, 4096)
     draws = [g.standard_normal(4) for g in trial_generators(7, 3)]
     assert len(draws) == 3
     want = RngStream(7, 0).generator().standard_normal((3, 4))
@@ -240,6 +241,20 @@ def test_trial_normals_equal_a_loop_over_trial_generators(trials, shape):
     got = np.concatenate(blocks)
     want = np.array([g.standard_normal(shape) for g in trial_generators(2**33 + 5, trials)])
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 6])
+def test_trial_gammas_equal_a_loop_over_trial_generators(m):
+    # 4,097 trials cross into the second stream; Gamma(1, 1) variates are
+    # standard_exponential's numbers, bit for bit.
+    blocks = list(trial_gammas(2**33 + 5, 4097, m, 3))
+    assert [len(b) for b in blocks] == [4096, 1]
+    got = np.concatenate(blocks)
+    want = np.array([g.standard_gamma(m, 3) for g in trial_generators(2**33 + 5, 4097)])
+    assert np.array_equal(got, want)
+    if m == 1:
+        want = [g.standard_exponential(3) for g in trial_generators(2**33 + 5, 4097)]
+        assert np.array_equal(got, np.array(want))
 
 
 def test_trial_normals_do_not_depend_on_the_chunk_size(monkeypatch):

@@ -98,6 +98,34 @@ def test_scalar_cdf_matches_two_user_closed_form():
     assert abs(curve.probs[-1] - (1.0 - curve.atom_mass)) < 1e-12
 
 
+# 400,000 trials hold each estimate within 4 of its standard errors, taken
+# at the exact value, with no floor.
+_LARGE = 400_000
+
+
+def test_three_user_atom_is_exactly_33_over_49():
+    # N = 3, C = 6: the protocol attains the sum capacity when the weakest
+    # user's share of 2^C - 1 = 63 is at least 3/63 = 1/21 and the two
+    # weakest hold at least 15/63 = 5/21.  In the simplex of sorted shares
+    # that polygon has area 33/98 under a density of 2, so the atom is 33/49,
+    # a value that needs no library code.
+    curve = conditional_cdf_scalar(3, 6.0, SimConfig(trials=_LARGE, seed=101,
+                                                     rate_grid=np.array([6.0])))
+    exact = 33 / 49
+    assert abs(curve.atom_mass - exact) < 4.0 * binomial_stderr(exact, _LARGE)
+
+
+def test_two_user_cdf_matches_the_closed_form_at_large_samples():
+    cap = 2.0
+    cfg = SimConfig(trials=_LARGE, seed=102, rate_grid=np.array([0.5, 1.0, 1.5]))
+    curve = conditional_cdf_scalar(2, cap, cfg)
+    for rate, p_hat in zip(curve.rates, curve.probs):
+        exact = two_user_cdf(float(rate), cap)
+        assert abs(p_hat - exact) < 4.0 * binomial_stderr(exact, _LARGE)
+    exact = atom_probability(cap)
+    assert abs(curve.atom_mass - exact) < 4.0 * binomial_stderr(exact, _LARGE)
+
+
 def test_scalar_cdf_bit_reproducible():
     grid = np.linspace(0.0, 2.0, 9)
     a = conditional_cdf_scalar(2, 2.0, SimConfig(trials=800, seed=3, rate_grid=grid))
