@@ -5,6 +5,10 @@ level absorbed into the gains).  All rates are in bits.  The symmetric
 capacity is the largest equal per-user rate times the number of users, i.e.
 the bottleneck over non-empty user subsets S of (N/|S|) * C(S) where C(S) is
 the subset mutual information log2 det(I + sum_{i in S} H_i H_i^H).
+
+C(S) is the sum of log1p(sigma^2) / ln 2 over the singular values of the
+stacked W_S = [H_i for i in S], with no I + W_S W_S^H formed; a gain sum or a
+sigma^2 that overflows a float (about 1024 bits) is refused.
 """
 
 import itertools
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, check_matrix
-from .linalg import cholesky_lower
 
 _LN2 = math.log(2.0)
 
@@ -61,10 +64,6 @@ class MacChannel:
         return len(self.user_matrices)
 
     @property
-    def n_rx(self):
-        return self.user_matrices[0].shape[0]
-
-    @property
     def n_tx(self):
         return self.user_matrices[0].shape[1]
 
@@ -80,23 +79,23 @@ def _validate_subset(ch, subset):
     return idx
 
 
-def _logdet2_eye_plus_gram(mats, n_rx):
-    gram = np.eye(n_rx, dtype=complex)
-    for m in mats:
-        gram += m @ m.conj().T
-    low = cholesky_lower(gram)
-    return 2.0 * float(np.sum(np.log2(np.diagonal(low).real)))
+def _subset_rate(ch, subset):
+    sigma = np.linalg.svd(np.hstack([ch.user_matrices[i] for i in subset]), compute_uv=False)
+    with np.errstate(over="ignore"):
+        power = sigma * sigma
+    if not np.all(np.isfinite(power)):
+        raise InvalidParameterError("channel is too large: a sigma^2 overflows a float")
+    return float(np.sum(np.log1p(power))) / _LN2
 
 
 def subset_mutual_info(ch, subset):
     """C(S) = log2 det(I + sum_{i in S} H_i H_i^H) in bits."""
-    idx = _validate_subset(ch, subset)
-    return _logdet2_eye_plus_gram([ch.user_matrices[i] for i in idx], ch.n_rx)
+    return _subset_rate(ch, _validate_subset(ch, subset))
 
 
 def sum_capacity(ch):
     """Mutual information of the full user set."""
-    return _logdet2_eye_plus_gram(ch.user_matrices, ch.n_rx)
+    return _subset_rate(ch, range(ch.n_users))
 
 
 def symmetric_capacity(ch):
@@ -109,13 +108,10 @@ def symmetric_capacity(ch):
     check_enumerable(n)
     best = None
     for k in range(1, n + 1):
-        scale = n / k
         for subset in itertools.combinations(range(n), k):
-            rate = _logdet2_eye_plus_gram(
-                [ch.user_matrices[i] for i in subset], ch.n_rx)
-            scaled = scale * rate
-            if best is None or scaled < best.scaled_rate_bits:
-                best = SubsetReport(subset, rate, scaled)
+            rate = _subset_rate(ch, subset)
+            if best is None or n / k * rate < best.scaled_rate_bits:
+                best = SubsetReport(subset, rate, n / k * rate)
     return best.scaled_rate_bits, best
 
 
@@ -131,7 +127,11 @@ def scalar_symmetric_capacity(gains):
         raise InvalidParameterError("gains must be a non-empty vector")
     if not np.all(np.isfinite(g)) or np.any(g < 0):
         raise InvalidParameterError("gains must be finite and non-negative")
-    return float(scaled_subset_rates(np.sort(g)).min())
+    with np.errstate(over="ignore"):
+        rates = scaled_subset_rates(np.sort(g))
+    if not np.isfinite(rates[-1]):
+        raise InvalidParameterError("gains are too large: their sum overflows a float")
+    return float(rates.min())
 
 
 def scaled_subset_rates(gains_sorted, n_users=None):

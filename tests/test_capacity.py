@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fadingmac.capacity import (
@@ -126,10 +126,18 @@ def test_frobenius_bound_below_true_info():
 
 
 def test_frobenius_equals_true_for_scalars():
+    # The second channel carries C = 0.01 bits in all, one user a millionth
+    # of it: forming 1 + g would round away the last digits of its gain, so
+    # it is compared relatively.
     ch = MacChannel.from_scalar([1.2, 0.7, 2.0])
+    shares = np.array([1e-6, 0.4, 0.6 - 1e-6])
+    small = MacChannel.from_scalar(np.sqrt(shares * math.expm1(0.01 * math.log(2.0))))
     for subset in ([0], [1, 2], [0, 1, 2]):
         assert abs(frobenius_subset_info(ch, subset)
                    - subset_mutual_info(ch, subset)) < 1e-12
+        assert math.isclose(frobenius_subset_info(small, subset),
+                            subset_mutual_info(small, subset), rel_tol=1e-12)
+    assert math.isclose(sum_capacity(small), 0.01, rel_tol=1e-12)
 
 
 def test_frobenius_identity_matrix_example():
@@ -153,9 +161,37 @@ def test_channel_validation():
             scalar_symmetric_capacity(gains)
 
 
+# Gains span 1e-300 to 1e300: a tiny gain's rate is its own size, which
+# 1 + g would round to 0 bits, so the two agree relatively.  Subnormal gains
+# are left out: their rates are subnormal too, with only a few bits.
+_GAINS = st.floats(0.0, 1e300, allow_subnormal=False) | st.floats(1e-300, 1e-3)
+
+
 @settings(max_examples=150, deadline=None)
-@given(gains=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=7))
+@given(gains=st.lists(_GAINS, min_size=1, max_size=7))
+@example(gains=[1e-300, 1e-10, 1e300])
 def test_scalar_shortcut_equals_subset_enumeration(gains):
     enumerated, _ = symmetric_capacity(MacChannel.from_scalar(np.sqrt(gains)))
     shortcut = scalar_symmetric_capacity(gains)
-    assert abs(shortcut - enumerated) <= 1e-12 * max(1.0, enumerated)
+    assert abs(shortcut - enumerated) <= 1e-12 * enumerated
+
+
+@pytest.mark.filterwarnings("error")
+def test_scalar_shortcut_refuses_an_overflowing_gain_sum():
+    # 1e308 + 1e308 is inf: log2 of it would make the pair's rate infinite and
+    # return the single user's 2 * 1023.2 bits, not the true 1024.15.
+    with pytest.raises(InvalidParameterError, match="^gains are too large: their sum overflows"):
+        scalar_symmetric_capacity([1e308, 1e308])
+    assert math.isclose(scalar_symmetric_capacity([8e307, 8e307]), math.log2(1.6e308),
+                        rel_tol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_subset_rates_refuse_an_overflowing_squared_singular_value():
+    # Each user's |h|^2 = 1e308 is finite; the pair's sigma^2 = 2e308 is not.
+    ch = MacChannel.from_scalar([1e154, 1e154])
+    for rate in (lambda: symmetric_capacity(ch), lambda: sum_capacity(ch),
+                 lambda: subset_mutual_info(ch, [0, 1])):
+        with pytest.raises(InvalidParameterError, match="^channel is too large: a sigma"):
+            rate()
+    assert math.isclose(subset_mutual_info(ch, [1]), math.log2(1e308), rel_tol=1e-12)

@@ -666,6 +666,10 @@ _COMMITTED_RUNS = {
                         "--trials", "200", "--seed", "5"],
     "simulate-mimo": ["simulate", "--users", "3", "--nt", "2", "--nr", "2",
                       "--sum-cap", "8", "--trials", "200", "--seed", "5"],
+    # At C = 8 every Frobenius trial lies in the atom.  At C = 2 the atom is
+    # 0.51 and 37 of the 50 empirical rows are non-zero.
+    "simulate-mimo-c2": ["simulate", "--users", "3", "--nt", "2", "--nr", "2",
+                         "--sum-cap", "2", "--trials", "200", "--seed", "5"],
 }
 
 

@@ -65,18 +65,16 @@ def _sphere_channel(n_users, m, cap, rng):
     return MacChannel.from_scalar(np.sqrt(g / g.sum() * math.expm1(cap * _LN2)))
 
 
-def _reference_conditioned(n_users, cap, seed, trials, m=1, frobenius=False):
+def _reference_conditioned(n_users, cap, seed, trials, m=1):
     """Samples of the conditioned symmetric capacity and the atom count.
 
-    Scalar users (m = 1) go through symmetric_capacity, whose Cholesky
-    factor of 1 + |h|^2 loses the last digits of a small gain; users with m
-    entries, and scalar ones with frobenius=True, through
-    frobenius_subset_info over every proper subset, a log1p of the subset's
-    squared norm."""
+    Scalar users (m = 1) go through symmetric_capacity, users with m entries
+    through frobenius_subset_info over every proper subset, a log1p of the
+    subset's squared norm."""
     samples, atom = [], 0
     for rng in trial_generators(seed, trials):
         ch = _sphere_channel(n_users, m, cap, rng)
-        if m == 1 and not frobenius:
+        if m == 1:
             sym, report = symmetric_capacity(ch)
             in_atom = len(report.subset) == n_users
         else:
@@ -89,9 +87,9 @@ def _reference_conditioned(n_users, cap, seed, trials, m=1, frobenius=False):
     return samples, atom
 
 
-def _reference_cardinality(k, n_users, cap, seed, trials, info=subset_mutual_info):
-    """(N/k) info(S) of the first k users of each trial's sphere draw."""
-    return [(n_users / k) * info(_sphere_channel(n_users, 1, cap, rng), range(k))
+def _reference_cardinality(k, n_users, cap, seed, trials):
+    """(N/k) C(S) of the first k users of each trial's sphere draw."""
+    return [(n_users / k) * subset_mutual_info(_sphere_channel(n_users, 1, cap, rng), range(k))
             for rng in trial_generators(seed, trials)]
 
 
@@ -107,25 +105,6 @@ def _reference_symmetric_capacity(dims, seed, trials, snrs):
         mats = _draw_users(dims, rng)
         for j, snr in enumerate(snrs):
             out[t, j] = symmetric_capacity(MacChannel([math.sqrt(snr) * m for m in mats]))[0]
-    return out
-
-
-def _singular_value_symmetric_capacity(dims, seed, trials, snrs):
-    """As _reference_symmetric_capacity, with each subset's rate summed as
-    log2(1 + s sigma^2) over the singular values sigma of its stacked matrix
-    [W_i for i in S].  No I + sG is formed, so it holds at any SNR where
-    s sigma^2 is finite; the Cholesky factor of I + sG fails on most draws
-    from about 1,000 dB whenever G is rank-deficient."""
-    n = dims.n_users
-    subsets = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
-    out = np.empty((trials, len(snrs)))
-    for t, rng in enumerate(trial_generators(seed, trials)):
-        mats = _draw_users(dims, rng)
-        power = [np.linalg.svd(np.hstack([mats[i] for i in s]), compute_uv=False) ** 2
-                 for s in subsets]
-        for j, snr in enumerate(snrs):
-            out[t, j] = min((n / len(s)) * np.sum(np.log1p(snr * p)) / _LN2
-                            for s, p in zip(subsets, power))
     return out
 
 
@@ -211,8 +190,7 @@ def test_engines_at_1023_bits_equal_the_per_trial_reference(engine):
 @example(n_users=3, m=3, cap=1023.0, seed=2, k=2)
 def test_conditioned_engines_equal_the_per_trial_samplers(n_users, m, cap, seed, k):
     # Counts and atoms equal the references exactly; samples, recorded as the
-    # engines hand them to empirical_cdf, agree to rounding with the log1p
-    # references, which stay exact where a gain is small.
+    # engines hand them to empirical_cdf, agree with them to rounding.
     k = min(k, n_users - 1)
     cfg = SimConfig(trials=16, seed=seed)
     recorded = []
@@ -226,12 +204,9 @@ def test_conditioned_engines_equal_the_per_trial_samplers(n_users, m, cap, seed,
     samples, atom = _reference_conditioned(n_users, cap, seed, cfg.trials, m)
     assert frob.atom_mass == atom / cfg.trials
     assert np.array_equal(frob.probs, _counts_below(samples, frob.rates))
-    if m == 1:
-        samples, _ = _reference_conditioned(n_users, cap, seed, cfg.trials, frobenius=True)
     np.testing.assert_allclose(recorded[0], samples, rtol=_REL, atol=0.0)
     samples = _reference_cardinality(k, n_users, cap, seed, cfg.trials)
     assert np.array_equal(card.probs, _counts_below(samples, card.rates))
-    samples = _reference_cardinality(k, n_users, cap, seed, cfg.trials, frobenius_subset_info)
     np.testing.assert_allclose(recorded[1], samples, rtol=_REL, atol=0.0)
 
 
@@ -327,11 +302,11 @@ def test_outage_counts_equal_the_per_trial_reference(dims):
 # rates near 3,000 bits), so its log comes from the log-domain sum of terms;
 # (3, 2, 1) has 1 x 1 subset Grams.  2u1x6 subsets have rank at most 2, so
 # an eigendecomposition of their 6 x 6 Grams would add noise eigenvalues
-# worth hundreds of bits at these SNRs.  No overflow warning may escape.
-# The Cholesky reference holds at 0 dB only, the singular-value one at all
-# three points.
+# worth hundreds of bits at these SNRs.  4u1x2: the full set, of rank 2,
+# sets the symmetric rate, 665-669 bits at 1,000 dB and 1,994-1,998 bits at
+# 3,000 dB, so its target is 1,000 bits.  No overflow warning may escape.
 @pytest.mark.parametrize("dims, target", [((2, 2, 3), 2000.0), ((3, 2, 1), 700.0),
-                                          ((2, 1, 6), 1500.0)])
+                                          ((2, 1, 6), 1500.0), ((4, 1, 2), 1000.0)])
 def test_outage_at_extreme_snr_equals_the_per_trial_reference(dims, target):
     dims = ScenarioDims(*dims)
     snr_db = np.array([0.0, 1000.0, 3000.0])
@@ -343,11 +318,9 @@ def test_outage_at_extreme_snr_equals_the_per_trial_reference(dims, target):
         got = [e.p_hat for e in outage_vs_snr(dims, target, cfg)]
         (mats,) = montecarlo._user_matrix_blocks(dims, cfg)
         rates = montecarlo._symmetric_capacity(mats, snrs)
-    sym = _singular_value_symmetric_capacity(dims, seed, trials, snrs)
+    sym = _reference_symmetric_capacity(dims, seed, trials, snrs)
     assert got == list(np.sum(sym < target, axis=0) / trials) == [1.0, 1.0, 0.0]
     np.testing.assert_allclose(rates, sym, rtol=_REL, atol=0.0)
-    at_0db = _reference_symmetric_capacity(dims, seed, trials, snrs[:1])
-    np.testing.assert_allclose(rates[:, :1], at_0db, rtol=_REL, atol=0.0)
 
 
 @pytest.mark.parametrize("n_users, n_tx", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
@@ -387,21 +360,14 @@ def test_averaged_bounds_equal_the_per_trial_reference(dims, which):
 # lies a few bits below the median.  The Gram of both users has rank 2, so
 # its 6 x 6 eigendecomposition would add noise eigenvalues worth 6e-5 bits
 # at 100 dB and tens of bits above: the conditioning value must come from
-# the 2 x 2 Gram.  The reference conditions each trial on the singular
-# values of its stacked matrix.
+# the 2 x 2 Gram.  The reference conditions each trial on sum_capacity,
+# which sums over the singular values of the stacked matrix.
 @pytest.mark.parametrize("snr_db, target", [(100.0, 68.0), (200.0, 134.0), (300.0, 201.0)])
 def test_simo_bound_at_high_snr_conditions_on_the_singular_values(snr_db, target):
     dims = ScenarioDims(2, 1, 6)
     cfg = SimConfig(trials=100, seed=39, snr_grid_db=np.array([snr_db]))
-    snr = 10.0 ** (snr_db / 10.0)
-    values = []
-    for rng in trial_generators(cfg.seed, cfg.trials):
-        power = np.linalg.svd(np.hstack(_draw_users(dims, rng)), compute_uv=False) ** 2
-        cond = float(np.sum(np.log1p(snr * power))) / _LN2
-        values.append(1.0 if target >= cond else two_user_simo_bound(target, cond))
-    mean = sum(values) / cfg.trials
-    sem = math.sqrt(max(sum(v * v for v in values) / cfg.trials - mean * mean, 0.0)
-                    / cfg.trials)
+    (mean,), (sem,) = _reference_averaged_bound(dims, target, "simo", cfg.seed, cfg.trials,
+                                                [10.0 ** (snr_db / 10.0)])
     (got,) = averaged_bound_vs_snr(dims, target, "simo", cfg)
     assert 0.0 < mean < 1.0
     np.testing.assert_allclose([got.p_hat, got.stderr], [mean, sem], rtol=_REL, atol=0.0)
