@@ -14,6 +14,8 @@ from .bounds import (
     mimo_bounds,
     mimo_p_out_k,
     mimo_union_bound,
+    ml_mean_rate_fraction,
+    ml_rate_quantile,
     p_out_k,
     regularized_incomplete_beta,
     scalar_bounds,
@@ -39,10 +41,7 @@ from .integer_forcing import (
     build_effective_channel,
     fraction_of_capacity,
     if_rate,
-    if_rate_cdf_conditioned,
     lll_search,
-    ml_mean_rate_fraction,
-    ml_rate_quantile,
 )
 from .linalg import (
     RngStream,
@@ -91,7 +90,6 @@ __all__ = [
     "fraction_of_capacity",
     "hermitian_inverse",
     "if_rate",
-    "if_rate_cdf_conditioned",
     "lll_search",
     "mimo_bounds",
     "mimo_p_out_k",

@@ -5,7 +5,9 @@ true sum capacity C (scalar users) or the Frobenius-norm surrogate (MIMO
 users).  Conditioned on C, a scalar channel is uniform on a sphere, and
 normalized partial gain sums follow Beta laws with integer parameters; every
 CDF here is therefore an incomplete beta function that reduces to a finite
-binomial sum, evaluated exactly (no continued fractions).
+binomial sum, evaluated exactly (no continued fractions).  The joint (ML)
+receiver's quantile and mean invert and integrate two_user_cdf (beyond two
+users the quantile inverts the union bound).
 
 Scalar users are the 1x1 Frobenius case: p_out_k, scalar_bounds and
 mimo_union_bound wrap mimo_p_out_k and mimo_bounds for any N >= 1 (one user
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, check_binomial, check_capacity, check_gain,
-                     check_int, check_subset_size, check_type)
+from .errors import (InvalidParameterError, check_binomial, check_capacity, check_fraction,
+                     check_gain, check_int, check_subset_size, check_type)
 
 _LN2 = math.log(2.0)
 
@@ -239,3 +241,38 @@ def two_user_simo_bound_array(rate_bits, sum_caps_bits):
     above = gap > 0.0
     out[above] = -np.expm1(0.5 * _log1m_pow2(gap[above]))
     return out
+
+
+def ml_rate_quantile(n_users, sum_cap_bits, outage_level):
+    """Largest total rate whose conditional outage stays within outage_level
+    for a joint (maximum-likelihood) receiver.
+
+    Exact CDF inversion for two users; for more users the capped union
+    upper bound is inverted instead, giving a conservative quantile.
+    """
+    check_fraction(outage_level, "outage_level")
+    gain = check_capacity(sum_cap_bits)
+    if n_users == 2:
+        return min(sum_cap_bits, 2.0 * math.log1p(0.5 * outage_level * gain) / _LN2)
+    if scalar_bounds(n_users, sum_cap_bits, sum_cap_bits).upper <= outage_level:
+        return sum_cap_bits
+    lo, hi = 0.0, sum_cap_bits
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if scalar_bounds(n_users, mid, sum_cap_bits).upper <= outage_level:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def ml_mean_rate_fraction(sum_cap_bits):
+    """E[symmetric capacity | C] / C for two scalar users, in closed form.
+
+    Integrates the exact conditional CDF: E = C - int_0^C F(R) dR with
+    F(R) = 2 (2^(R/2) - 1) / (2^C - 1).
+    """
+    c = sum_cap_bits
+    denom = check_capacity(c)
+    integral = 2.0 * ((2.0 / _LN2) * check_gain(c / 2.0, "sum capacity") - c) / denom
+    return (c - integral) / c

@@ -7,8 +7,8 @@ the bottleneck over non-empty user subsets S of (N/|S|) * C(S) where C(S) is
 the subset mutual information log2 det(I + sum_{i in S} H_i H_i^H).
 
 C(S) is the sum of log1p(sigma^2) / ln 2 over the singular values of the
-stacked W_S = [H_i for i in S], with no I + W_S W_S^H formed; a gain sum or a
-sigma^2 that overflows a float (about 1024 bits) is refused.
+stacked W_S = [H_i for i in S], with no I + W_S W_S^H formed; a gain sum,
+sigma^2 or squared norm that overflows a float (about 1024 bits) is refused.
 """
 
 import itertools
@@ -138,15 +138,12 @@ def scaled_subset_rates(gains_sorted, n_users=None):
     """(N/k) * log2(1 + sum of the k weakest gains) for k = 1..len(gains_sorted)
     (N = n_users, by default all), from gains sorted ascending along the first
     axis, the users': a scalar channel's candidate subset rates, for one
-    channel or a stack of them in the columns.  A stack is summed row by row,
-    in np.cumsum's order; np.cumsum along axis 0 makes a strided pass per column."""
+    channel or a stack of them in the columns.  The sums run row by row, in
+    np.cumsum's order; np.cumsum along axis 0 makes a strided pass per column."""
     n = len(gains_sorted)
-    if gains_sorted.ndim == 1:
-        sums = np.cumsum(gains_sorted)
-    else:
-        sums = gains_sorted.copy()
-        for k in range(1, n):
-            sums[k] += sums[k - 1]
+    sums = gains_sorted.copy()
+    for k in range(1, n):
+        sums[k] += sums[k - 1]
     scale = ((n_users or n) / np.arange(1, n + 1)).reshape(n, *(1,) * (gains_sorted.ndim - 1))
     return scale * np.log1p(sums) / _LN2
 
@@ -156,5 +153,8 @@ def frobenius_subset_info(ch, subset):
     matrix replaced by its Frobenius norm.  Never exceeds subset_mutual_info
     and coincides with it for scalar users."""
     idx = _validate_subset(ch, subset)
-    total = sum(float(np.sum(np.abs(ch.user_matrices[i]) ** 2)) for i in idx)
+    with np.errstate(over="ignore"):
+        total = sum(float(np.sum(np.abs(ch.user_matrices[i]) ** 2)) for i in idx)
+    if not math.isfinite(total):
+        raise InvalidParameterError("channel is too large: its squared norm overflows a float")
     return math.log1p(total) / _LN2

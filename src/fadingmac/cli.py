@@ -7,7 +7,8 @@ analytic bounds (``bound``), run Monte-Carlo validations (``simulate``,
 a JSON manifest carrying the full parameter set, the seed of a run that
 draws, the library, numpy and python versions and the RNG layout id;
 replaying a manifest reproduces the CSV byte for byte, and a manifest of
-another RNG layout is refused.
+another RNG layout is refused.  The library works in total rates (N x the
+per-user rate); the "per-user" rate convention is converted here only.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 numerical-domain error.
 """
@@ -33,6 +34,8 @@ from .bounds import (
     mimo_bounds,
     mimo_p_out_k,
     mimo_union_bound,
+    ml_mean_rate_fraction,
+    ml_rate_quantile,
     p_out_k,
     regularized_incomplete_beta,
     scalar_bounds,
@@ -49,9 +52,7 @@ from .integer_forcing import (
     conditioned_rate_samples,
     fraction_of_capacity,
     if_rate,
-    if_rate_cdf_conditioned,
     lll_search,
-    ml_mean_rate_fraction,
 )
 from .linalg import RNG_LAYOUT, hermitian_inverse, sample_complex_gaussian, trial_generators
 from .montecarlo import (
@@ -62,6 +63,7 @@ from .montecarlo import (
     conditional_cdf_mimo_frobenius,
     conditional_cdf_scalar,
     default_rate_grid,
+    empirical_cdf,
     outage_vs_snr,
 )
 
@@ -240,8 +242,7 @@ def _if_schemes(users, with_haar):
             for mode in ("if", "if-sic")]
 
 
-def _ml_cdf_rows(users, cap, grid, convention):
-    scale = users if convention == "per-user" else 1
+def _ml_cdf_rows(users, cap, grid, scale):
     rows = []
     for r in grid:
         total = min(float(r) * scale, cap)
@@ -255,22 +256,19 @@ def _ml_cdf_rows(users, cap, grid, convention):
 
 def _if_cdf_rows(params, schemes):
     """The ML conditional CDF, then the IF rate CDF of each (mode, precoder)
-    scheme, on the IF CDFs' rate grid."""
+    scheme, on one rate grid of the run's rate convention."""
     users, cap = params["users"], params["sum_cap"]
-    convention = params["rate_convention"]
+    check_if_capacity(cap)   # reported before the trial count
     cfg = _cfg(params)
-    cdfs = {f"{mode}-{pre}": if_rate_cdf_conditioned(users, cap, _PRECODER_NAMES[pre], mode,
-                                                      cfg, rate_convention=convention)
+    scale = users if params["rate_convention"] == "per-user" else 1
+    grid = default_rate_grid(cap / scale)
+    cdfs = {f"{mode}-{pre}": empirical_cdf(conditioned_rate_samples(
+                users, cap, _PRECODER_NAMES[pre], mode, cfg) / scale, grid, cfg.trials)
             for mode, pre in schemes}
-    rows = _ml_cdf_rows(users, cap, next(iter(cdfs.values())).rates, convention)
+    rows = _ml_cdf_rows(users, cap, grid, scale)
     for name, cdf in cdfs.items():
         rows.extend(_cdf_rows(name, cdf))
     return rows
-
-
-def _fig_7(params):
-    check_if_capacity(params["sum_cap"])   # reported before the trial count, as in fig 8
-    return _if_cdf_rows(params, _if_schemes(params["users"], with_haar=True))
 
 
 def _histogram_rows(curve_name, samples, edges, trials):
@@ -307,9 +305,9 @@ def _fig_9(params):
     rows = []
     for users in (2, 4, 6):
         caps = [users * puc for puc in per_user_caps]
-        pairs = fraction_of_capacity(users, caps, outage_level, "ml")
-        rows.extend((f"ml-n{users}", cap / users, frac, None)
-                    for cap, frac in pairs)
+        rows.extend((f"ml-n{users}", cap / users,
+                     min(1.0, ml_rate_quantile(users, cap, outage_level) / cap), None)
+                    for cap in caps)
     cfg = _cfg(params)
     caps2 = [2 * puc for puc in per_user_caps]
     pairs = fraction_of_capacity(2, caps2, outage_level, "if-sic", cfg,
@@ -370,8 +368,8 @@ _FIGURES = {
             defaults={"nt": 2, "nr": 3, "rate": 3.0, "snr_db_list": _SNR_GRID_DB}),
     6: _Run(_snr_sweep_rows, _SWEEP,
             defaults={"nr": 6, "rate": 3.0, "snr_db_list": _SNR_GRID_DB}),
-    7: _Run(_fig_7, {"users", "sum_cap", "rate_convention", *_MONTE_CARLO},
-            defaults={"sum_cap": 10.0}),
+    7: _Run(lambda p: _if_cdf_rows(p, _if_schemes(p["users"], with_haar=True)),
+            {"users", "sum_cap", "rate_convention", *_MONTE_CARLO}, defaults={"sum_cap": 10.0}),
     8: _Run(_fig_8, {"users", "sum_cap", *_MONTE_CARLO}, defaults={"sum_cap": 10.0}),
     9: _Run(_fig_9, _MONTE_CARLO, defaults={"trials": 2000}),
     10: _Run(_fig_10, {"users", *_MONTE_CARLO}, defaults={"trials": 2000}),

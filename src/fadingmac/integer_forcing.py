@@ -6,7 +6,7 @@ variance of the combination a is a^H K a with K = (I + H^H H)^-1, each stream
 carries max(0, -log2 variance) bits, and the symmetric rate is set by the
 worst stream of a full-rank Gaussian-integer matrix A.
 
-K is never formed.  Every quantity comes from one square-root factor
+The rates never form K.  Every quantity comes from one square-root factor
 F = R^-H, where R is the triangular factor of a QR decomposition of [H; I]
 (so R^H R = I + H^H H and K = F^H F): the variance of a is ||F a||^2, the
 successive (SIC) variances are the squared diagonal of the triangular factor
@@ -15,7 +15,9 @@ real embedding of F.  F's condition number grows like 2^(C/2) rather than
 K's 2^C; up to C = MAX_IF_CAPACITY_BITS = 80 bits, the working range of
 conditioned_rate_samples, rates stay within 1e-3 bits of exact rational
 rates and at or below C.  An exhaustive bounded-box search provides the
-oracle the reduction is validated against.
+oracle the reduction is validated against.  lll_search and
+brute_force_search take K itself, for callers that hold one, and search
+with its Cholesky factor.
 
 conditioned_rate_samples works on blocks of trials, drawn through
 linalg.trial_normals as the conditioned engines are: each trial's sphere
@@ -39,6 +41,7 @@ same draws.  So conditioned_rate_samples computes both modes from one
 search and keeps them for its last inputs (users, C, precoder, seed,
 trials), which fix every draw: an "if" call followed by an "if-sic" call on
 the same inputs, or the reverse, searches each channel once.
+The joint (ML) receiver's laws, which IF is judged against, live in bounds.
 """
 
 import functools
@@ -50,12 +53,10 @@ from operator import neg
 import numpy as np
 
 from .capacity import MacChannel
-from .bounds import scalar_bounds
 from .errors import (InvalidParameterError, NumericalDomainError, check_capacity, check_choice,
-                     check_fraction, check_gain, check_int, check_matrix, check_type)
+                     check_fraction, check_int, check_matrix, check_type)
 from .linalg import capacity_sphere_rows, cholesky_lower, haar_unitary_rows, \
     sample_haar_unitary, trial_normals
-from .montecarlo import default_rate_grid, empirical_cdf
 
 _LN2 = math.log(2.0)
 _SQRT5 = math.sqrt(5.0)
@@ -642,80 +643,22 @@ def _both_mode_samples(n_users, sum_cap_bits, precoder_kind, seed, trials):
     return {mode: np.concatenate(blocks) for mode, blocks in samples.items()}
 
 
-def if_rate_cdf_conditioned(n_users, sum_cap_bits, precoder_kind, mode, cfg,
-                            rate_convention="total"):
-    """Empirical CDF of the achieved IF rate conditioned on the sum capacity.
-
-    rate_convention "total" uses N x per-user rate on the grid axis (the
-    natural axis for comparing against the sum capacity); "per-user" divides
-    by N.
-    """
-    check_choice(rate_convention, ("total", "per-user"), "rate_convention")
-    scale = 1 if rate_convention == "total" else n_users
-    samples = conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg) / scale
-    grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(sum_cap_bits / scale)
-    return empirical_cdf(samples, grid, cfg.trials)
-
-
-def ml_rate_quantile(n_users, sum_cap_bits, outage_level):
-    """Largest total rate whose conditional outage stays within outage_level
-    for a joint (maximum-likelihood) receiver.
-
-    Exact CDF inversion for two users; for more users the capped union
-    upper bound is inverted instead, giving a conservative quantile.
-    """
-    check_fraction(outage_level, "outage_level")
-    gain = check_capacity(sum_cap_bits)
-    if n_users == 2:
-        return min(sum_cap_bits, 2.0 * math.log1p(0.5 * outage_level * gain) / _LN2)
-    if scalar_bounds(n_users, sum_cap_bits, sum_cap_bits).upper <= outage_level:
-        return sum_cap_bits
-    lo, hi = 0.0, sum_cap_bits
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        if scalar_bounds(n_users, mid, sum_cap_bits).upper <= outage_level:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def fraction_of_capacity(n_users, cap_grid, outage_level, scheme, cfg=None,
+def fraction_of_capacity(n_users, cap_grid, outage_level, mode, cfg,
                          precoder_kind="badr_belfiore"):
-    """Fraction of the sum capacity attainable at a fixed outage level.
-
-    scheme "ml" uses the analytic quantile; "if" and "if-sic" estimate the
-    empirical quantile of the conditioned rate samples.  Returns a list of
-    (sum capacity, fraction) pairs.
+    """Fraction of the sum capacity an IF receiver in mode "if" or "if-sic"
+    attains at a fixed outage level: the empirical quantile of the
+    conditioned rate samples over C.  Returns a list of (sum capacity,
+    fraction) pairs.
     """
     check_fraction(outage_level, "outage_level")
-    check_choice(scheme, ("ml", *_MODES), "scheme")
+    check_choice(mode, _MODES, "mode")
     check_choice(precoder_kind, PRECODER_KINDS, "precoder kind")
-    if scheme != "ml" and cfg is None:
-        raise InvalidParameterError("empirical schemes need a SimConfig")
     caps = [float(cap) for cap in cap_grid]
-    if scheme != "ml":
-        for cap in caps:
-            check_if_capacity(cap)   # the whole grid, before the first draw
+    for cap in caps:
+        check_if_capacity(cap)   # the whole grid, before the first draw
     out = []
     for cap in caps:
-        if scheme == "ml":
-            r = ml_rate_quantile(n_users, cap, outage_level)
-        else:
-            samples = np.sort(conditioned_rate_samples(
-                n_users, cap, precoder_kind, scheme, cfg))
-            r = float(samples[int(math.floor(outage_level * cfg.trials))])
+        samples = np.sort(conditioned_rate_samples(n_users, cap, precoder_kind, mode, cfg))
+        r = float(samples[int(math.floor(outage_level * cfg.trials))])
         out.append((cap, min(1.0, r / cap)))
     return out
-
-
-def ml_mean_rate_fraction(sum_cap_bits):
-    """E[symmetric capacity | C] / C for two scalar users, in closed form.
-
-    Integrates the exact conditional CDF: E = C - int_0^C F(R) dR with
-    F(R) = 2 (2^(R/2) - 1) / (2^C - 1).
-    """
-    c = sum_cap_bits
-    denom = check_capacity(c)
-    integral = 2.0 * ((2.0 / _LN2) * check_gain(c / 2.0, "sum capacity") - c) / denom
-    return (c - integral) / c

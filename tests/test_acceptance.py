@@ -16,6 +16,7 @@ import scipy.special
 from fadingmac.bounds import (
     ScenarioDims,
     mimo_p_out_k,
+    ml_rate_quantile,
     p_out_k,
     regularized_incomplete_beta,
     scalar_bounds,
@@ -30,7 +31,6 @@ from fadingmac.integer_forcing import (
     build_effective_channel,
     brute_force_search,
     conditioned_rate_samples,
-    fraction_of_capacity,
     if_rate,
     lll_search,
 )
@@ -320,7 +320,7 @@ def test_criterion_10_receiver_ordering_and_capacity_fraction(acceptance_log):
         bool(np.all(ml <= c.probs + 3.0 * np.maximum(c.stderr, floor)))
         for c in curves.values())
     caps = [2.0 * u for u in range(1, 11)]
-    fracs = [f for _, f in fraction_of_capacity(2, caps, 0.01, "ml")]
+    fracs = [min(1.0, ml_rate_quantile(2, c, 0.01) / c) for c in caps]
     increasing = all(b >= a - 1e-12 for a, b in zip(fracs, fracs[1:]))
     frac_total10 = fracs[caps.index(10.0)]
     frac_peruser10 = fracs[-1]

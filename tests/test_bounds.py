@@ -19,6 +19,8 @@ from fadingmac.bounds import (
     mimo_p_out_k,
     mimo_union_bound,
     mimo_union_bound_array,
+    ml_mean_rate_fraction,
+    ml_rate_quantile,
     p_out_k,
     regularized_incomplete_beta,
     scalar_bounds,
@@ -336,3 +338,34 @@ def test_scalar_bracket_holds_on_generated_points(cap, frac, n_users):
     assert exact <= two.upper + tol
     many = scalar_bounds(n_users, rate, cap)
     assert 0.0 <= many.lower <= many.upper + 1e-12
+
+
+def test_ml_rate_quantile_two_users():
+    eps, cap = 0.01, 10.0
+    r = ml_rate_quantile(2, cap, eps)
+    expected = 2.0 * math.log2(1.0 + 0.5 * eps * (2.0 ** cap - 1.0))
+    assert abs(r - expected) < 1e-12
+    assert abs(two_user_cdf(r, cap) - eps) < 1e-12
+    # the quantile saturates at the conditioning value for loose targets
+    assert ml_rate_quantile(2, 2.0, 0.9) == 2.0
+    with pytest.raises(InvalidParameterError):
+        ml_rate_quantile(2, 10.0, 0.0)
+    with pytest.raises(InvalidParameterError):
+        ml_rate_quantile(2, 0.0, 0.1)
+
+
+def test_ml_rate_quantile_many_users_inverts_upper_bound():
+    r = ml_rate_quantile(4, 8.0, 0.01)
+    assert 0.0 < r < 8.0
+    assert scalar_bounds(4, r, 8.0).upper <= 0.01 + 1e-9
+    assert scalar_bounds(4, r + 1e-6, 8.0).upper > 0.01 - 1e-9
+
+
+def test_ml_mean_rate_fraction_against_quadrature():
+    quad = pytest.importorskip("scipy.integrate")
+    for cap in (2.0, 6.0):
+        integral, _ = quad.quad(lambda r: two_user_cdf(r, cap), 0.0, cap)
+        oracle = (cap - integral) / cap
+        assert abs(ml_mean_rate_fraction(cap) - oracle) < 1e-9
+    assert ml_mean_rate_fraction(40.0) > 0.95
+    assert 0.0 < ml_mean_rate_fraction(0.5) < 1.0

@@ -195,3 +195,14 @@ def test_subset_rates_refuse_an_overflowing_squared_singular_value():
         with pytest.raises(InvalidParameterError, match="^channel is too large: a sigma"):
             rate()
     assert math.isclose(subset_mutual_info(ch, [1]), math.log2(1e308), rel_tol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_frobenius_rate_refuses_an_overflowing_squared_norm():
+    # |h|^2 = 1e310 overflows in numpy's square; 1e308 + 1e308 overflows in
+    # the float sum over users.  Both are refused, with no RuntimeWarning.
+    for gains, subset in (([1e155], [0]), ([1e154, 1e154], [0, 1])):
+        with pytest.raises(InvalidParameterError, match="^channel is too large: its squared"):
+            frobenius_subset_info(MacChannel.from_scalar(gains), subset)
+    assert math.isclose(frobenius_subset_info(MacChannel.from_scalar([1e154, 1e154]), [1]),
+                        math.log2(1e308), rel_tol=1e-12)

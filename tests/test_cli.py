@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fadingmac
-from fadingmac import cli
+from fadingmac import cli, montecarlo
 from fadingmac.cli import build_parser, main
 from fadingmac.integer_forcing import MAX_IF_CAPACITY_BITS
 
@@ -628,6 +628,21 @@ def test_per_user_sweep_equals_the_total_sweep_at_the_scaled_rate(tmp_path, caps
     assert b"simo-avg" in per_user
 
 
+def test_per_user_if_cdf_halves_the_total_rate_axis(tmp_path, capsys):
+    # The convention only rescales the rate axis: halving is exact in binary,
+    # so each per-user x is the total x / 2 and the y and stderr columns match.
+    run = ["if-sim", "--users", "2", "--sum-cap", "10", "--trials", "40", "--seed", "14"]
+    rows = {}
+    for convention in ("total", "per-user"):
+        out = tmp_path / f"{convention}.csv"
+        assert main(run + ["--rate-convention", convention, "--out", str(out)]) == 0
+        rows[convention] = _read_rows(out)[1:]
+    total, per_user = rows["total"], rows["per-user"]
+    assert [r[0] for r in per_user] == [r[0] for r in total]
+    assert [r[2:] for r in per_user] == [r[2:] for r in total]
+    assert [float(r[1]) for r in per_user] == [float(r[1]) / 2.0 for r in total]
+
+
 def test_validate_analytic_suite_passes(capsys):
     assert main(["validate", "analytic"]) == 0
     out = capsys.readouterr().out
@@ -893,14 +908,30 @@ def test_capacities_above_the_if_range_exit_one(tmp_path, monkeypatch, capsys, a
     assert sorted(p.name for p in tmp_path.iterdir()) == ["top.csv", "top.json"]
 
 
-@pytest.mark.parametrize("figure", ["7", "8"])
-def test_figs_7_and_8_report_the_if_range_before_the_trial_count(tmp_path, monkeypatch, capsys,
-                                                                  figure):
+@pytest.mark.parametrize("argv", ["fig 7", "fig 8", "if-sim"])
+def test_if_runs_report_the_if_range_before_the_trial_count(tmp_path, monkeypatch, capsys,
+                                                            argv):
     monkeypatch.chdir(tmp_path)
-    assert main(["fig", figure, "--sum-cap", str(MAX_IF_CAPACITY_BITS + 1), "--trials", "0"]) == 1
+    assert main(argv.split() + ["--sum-cap", str(MAX_IF_CAPACITY_BITS + 1),
+                                "--trials", "0"]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "fadingmac: error: integer forcing is limited to sum capacities up to "
         f"{MAX_IF_CAPACITY_BITS} bits"]
+
+
+def test_a_numerical_domain_error_exits_two(tmp_path, monkeypatch, capsys):
+    # All-zero gains give a trial no direction on the capacity sphere: the
+    # run stops with exit code 2 and one line, and writes no CSV or manifest.
+    def zero_gammas(seed, trials, k, size):
+        yield np.zeros((trials, size))
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(montecarlo, "trial_gammas", zero_gammas)
+    assert main(["simulate", "--sum-cap", "2", "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "fadingmac: numerical error: capacity-sphere gains are all zero"]
+    assert list(tmp_path.iterdir()) == []
 
 
 # The flags, in order, and the choices each subcommand's --help lists.

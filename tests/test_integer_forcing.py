@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fadingmac import integer_forcing, linalg
-from fadingmac.bounds import scalar_bounds, two_user_cdf
 from fadingmac.capacity import MacChannel, sum_capacity
 from fadingmac.errors import InvalidParameterError, NumericalDomainError
 from fadingmac.integer_forcing import (
@@ -33,10 +32,7 @@ from fadingmac.integer_forcing import (
     conditioned_rate_samples,
     fraction_of_capacity,
     if_rate,
-    if_rate_cdf_conditioned,
     lll_search,
-    ml_mean_rate_fraction,
-    ml_rate_quantile,
 )
 from fadingmac.linalg import RngStream, sample_capacity_sphere
 from fadingmac.montecarlo import SimConfig
@@ -279,37 +275,6 @@ def test_integer_matrix_validation():
     assert np.array_equal(res.a_matrix, np.eye(2).astype(complex))
 
 
-def test_ml_rate_quantile_two_users():
-    eps, cap = 0.01, 10.0
-    r = ml_rate_quantile(2, cap, eps)
-    expected = 2.0 * math.log2(1.0 + 0.5 * eps * (2.0 ** cap - 1.0))
-    assert abs(r - expected) < 1e-12
-    assert abs(two_user_cdf(r, cap) - eps) < 1e-12
-    # the quantile saturates at the conditioning value for loose targets
-    assert ml_rate_quantile(2, 2.0, 0.9) == 2.0
-    with pytest.raises(InvalidParameterError):
-        ml_rate_quantile(2, 10.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        ml_rate_quantile(2, 0.0, 0.1)
-
-
-def test_ml_rate_quantile_many_users_inverts_upper_bound():
-    r = ml_rate_quantile(4, 8.0, 0.01)
-    assert 0.0 < r < 8.0
-    assert scalar_bounds(4, r, 8.0).upper <= 0.01 + 1e-9
-    assert scalar_bounds(4, r + 1e-6, 8.0).upper > 0.01 - 1e-9
-
-
-def test_ml_mean_rate_fraction_against_quadrature():
-    quad = pytest.importorskip("scipy.integrate")
-    for cap in (2.0, 6.0):
-        integral, _ = quad.quad(lambda r: two_user_cdf(r, cap), 0.0, cap)
-        oracle = (cap - integral) / cap
-        assert abs(ml_mean_rate_fraction(cap) - oracle) < 1e-9
-    assert ml_mean_rate_fraction(40.0) > 0.95
-    assert 0.0 < ml_mean_rate_fraction(0.5) < 1.0
-
-
 def test_conditioned_samples_deterministic_and_capped():
     cfg = SimConfig(trials=60, seed=12)
     a = conditioned_rate_samples(2, 10.0, "badr_belfiore", "if-sic", cfg)
@@ -342,41 +307,21 @@ def test_unitary_precoding_preserves_sum_capacity():
             assert abs(cap_block - eff.time_extension * cap_scalar) < 1e-9
 
 
-def test_rate_convention_scales_axis():
-    grid_total = np.linspace(0.0, 10.0, 11)
-    cfg_total = SimConfig(trials=40, seed=14, rate_grid=grid_total)
-    cfg_half = SimConfig(trials=40, seed=14, rate_grid=grid_total / 2.0)
-    total = if_rate_cdf_conditioned(2, 10.0, "none", "if", cfg_total,
-                                    rate_convention="total")
-    per_user = if_rate_cdf_conditioned(2, 10.0, "none", "if", cfg_half,
-                                       rate_convention="per-user")
-    assert np.array_equal(total.probs, per_user.probs)
-    with pytest.raises(InvalidParameterError):
-        if_rate_cdf_conditioned(2, 10.0, "none", "if", cfg_total,
-                                rate_convention="sum")
-
-
 def test_fraction_of_capacity_schemes():
-    frac = fraction_of_capacity(2, [4.0, 8.0], 0.01, "ml")
-    for cap, f in frac:
-        assert abs(f - min(1.0, ml_rate_quantile(2, cap, 0.01) / cap)) < 1e-12
-        assert 0.0 < f <= 1.0
     cfg = SimConfig(trials=120, seed=15)
     emp = fraction_of_capacity(2, [8.0], 0.05, "if-sic", cfg=cfg)
     assert len(emp) == 1 and 0.0 <= emp[0][1] <= 1.0
     with pytest.raises(InvalidParameterError):
-        fraction_of_capacity(2, [8.0], 0.05, "if")
-    with pytest.raises(InvalidParameterError):
-        fraction_of_capacity(2, [8.0], 1.5, "ml")
+        fraction_of_capacity(2, [8.0], 1.5, "if", cfg=cfg)
     with pytest.raises(InvalidParameterError):
         fraction_of_capacity(2, [8.0], 0.05, "zf", cfg=cfg)
 
 
 def test_fraction_of_capacity_checks_the_precoder_on_every_scheme():
     cfg = SimConfig(trials=20, seed=15)
-    for scheme in ("ml", "if", "if-sic"):
+    for mode in ("if", "if-sic"):
         with pytest.raises(InvalidParameterError, match="precoder kind"):
-            fraction_of_capacity(2, [4.0], 0.01, scheme, cfg=cfg, precoder_kind="golden")
+            fraction_of_capacity(2, [4.0], 0.01, mode, cfg=cfg, precoder_kind="golden")
 
 
 def test_if_rate_never_returns_non_finite_rates_at_high_capacity():
@@ -419,8 +364,6 @@ def test_capacities_above_the_range_are_refused_before_any_draw(monkeypatch, cap
         for mode in ("if", "if-sic"):
             with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
                 conditioned_rate_samples(2, cap, kind, mode, SimConfig(trials=60, seed=1))
-            with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
-                if_rate_cdf_conditioned(2, cap, kind, mode, SimConfig(trials=60, seed=1))
         with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
             fraction_of_capacity(2, [cap], 0.01, "if-sic", SimConfig(trials=5, seed=1),
                                  precoder_kind=kind)
