@@ -39,7 +39,6 @@ from .integer_forcing import (
     badr_belfiore_precoders,
     brute_force_search,
     build_effective_channel,
-    fraction_of_capacity,
     if_rate,
     lll_search,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "conditional_cdf_cardinality",
     "conditional_cdf_mimo_frobenius",
     "conditional_cdf_scalar",
-    "fraction_of_capacity",
     "hermitian_inverse",
     "if_rate",
     "lll_search",

@@ -9,6 +9,9 @@ draws, the library, numpy and python versions and the RNG layout id;
 replaying a manifest reproduces the CSV byte for byte, and a manifest of
 another RNG layout is refused.  The library works in total rates (N x the
 per-user rate); the "per-user" rate convention is converted here only.
+One loop turns conditioned_rate_samples into the rows of every
+integer-forcing figure, each figure passing only its summary of a scheme's
+samples at one C: a CDF, a histogram, a quantile or a mean.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 numerical-domain error.
 """
@@ -50,7 +53,6 @@ from .integer_forcing import (
     brute_force_search,
     check_if_capacity,
     conditioned_rate_samples,
-    fraction_of_capacity,
     if_rate,
     lll_search,
 )
@@ -254,27 +256,37 @@ def _ml_cdf_rows(users, cap, grid, scale):
     return rows
 
 
+def _if_rows(params, users, caps, schemes, rows_of):
+    """The IF curves of a figure: rows_of(name, C, samples) for each (mode,
+    precoder) scheme at each C, one curve after another.  C runs outermost
+    and a precoder's modes innermost, so its second mode is served from the
+    first's search."""
+    cfg = _cfg(params)
+    curves = {f"{mode}-{pre}": [] for mode, pre in schemes}
+    for cap in caps:
+        for mode, pre in schemes:
+            samples = conditioned_rate_samples(users, cap, _PRECODER_NAMES[pre], mode, cfg)
+            curves[f"{mode}-{pre}"].extend(rows_of(f"{mode}-{pre}", cap, samples))
+    return [row for curve in curves.values() for row in curve]
+
+
 def _if_cdf_rows(params, schemes):
     """The ML conditional CDF, then the IF rate CDF of each (mode, precoder)
     scheme, on one rate grid of the run's rate convention."""
     users, cap = params["users"], params["sum_cap"]
     check_if_capacity(cap)   # reported before the trial count
-    cfg = _cfg(params)
     scale = users if params["rate_convention"] == "per-user" else 1
     grid = default_rate_grid(cap / scale)
-    cdfs = {f"{mode}-{pre}": empirical_cdf(conditioned_rate_samples(
-                users, cap, _PRECODER_NAMES[pre], mode, cfg) / scale, grid, cfg.trials)
-            for mode, pre in schemes}
-    rows = _ml_cdf_rows(users, cap, grid, scale)
-    for name, cdf in cdfs.items():
-        rows.extend(_cdf_rows(name, cdf))
-    return rows
+    if_rows = _if_rows(params, users, [cap], schemes, lambda name, _, samples: _cdf_rows(
+        name, empirical_cdf(samples / scale, grid, len(samples))))
+    return _ml_cdf_rows(users, cap, grid, scale) + if_rows
 
 
-def _histogram_rows(curve_name, samples, edges, trials):
+def _histogram_rows(curve_name, samples, edges):
     counts, _ = np.histogram(samples, bins=edges)
     widths = np.diff(edges)
     centers = (edges[:-1] + edges[1:]) / 2.0
+    trials = len(samples)
     rows = []
     for c, x, w in zip(counts, centers, widths):
         rows.append((curve_name, float(x), c / (trials * w),
@@ -285,18 +297,14 @@ def _histogram_rows(curve_name, samples, edges, trials):
 def _fig_8(params):
     users, cap = params["users"], params["sum_cap"]
     check_if_capacity(cap)   # before the bins are laid out on it
-    cfg = _cfg(params)
     edges = np.linspace(0.0, cap, 51)
     centers = (edges[:-1] + edges[1:]) / 2.0
     rows = []
     if users == 2:
         rows.extend(("ml-density", r, _two_user_density(r, cap), None) for r in centers)
         rows.append(("ml-atom", cap, atom_probability(cap), None))
-    for mode, pre in _if_schemes(users, with_haar=False):
-        samples = conditioned_rate_samples(users, cap, _PRECODER_NAMES[pre],
-                                           mode, cfg)
-        rows.extend(_histogram_rows(f"{mode}-{pre}", samples, edges, cfg.trials))
-    return rows
+    return rows + _if_rows(params, users, [cap], _if_schemes(users, with_haar=False),
+                           lambda name, _, samples: _histogram_rows(name, samples, edges))
 
 
 def _fig_9(params):
@@ -308,37 +316,27 @@ def _fig_9(params):
         rows.extend((f"ml-n{users}", cap / users,
                      min(1.0, ml_rate_quantile(users, cap, outage_level) / cap), None)
                     for cap in caps)
-    cfg = _cfg(params)
-    caps2 = [2 * puc for puc in per_user_caps]
-    pairs = fraction_of_capacity(2, caps2, outage_level, "if-sic", cfg,
-                                 precoder_kind="badr_belfiore")
-    rows.extend(("if-sic-bb-n2", cap / 2, frac, None) for cap, frac in pairs)
-    return rows
+
+    def quantile_row(_, cap, samples):   # the order statistic at the outage level
+        r = float(np.sort(samples)[math.floor(outage_level * len(samples))])
+        return [("if-sic-bb-n2", cap / 2, min(1.0, r / cap), None)]
+    return rows + _if_rows(params, 2, [2 * puc for puc in per_user_caps],
+                           [("if-sic", "bb")], quantile_row)
+
+
+def _mean_row(name, cap, samples):
+    """The mean fraction of C and its standard error; one trial has no
+    sample spread, so its stderr is left empty."""
+    trials = len(samples)
+    err = (float(samples.std(ddof=1)) / (math.sqrt(trials) * cap) if trials > 1 else None)
+    return [(name, cap, float(samples.mean()) / cap, err)]
 
 
 def _fig_10(params):
     users = params["users"]
-    cfg = _cfg(params)
     caps = [float(c) for c in range(2, 17, 2)]
-    rows = []
-    if users == 2:
-        rows.extend(("ml", c, ml_mean_rate_fraction(c), None) for c in caps)
-    # Both modes of each (precoder, C) run back to back, so the second is
-    # served from the first's samples; the rows keep one curve after another.
-    schemes = _if_schemes(users, with_haar=False)
-    curves = {scheme: [] for scheme in schemes}
-    for c in caps:
-        for mode, pre in schemes:
-            samples = conditioned_rate_samples(users, c, _PRECODER_NAMES[pre],
-                                               mode, cfg)
-            frac = float(samples.mean()) / c
-            # One trial has no sample spread: leave the stderr empty.
-            err = (float(samples.std(ddof=1)) / (math.sqrt(cfg.trials) * c)
-                   if cfg.trials > 1 else None)
-            curves[mode, pre].append((f"{mode}-{pre}", c, frac, err))
-    for curve in curves.values():
-        rows.extend(curve)
-    return rows
+    rows = [("ml", c, ml_mean_rate_fraction(c), None) for c in caps] if users == 2 else []
+    return rows + _if_rows(params, users, caps, _if_schemes(users, with_haar=False), _mean_row)
 
 
 class _Run(NamedTuple):
@@ -498,11 +496,6 @@ def _suite_montecarlo(params):
     return checks
 
 
-def _min_rate(gram, a):
-    forms = np.einsum("mi,ij,mj->m", a.conj(), gram, a).real
-    return float(np.min(-np.log(forms) / _LN2))
-
-
 def _suite_if(params):
     instances = 100 if params["trials"] is None else params["trials"]
     checks = []
@@ -510,9 +503,10 @@ def _suite_if(params):
     better = 0
     for rng in trial_generators(params["seed"], instances):
         h = sample_complex_gaussian(2, 2, 1.0, rng)
+        eff = EffectiveChannel(matrix=h, n_users=2, streams_per_user=1, time_extension=1)
         gram = hermitian_inverse(np.eye(2) + h.conj().T @ h)
-        r_lll = _min_rate(gram, lll_search(gram))
-        r_opt = _min_rate(gram, brute_force_search(gram, 3))
+        r_lll = if_rate(eff, "if", a=lll_search(gram)).symmetric_rate_bits
+        r_opt = if_rate(eff, "if", a=brute_force_search(gram, 3)).symmetric_rate_bits
         if r_lll > r_opt + 1e-9:
             better += 1
         if abs(r_lll - r_opt) <= 1e-9:

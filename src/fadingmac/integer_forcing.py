@@ -41,7 +41,9 @@ same draws.  So conditioned_rate_samples computes both modes from one
 search and keeps them for its last inputs (users, C, precoder, seed,
 trials), which fix every draw: an "if" call followed by an "if-sic" call on
 the same inputs, or the reverse, searches each channel once.
-The joint (ML) receiver's laws, which IF is judged against, live in bounds.
+The joint (ML) receiver's laws, which IF is judged against, live in bounds,
+and the figures' summaries of the samples (CDFs, histograms, quantiles and
+means as fractions of C) in the command line.
 """
 
 import functools
@@ -54,7 +56,7 @@ import numpy as np
 
 from .capacity import MacChannel
 from .errors import (InvalidParameterError, NumericalDomainError, check_capacity, check_choice,
-                     check_fraction, check_int, check_matrix, check_type)
+                     check_int, check_matrix, check_type)
 from .linalg import capacity_sphere_rows, cholesky_lower, haar_unitary_rows, \
     sample_haar_unitary, trial_normals
 
@@ -596,7 +598,7 @@ def if_rate(eff, mode="if", a=None):
 
 
 # ---------------------------------------------------------------------------
-# conditioned simulations and capacity fractions
+# conditioned simulations
 
 def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     """Total symmetric IF rate (N users x per-user rate) for channels drawn
@@ -642,23 +644,3 @@ def _both_mode_samples(n_users, sum_cap_bits, precoder_kind, seed, trials):
             blocks.append(n_users * _rates(_variances(fa, mode)).min(axis=-1))
     return {mode: np.concatenate(blocks) for mode, blocks in samples.items()}
 
-
-def fraction_of_capacity(n_users, cap_grid, outage_level, mode, cfg,
-                         precoder_kind="badr_belfiore"):
-    """Fraction of the sum capacity an IF receiver in mode "if" or "if-sic"
-    attains at a fixed outage level: the empirical quantile of the
-    conditioned rate samples over C.  Returns a list of (sum capacity,
-    fraction) pairs.
-    """
-    check_fraction(outage_level, "outage_level")
-    check_choice(mode, _MODES, "mode")
-    check_choice(precoder_kind, PRECODER_KINDS, "precoder kind")
-    caps = [float(cap) for cap in cap_grid]
-    for cap in caps:
-        check_if_capacity(cap)   # the whole grid, before the first draw
-    out = []
-    for cap in caps:
-        samples = np.sort(conditioned_rate_samples(n_users, cap, precoder_kind, mode, cfg))
-        r = float(samples[int(math.floor(outage_level * cfg.trials))])
-        out.append((cap, min(1.0, r / cap)))
-    return out

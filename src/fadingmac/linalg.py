@@ -3,7 +3,8 @@
 Every random draw goes through an explicit generator so that simulations are
 reproducible.  :class:`RngStream` is a small value type naming a
 (seed, stream) pair; a given stream always produces the same draws no matter
-how many workers run concurrently.
+how many workers run concurrently.  The per-trial samplers take a numpy
+Generator, such as :meth:`RngStream.generator` returns.
 
 The reproducibility contract is RNG layout 3 (:data:`RNG_LAYOUT`): the
 trials of a run with seed s fall into streams of :data:`RNG_BLOCK`
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidParameterError, NumericalDomainError, check_gain, check_int,
-                     check_matrix, check_positive)
+                     check_matrix, check_positive, check_type)
 
 # The reproducibility contract: its id, recorded in every run's manifest,
 # and the number of consecutive trials that share one stream.
@@ -106,14 +107,6 @@ def trial_gammas(seed, trials, k, size):
         yield gen.standard_gamma(k, (rows, size))
 
 
-def _as_generator(rng):
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise InvalidParameterError("rng must be an RngStream or numpy Generator")
-
-
 def sample_complex_gaussian(rows, cols, variance, rng):
     """Matrix of i.i.d. circularly-symmetric complex Gaussian entries.
 
@@ -123,8 +116,8 @@ def sample_complex_gaussian(rows, cols, variance, rng):
     rows = check_int(rows, "rows", 1)
     cols = check_int(cols, "cols", 1)
     check_positive(variance, "variance")
-    g = _as_generator(rng)
-    z = g.standard_normal((2, rows, cols))
+    check_type(rng, np.random.Generator, "rng")
+    z = rng.standard_normal((2, rows, cols))
     return math.sqrt(variance / 2.0) * (z[0] + 1j * z[1])
 
 
@@ -137,7 +130,8 @@ def sample_haar_unitary(n, rng):
     distribution away from Haar measure.
     """
     n = check_int(n, "n", 1)
-    return haar_unitary_rows(_as_generator(rng).standard_normal((2, n, n)))
+    check_type(rng, np.random.Generator, "rng")
+    return haar_unitary_rows(rng.standard_normal((2, n, n)))
 
 
 def haar_unitary_rows(z):
@@ -164,7 +158,8 @@ def sample_capacity_sphere(dim, sum_cap_bits, rng):
     """
     dim = check_int(dim, "dim", 1)
     radius = math.sqrt(check_gain(sum_cap_bits, "sum capacity"))
-    z = _as_generator(rng).standard_normal((2, dim))
+    check_type(rng, np.random.Generator, "rng")
+    z = rng.standard_normal((2, dim))
     v = z[0] + 1j * z[1]
     nrm = np.linalg.norm(v)
     if nrm == 0:   # no direction: raise, as capacity_sphere_rows does

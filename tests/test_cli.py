@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fadingmac
-from fadingmac import cli, montecarlo
+from fadingmac import cli, integer_forcing, montecarlo
 from fadingmac.cli import build_parser, main
 from fadingmac.integer_forcing import MAX_IF_CAPACITY_BITS
 
@@ -174,6 +174,23 @@ def test_fig10_with_one_trial_leaves_the_stderr_empty(tmp_path, capsys):
     assert len(empirical) == 32
     assert all(r[3] == "" and 0.0 <= float(r[2]) <= 1.0 for r in empirical)
     assert "nan" not in out.read_text()
+
+
+@pytest.mark.parametrize("argv, rows", [
+    ("fig 7 --trials 20", 3 * 20), ("fig 8 --trials 20", 2 * 20),
+    ("fig 9 --trials 5", 10 * 5), ("fig 10 --trials 5", 8 * 2 * 5),
+    ("fig 10 --users 3 --trials 5", 8 * 5),
+    ("if-sim --sum-cap 10 --precoder bb --mode if-sic --trials 20", 20)])
+def test_an_if_run_searches_each_channel_once(tmp_path, monkeypatch, argv, rows):
+    # One search per channel, per precoder and per C: a precoder's second
+    # mode is served from the first's search.
+    integer_forcing._both_mode_samples.cache_clear()
+    search = integer_forcing._search
+    searched = []
+    monkeypatch.setattr(integer_forcing, "_search",
+                        lambda f: searched.append(len(f)) or search(f))
+    assert main(argv.split() + ["--out", str(tmp_path / "run")]) == 0
+    assert sum(searched) == rows
 
 
 @pytest.mark.parametrize("figure, trials", [("7", "10"), ("8", "10"), ("10", "2")])

@@ -30,7 +30,6 @@ from fadingmac.integer_forcing import (
     brute_force_search,
     build_effective_channel,
     conditioned_rate_samples,
-    fraction_of_capacity,
     if_rate,
     lll_search,
 )
@@ -307,23 +306,6 @@ def test_unitary_precoding_preserves_sum_capacity():
             assert abs(cap_block - eff.time_extension * cap_scalar) < 1e-9
 
 
-def test_fraction_of_capacity_schemes():
-    cfg = SimConfig(trials=120, seed=15)
-    emp = fraction_of_capacity(2, [8.0], 0.05, "if-sic", cfg=cfg)
-    assert len(emp) == 1 and 0.0 <= emp[0][1] <= 1.0
-    with pytest.raises(InvalidParameterError):
-        fraction_of_capacity(2, [8.0], 1.5, "if", cfg=cfg)
-    with pytest.raises(InvalidParameterError):
-        fraction_of_capacity(2, [8.0], 0.05, "zf", cfg=cfg)
-
-
-def test_fraction_of_capacity_checks_the_precoder_on_every_scheme():
-    cfg = SimConfig(trials=20, seed=15)
-    for mode in ("if", "if-sic"):
-        with pytest.raises(InvalidParameterError, match="precoder kind"):
-            fraction_of_capacity(2, [4.0], 0.01, mode, cfg=cfg, precoder_kind="golden")
-
-
 def test_if_rate_never_returns_non_finite_rates_at_high_capacity():
     # At C = 60 bits an explicitly formed K = (I + H^H H)^-1 loses every
     # digit of its small eigenvalue; the square-root factor keeps each trial
@@ -364,14 +346,6 @@ def test_capacities_above_the_range_are_refused_before_any_draw(monkeypatch, cap
         for mode in ("if", "if-sic"):
             with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
                 conditioned_rate_samples(2, cap, kind, mode, SimConfig(trials=60, seed=1))
-        with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
-            fraction_of_capacity(2, [cap], 0.01, "if-sic", SimConfig(trials=5, seed=1),
-                                 precoder_kind=kind)
-        # The whole grid is checked before the first draw, so C = 40 draws
-        # nothing.
-        with pytest.raises(InvalidParameterError, match=f"^{_ABOVE_RANGE}$"):
-            fraction_of_capacity(2, [40.0, cap], 0.01, "if-sic", SimConfig(trials=5, seed=1),
-                                 precoder_kind=kind)
 
 
 def test_the_top_of_the_range_runs_in_any_block_size(monkeypatch):

@@ -47,7 +47,7 @@ def test_rng_stream_validation():
 
 
 def test_complex_gaussian_moments():
-    z = sample_complex_gaussian(200, 200, 2.0, RngStream(0))
+    z = sample_complex_gaussian(200, 200, 2.0, RngStream(0).generator())
     var = np.mean(np.abs(z) ** 2)
     assert abs(var - 2.0) < 0.02
     assert abs(np.mean(z.real)) < 0.01
@@ -56,27 +56,38 @@ def test_complex_gaussian_moments():
 
 def test_complex_gaussian_rejects_bad_args():
     with pytest.raises(InvalidParameterError):
-        sample_complex_gaussian(0, 3, 1.0, RngStream(0))
+        sample_complex_gaussian(0, 3, 1.0, RngStream(0).generator())
     with pytest.raises(InvalidParameterError):
-        sample_complex_gaussian(2, 2, 0.0, RngStream(0))
+        sample_complex_gaussian(2, 2, 0.0, RngStream(0).generator())
     with pytest.raises(InvalidParameterError):
         sample_complex_gaussian(2, 2, 1.0, "not an rng")
     with pytest.raises(InvalidParameterError):
-        sample_complex_gaussian(2.0001, 2, 1.0, RngStream(0))
+        sample_complex_gaussian(2.0001, 2, 1.0, RngStream(0).generator())
+
+
+@pytest.mark.parametrize("rng", [RngStream(0), None])
+def test_samplers_take_a_numpy_generator_only(rng):
+    # A stream names draws but is not a generator: callers pass
+    # RngStream.generator(), so one generator can serve several draws.
+    for draw in (lambda: sample_complex_gaussian(2, 2, 1.0, rng),
+                 lambda: sample_haar_unitary(2, rng),
+                 lambda: sample_capacity_sphere(2, 1.0, rng)):
+        with pytest.raises(InvalidParameterError, match="rng must be a Generator"):
+            draw()
 
 
 def test_samplers_reject_non_integral_dimensions():
     for bad in (0, 2.5):
         with pytest.raises(InvalidParameterError):
-            sample_capacity_sphere(bad, 1.0, RngStream(0))
+            sample_capacity_sphere(bad, 1.0, RngStream(0).generator())
         with pytest.raises(InvalidParameterError):
-            sample_haar_unitary(bad, RngStream(0))
-    assert sample_haar_unitary(np.int64(2), RngStream(0)).shape == (2, 2)
+            sample_haar_unitary(bad, RngStream(0).generator())
+    assert sample_haar_unitary(np.int64(2), RngStream(0).generator()).shape == (2, 2)
 
 
 def test_haar_unitary_is_unitary():
     for n in (1, 2, 5):
-        u = sample_haar_unitary(n, RngStream(1, n))
+        u = sample_haar_unitary(n, RngStream(1, n).generator())
         assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-12
 
 
@@ -120,7 +131,7 @@ def test_haar_left_invariance():
 
 def test_capacity_sphere_norm_is_exact():
     for cap in (0.5, 2.0, 10.0):
-        h = sample_capacity_sphere(4, cap, RngStream(2, int(cap * 10)))
+        h = sample_capacity_sphere(4, cap, RngStream(2, int(cap * 10)).generator())
         got = math.log2(1.0 + float(np.sum(np.abs(h) ** 2)))
         assert abs(got - cap) < 1e-12
 
@@ -129,14 +140,14 @@ def test_capacity_sphere_norm_is_exact():
 def test_capacity_sphere_rejects_capacities_whose_radius_overflows(cap):
     # 2**C - 1 overflows a float from about C = 1024 bits on.
     with pytest.raises(InvalidParameterError, match="too large"):
-        sample_capacity_sphere(2, cap, RngStream(0))
+        sample_capacity_sphere(2, cap, RngStream(0).generator())
     with pytest.raises(InvalidParameterError, match="too large"):
         linalg.capacity_sphere_rows(np.ones((3, 2, 2)), cap)
-    assert np.all(np.isfinite(sample_capacity_sphere(2, 1023.0, RngStream(0))))
+    assert np.all(np.isfinite(sample_capacity_sphere(2, 1023.0, RngStream(0).generator())))
 
 
 def test_capacity_sphere_zero_cap():
-    h = sample_capacity_sphere(3, 0.0, RngStream(0))
+    h = sample_capacity_sphere(3, 0.0, RngStream(0).generator())
     assert np.max(np.abs(h)) == 0.0
 
 
