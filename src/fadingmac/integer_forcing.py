@@ -25,16 +25,17 @@ and Haar normals are one row.  capacity_sphere_rows' sphere normalization,
 the Haar QRs, the effective channels, F, the QR factors of F's real
 embeddings, F A^T, the variances and the rates are stacked numpy calls over
 the block.  if_rate calls the same helpers on a stack of one, so a row
-equals the per-trial rate bit for bit.  Only the search runs per trial, as
-scalar code: the LLL loop runs on Python floats from the precomputed QR
-factor, since its matrices are small (2n x 2n for n streams), and holds each
-row of the unimodular transform as one packed Python int; candidate rows are
-tuples of Python ints.  Every rank decision is exact.  The greedy basis first
-asks whether the determinant of the n best rows is nonzero modulo a prime of
-the Gaussian integers, a filter whose "independent" verdict is a proof; when
-it cannot decide, fraction-free elimination over the integers tests each
-row, so coefficients of any size (about 10^7 at C = 100 bits) never make an
-independent row look dependent.
+equals the per-trial rate bit for bit.  The LLL loop runs per trial, as
+scalar code on Python floats from the precomputed QR factor, since its
+matrices are small (2n x 2n for n streams), and holds each row of the
+unimodular transform as one packed Python int; candidate rows are tuples of
+Python ints.  The greedy basis runs once per block: one stacked product
+gives every trial's forms, then each trial walks its rows in form order.
+Every rank decision is exact: a row whose image modulo a prime of the
+Gaussian integers leaves the span of the selected rows' images is proved
+independent, and fraction-free elimination over the integers tests any
+other, so coefficients of any size (about 10^7 at C = 100 bits) never make
+an independent row look dependent.
 
 The two receiver modes share the search, and figures compare them on the
 same draws.  So conditioned_rate_samples computes both modes from one
@@ -352,68 +353,76 @@ def _add_if_independent(echelon, row):
     return True
 
 
-def _independent_mod_p(rows):
-    """Whether n Gaussian-integer rows of length n have a determinant that is
-    nonzero modulo the prime ideal (_P, j - _J) of Z[j].
-
-    x + jy -> x + _J y (mod _P) is a ring map from Z[j] onto the integers
-    mod _P, so it carries the determinant to that of the mapped rows, which
-    fraction-free elimination tests for zero: each step scales the other
-    rows by a nonzero pivot.  True proves the rows linearly independent over
-    C; False decides nothing, since a nonzero determinant may be divisible
-    by the prime.
-    """
-    n = len(rows[0]) // 2
-    m = [[(x + _J * y) % _P for x, y in zip(row[:n], row[n:])] for row in rows]
-    while m:
-        piv = m.pop()
-        top = max(piv)
-        if not top:
-            return False
-        c = piv.index(top)
-        m = [[(a * top - row[c] * b) % _P for a, b in zip(row, piv)] for row in m]
-    return len(rows) == n
+def _mod_p_image(row):
+    """The row's image under x + jy -> x + _J y (mod _P), the ring map from
+    Z[j] onto the integers mod _P whose kernel is the prime ideal (_P, j - _J)."""
+    n = len(row) // 2
+    return [(x + _J * y) % _P for x, y in zip(row[:n], row[n:])]
 
 
 def _first_basis(rows, n):
     """Indices of the first n rows, in order, that each raise the rank over C.
 
-    When the first n rows pass _independent_mod_p, each of them raises the
-    rank, so they are that basis; otherwise every row is tested exactly with
-    _add_if_independent.
+    Row by row, the row's _mod_p_image is reduced against the images of the
+    rows selected so far.  The ring map carries every minor of the rows to
+    the same minor of their images, so while the selected images are
+    independent, an image left outside their span proves the row independent
+    of the selected rows.  An image inside the span decides nothing, since a
+    nonzero minor may be divisible by the prime: that row gets one exact
+    _add_if_independent test, and once such a test accepts a row the images
+    prove nothing more, so every later row is tested exactly.
     """
-    if _independent_mod_p(rows[:n]):
-        return list(range(n))
-    echelon = []
-    sel = []
+    sel, images, echelon, exact = [], [], [], False
     for i, row in enumerate(rows):
-        if _add_if_independent(echelon, row):
+        if not exact:
+            v = _mod_p_image(row)
+            for c, b in images:
+                if v[c]:
+                    v = [(a * b[c] - v[c] * e) % _P for a, e in zip(v, b)]
+            top = max(v)
+            if top:
+                images.append((v.index(top), v))
+                sel.append(i)
+            else:
+                for j in sel[len(echelon) // 2:]:   # each row adds two real rows
+                    _add_if_independent(echelon, rows[j])
+                exact = _add_if_independent(echelon, row)
+                if exact:
+                    sel.append(i)
+        elif _add_if_independent(echelon, row):
             sel.append(i)
-            if len(sel) == n:
-                return sel
+        if len(sel) == n:
+            return sel
     raise NumericalDomainError("candidate rows do not span the stream space")
 
 
-def _greedy_full_rank(f, rows):
-    """Full-rank selection with the smallest worst form ||F a||^2.
+def _greedy_bases(f, pools):
+    """Full-rank selections with the smallest worst form ||F a||^2, one per
+    F of the stack f (trials, n, n), from its pool of rows plus the unit rows.
 
-    Deduplicates the rows up to units (keeping first occurrences, so the form
-    product sees the rows in a fixed order), sorts them by (form, row) and
-    picks greedily, keeping each row that raises the rank over C.
-    Independence is a matroid, so the greedy basis minimizes the worst
-    quadratic form among all full-rank selections from the candidate pool.
+    Canonicalizes each pool up to units and appends the unit rows, which
+    guarantee full rank, keeping first occurrences; pads the pools with zero
+    rows into one (trials, width, 2n) array, so the forms and the gather of
+    the selected rows are one call each over the block.  Then each trial
+    sorts its rows by (form, row) and picks greedily, keeping each row that
+    raises the rank over C (_first_basis).  Independence is a matroid, so the
+    greedy basis minimizes the worst form among all full-rank selections
+    from the pool.
     """
-    cands = list(dict.fromkeys(map(_canonical_unit, rows)))
-    m = np.array(cands, dtype=float)
-    cm = m[:, :f.shape[0]] + 1j * m[:, f.shape[0]:]
-    forms = (np.linalg.norm(cm @ f.T, axis=1) ** 2).tolist()
-    order = sorted(range(len(cands)), key=lambda i: (forms[i], cands[i]))
-    basis = _first_basis([cands[i] for i in order], f.shape[0])
-    return cm[[order[i] for i in basis]]
-
-
-def _unit_rows(n):
-    return [tuple(int(i == j) for j in range(2 * n)) for i in range(n)]
+    n = f.shape[-1]
+    units = [tuple(int(i == j) for j in range(2 * n)) for i in range(n)]
+    cands = [list(dict.fromkeys([*map(_canonical_unit, rows), *units])) for rows in pools]
+    width = max(map(len, cands))
+    pad = [(0,) * (2 * n)]
+    m = np.array([c + pad * (width - len(c)) for c in cands], dtype=float)
+    cm = m[..., :n] + 1j * m[..., n:]
+    forms = (np.linalg.norm(cm @ f.swapaxes(-1, -2), axis=-1) ** 2).tolist()
+    picks = []
+    for c, fs in zip(cands, forms):
+        ranked = sorted(zip(fs, c, range(len(c))))    # by (form, row); zip drops the pad
+        basis = _first_basis([row for _, row, _ in ranked], n)
+        picks.append([ranked[k][2] for k in basis])
+    return cm[np.arange(len(cands))[:, None], picks]
 
 
 def _search(f):
@@ -422,22 +431,20 @@ def _search(f):
 
     LLL-reduces the real embedding of each F (delta = _LLL_DELTA), whose columns
     span a lattice with Gram matrix the real embedding of F^H F, lifts the 2n
-    reduced coefficient rows back to Gaussian-integer rows, adds the unit
-    rows, and greedily assembles a basis in form order.  The unit rows
-    guarantee full rank and that no selected row is worse than the worst
-    column norm of F.  The QR factors of the embeddings come from one
-    stacked call; the reduction and the greedy basis run per matrix.  A
-    factor whose diagonal is not finite and nonzero (F underflows at
-    capacities of a few hundred bits) raises NumericalDomainError.
+    reduced coefficient rows back to Gaussian-integer rows, and greedily
+    assembles a basis from them and the unit rows in form order.  The unit
+    rows also guarantee that no selected row is worse than the worst column
+    norm of F.  The QR factors of the embeddings come from one stacked call
+    and the greedy basis from one pass over the block; only the reduction
+    runs per matrix.  A factor whose diagonal is not finite and nonzero (F
+    underflows at capacities of a few hundred bits) raises
+    NumericalDomainError.
     """
-    units = _unit_rows(f.shape[-1])
     r = np.linalg.qr(_real_embedding(f), mode="r")
     d = np.diagonal(r, axis1=-2, axis2=-1)
     if not np.all(np.isfinite(d) & (d != 0)):
         raise NumericalDomainError("lattice basis is singular to working precision")
-    return np.array([
-        _greedy_full_rank(fi, _lll_transform(ri) + units)
-        for fi, ri in zip(f, r)])
+    return _greedy_bases(f, [_lll_transform(ri) for ri in r])
 
 
 def lll_search(gram):
@@ -500,7 +507,7 @@ def brute_force_search(gram, radius):
     radius = check_int(radius, "radius", 1)
     bound = float(np.max(np.linalg.norm(f, axis=0))) ** 2 * (1.0 + 1e-9)
     pts = _points_in_ellipsoid(_real_embedding(f), bound, radius)
-    return _greedy_full_rank(f, [tuple(p.tolist()) for p in pts] + _unit_rows(n))
+    return _greedy_bases(f[None], [[tuple(p.tolist()) for p in pts]])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +613,7 @@ def conditioned_rate_samples(n_users, sum_cap_bits, precoder_kind, mode, cfg):
     are redrawn per trial from the same stream as the channel.
 
     Works on blocks of trials: every step but the lattice reduction and the
-    greedy basis is a stacked numpy call, and row t equals
+    greedy basis's row walk is a stacked numpy call, and row t equals
     N * if_rate(...).symmetric_rate_bits of trial t's channel.
 
     The search for A does not depend on the mode, so both modes' samples

@@ -334,7 +334,13 @@ def averaged_bound_vs_snr(dims, target_rate_bits, which, cfg):
 
 
 def _estimates(grid_db, p_hat, variances, trials):
-    """OutageEstimates of Python numbers, stderr = sqrt(variance / trials)."""
+    """OutageEstimates of Python numbers, stderr = sqrt(variance / trials),
+    each filled by one dict update, about twice as fast as the frozen
+    dataclass's __init__ (one object.__setattr__ per field)."""
     stderr = np.sqrt(variances / trials)
-    return [OutageEstimate(point=db, p_hat=p, stderr=se, trials=trials)
-            for db, p, se in zip(grid_db.tolist(), p_hat.tolist(), stderr.tolist())]
+    out = []
+    for db, p, se in zip(grid_db.tolist(), p_hat.tolist(), stderr.tolist()):
+        est = object.__new__(OutageEstimate)
+        est.__dict__.update(point=db, p_hat=p, stderr=se, trials=trials)
+        out.append(est)
+    return out

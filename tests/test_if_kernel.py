@@ -26,7 +26,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fadingmac import integer_forcing, linalg
@@ -39,8 +39,8 @@ from fadingmac.integer_forcing import (
     Precoder,
     _add_if_independent,
     _first_basis,
-    _independent_mod_p,
     _lll_transform,
+    _mod_p_image,
     _pack,
     _real_embedding,
     _unpack,
@@ -253,6 +253,48 @@ def test_engine_rows_do_not_depend_on_the_trial_block(monkeypatch):
         assert np.array_equal(got, whole[mode])
         assert np.array_equal(got, _per_trial_samples(2, 10.0, "haar", mode, cfg.seed,
                                                       cfg.trials))
+
+
+def _stream_rates(a, f, mode):
+    return integer_forcing._rates(integer_forcing._variances(a @ f.swapaxes(-1, -2), mode))
+
+
+@pytest.mark.parametrize("n_users", [2, 3, 4])
+@pytest.mark.parametrize("cap", [10.0, 40.0, 80.0])
+def test_a_block_search_equals_searching_each_trial_alone(n_users, cap):
+    # The greedy basis runs once per block, on the pools padded to the
+    # widest; each trial's A, and so its rates, must be those of a block of
+    # one.
+    kinds = PRECODER_KINDS if n_users == 2 else ("none", "haar")
+    for kind in kinds:
+        f = np.array([_factor(_effective(rng, n_users, cap, kind))
+                      for rng in trial_generators(33, 40)])
+        block = integer_forcing._search(f)
+        alone = [integer_forcing._search(fi[None]) for fi in f]
+        assert np.array_equal(block, np.concatenate(alone)), kind
+        for mode in ("if", "if-sic"):
+            want = [_stream_rates(a, fi[None], mode) for a, fi in zip(alone, f)]
+            assert np.array_equal(_stream_rates(block, f, mode), np.concatenate(want)), (kind, mode)
+
+
+# sha256 of the concatenated complex128 matrices of lll_search(k) and of
+# brute_force_search(k, radius=4) on criterion 9's 600 Grams, recorded with
+# the per-trial greedy basis that preceded the block-wise one.
+_CRITERION_9_DIGESTS = (
+    "00c16674cef85f4cdef40e8d034c8141e1e7030388265d14307d02fc7309f44d",
+    "aff06c949662df99e0f0dd986c0a98c225f8e08911a6cc27e255524a2b74e73e")
+
+
+def test_gram_searches_keep_their_matrices_on_criterion_9():
+    lll, brute = hashlib.sha256(), hashlib.sha256()
+    for n, count, base in ((2, 500, 91), (4, 100, 92)):
+        for i in range(count):
+            rng = RngStream(base, i).generator()
+            h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+            k = np.linalg.inv(np.eye(n) + np.outer(h.conj(), h))
+            lll.update(integer_forcing.lll_search(k).tobytes())
+            brute.update(integer_forcing.brute_force_search(k, 4).tobytes())
+    assert (lll.hexdigest(), brute.hexdigest()) == _CRITERION_9_DIGESTS
 
 
 @pytest.mark.parametrize("kind", ["none", "haar"])
@@ -505,16 +547,22 @@ def _exact_first_basis(rows, n):
     return None
 
 
+def _det2_mod_p(r, s):
+    (a, b), (c, d) = _mod_p_image(r), _mod_p_image(s)
+    return (a * d - b * c) % _P
+
+
 @pytest.mark.parametrize("base", [10 ** 7, 2 ** 40])
 def test_large_entry_rank_decisions_where_float_tests_fail(base):
     a = (base + _P, base, 7, 7)     # a - b = (_P, 0): det(a, b) = _P
     b = (1, 1, 0, 0)
     c = _gaussian_times((3, -2), a)
     # det(a, b) = _P is nonzero, but divisible by the filter's prime; c is a
-    # multiple of a.  Either way the filter cannot decide, and exact
-    # elimination must.
-    assert not _independent_mod_p([a, b]) and not _independent_mod_p([a, c])
-    assert not _independent_mod_p([b])    # one row cannot span two streams
+    # multiple of a.  Either way the second row's image lies in the span of
+    # the first's, so the filter cannot decide, and exact elimination must.
+    assert any(_mod_p_image(a)) and _det2_mod_p(a, b) == _det2_mod_p(a, c) == 0
+    with pytest.raises(NumericalDomainError, match="do not span"):
+        _first_basis([b], 2)    # one row cannot span two streams
     assert _first_basis([a, b], 2) == _exact_first_basis([a, b], 2) == [0, 1]
     assert _first_basis([a, c, b], 2) == _exact_first_basis([a, c, b], 2) == [0, 2]
     # Plain floating-point tests can get these wrong: near 2^40 the
@@ -524,31 +572,64 @@ def test_large_entry_rank_decisions_where_float_tests_fail(base):
     # only the exact decisions above are asserted.
 
 
-@settings(max_examples=120, deadline=None)
+def test_an_exactly_accepted_row_ends_the_filter():
+    # r = a + (j - _J) t has a's image but is independent of a, so the exact
+    # test accepts it; then (j - _J) t = r - a puts t in the span of a and r
+    # over C, though t's image is outside the span of a's image.  Only an
+    # exact test after r rejects t.
+    a, t, u = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)
+    r = tuple(x + y for x, y in zip(a, _gaussian_times((-integer_forcing._J, 1), t)))
+    assert _mod_p_image(r) == _mod_p_image(a) and any(_mod_p_image(t))
+    assert _first_basis([a, r, t, u], 3) == _exact_first_basis([a, r, t, u], 3) == [0, 1, 3]
+
+
+def _filter_off(row):
+    return [0] * (len(row) // 2)
+
+
+@settings(max_examples=200, deadline=None)
 @given(base=st.sampled_from([10 ** 7, 2 ** 40]), n=st.integers(1, 4),
        extra=st.integers(0, 3), dependent=st.sets(st.integers(1, 6), max_size=3),
+       duplicate=st.sets(st.integers(1, 6), max_size=2),
+       zero_image=st.sets(st.integers(0, 6), max_size=2),
        filtered=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_filtered_rank_decision_equals_exact_elimination(base, n, extra, dependent,
-                                                         filtered, seed):
-    # Rows with entries near base; the rows at the positions in `dependent`
-    # are Gaussian-integer combinations of the rows before them, so the
-    # first n rows are often dependent and the exact fallback decides.  With
-    # filtered False the filter is switched off, forcing the fallback.
+@example(base=10 ** 7, n=3, extra=1, dependent=set(), duplicate=set(), zero_image={1},
+         filtered=True, seed=0)
+@example(base=2 ** 40, n=2, extra=2, dependent=set(), duplicate={1}, zero_image={0},
+         filtered=True, seed=1)
+def test_filtered_rank_decision_equals_exact_elimination(base, n, extra, dependent, duplicate,
+                                                         zero_image, filtered, seed):
+    # Rows with entries near base, of four kinds by position: Gaussian-integer
+    # combinations of the rows before them (`dependent`), copies of an
+    # earlier row (`duplicate`), and (j - _J) times a fresh row
+    # (`zero_image`), whose image under the filter's ring map is zero though
+    # it is independent of the other rows over C; every other row is fresh.
+    # So the filter often meets an image inside the selected rows' span, in
+    # the first n rows or after them, and the exact test decides.  With
+    # filtered False every image is zero, so every row is tested exactly.
     rng = np.random.default_rng(seed)
+
+    def fresh():
+        signs = rng.choice([-1, 1], 2 * n)
+        return tuple(int(s) * base + int(v) for s, v in zip(signs, rng.integers(-9, 10, 2 * n)))
+
     rows = []
     for i in range(n + extra):
         if i in dependent:
             g = rng.integers(-3, 4, (len(rows), 2)).tolist()
             terms = [_gaussian_times(gi, row) for gi, row in zip(g, rows)]
             rows.append(tuple(map(sum, zip(*terms))))
+        elif i in duplicate and rows:
+            rows.append(rows[rng.integers(len(rows))])
+        elif i in zero_image:
+            rows.append(_gaussian_times((-integer_forcing._J, 1), fresh()))
+            assert not any(_mod_p_image(rows[-1]))
         else:
-            signs = rng.choice([-1, 1], 2 * n)
-            rows.append(tuple(int(s) * base + int(v)
-                              for s, v in zip(signs, rng.integers(-9, 10, 2 * n))))
+            rows.append(fresh())
     want = _exact_first_basis(rows, n)
     with pytest.MonkeyPatch.context() as mp:
         if not filtered:
-            mp.setattr(integer_forcing, "_independent_mod_p", lambda rows: False)
+            mp.setattr(integer_forcing, "_mod_p_image", _filter_off)
         if want is None:
             with pytest.raises(NumericalDomainError, match="do not span"):
                 _first_basis(rows, n)

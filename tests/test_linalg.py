@@ -268,6 +268,21 @@ def test_trial_gammas_equal_a_loop_over_trial_generators(m):
         assert np.array_equal(got, np.array(want))
 
 
+@pytest.mark.parametrize("size", [1, 2, 4, 7])
+def test_unit_shape_gammas_are_exponentials_bit_for_bit(size):
+    # trial_gammas draws k = 1 with standard_exponential, for speed; the
+    # draws are those of standard_gamma(1.0, ...) only while numpy's Gamma
+    # sampler hands shape 1 to its exponential sampler, which this pins.
+    for seed in range(20):
+        gamma = RngStream(seed).generator().standard_gamma(1.0, (2000, size))
+        expo = RngStream(seed).generator().standard_exponential((2000, size))
+        assert np.array_equal(gamma, expo)
+    got = np.concatenate(list(trial_gammas(3, 5000, 1, size)))
+    assert np.array_equal(got, np.concatenate(
+        [RngStream(3, s).generator().standard_gamma(1.0, (rows, size))
+         for s, rows in ((0, 4096), (1, 904))]))
+
+
 def test_trial_normals_do_not_depend_on_the_chunk_size(monkeypatch):
     # Chunks are drawn from their stream in order and never span two
     # streams, so any chunk size gives the same rows.
