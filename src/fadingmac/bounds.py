@@ -66,9 +66,9 @@ def _binomial_tail(x, a, b):
     # an exact integer, so each weight is math.comb's without its cost.
     n = a + b - 1
     check_binomial(n, max(a, n // 2))   # the largest coefficient of the sum
-    total, w = 0, math.comb(n, a)
+    total, w, y = 0, math.comb(n, a), 1.0 - x
     for j in range(a, n + 1):
-        total += w * x ** j * (1.0 - x) ** (n - j)
+        total += w * x ** j * y ** (n - j)
         w = w * (n - j) // (j + 1)
     return total
 

@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 usage or parameter error, 2 numerical-domain error.
 """
 
 import argparse
-import csv
 import json
 import math
 import platform
@@ -92,11 +91,12 @@ def _fmt(value):
 
 
 def _write_csv(path, rows):
+    # One string, one write: no curve name holds a comma, quote or line
+    # break, so csv's minimal quoting would leave every field as it is.
+    text = "curve,x,y,stderr\n" + "".join(
+        f"{curve},{_fmt(x)},{_fmt(y)},{_fmt(err)}\n" for curve, x, y, err in rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["curve", "x", "y", "stderr"])
-        for curve, x, y, err in rows:
-            writer.writerow([curve, _fmt(x), _fmt(y), _fmt(err)])
+        fh.write(text)
 
 
 def _write_manifest(path, command, run, params, wall_time_s, csv_path, extra=None):
@@ -113,9 +113,9 @@ def _write_manifest(path, command, run, params, wall_time_s, csv_path, extra=Non
     }
     if "seed" in run.reads:   # a run that draws nothing has no seed to record
         doc["seed"] = params["seed"]
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _out_paths(base):

@@ -17,7 +17,7 @@ formulas, and report the atom mass at the conditioning capacity separately.
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -228,17 +228,19 @@ def _log_det(coeffs, snrs):
     with np.errstate(over="ignore"):
         poly = coeffs[-1][..., None] * snrs
         for e in coeffs[-2::-1]:
-            poly = (poly + e[..., None]) * snrs
+            poly += e[..., None]
+            poly *= snrs
+    if poly.max(initial=0.0) < np.inf:
+        return np.log1p(poly, out=poly)
     out = np.log1p(poly)
     over = np.isinf(poly)
-    if over.any():
-        *at, col = np.nonzero(over)
-        log_s = np.log(snrs[col])
-        with np.errstate(divide="ignore"):
-            terms = np.stack([np.zeros_like(log_s)] + [np.log(e[tuple(at)]) + k * log_s
-                                                      for k, e in enumerate(coeffs, 1)])
-        top = terms.max(axis=0)
-        out[over] = top + np.log(np.exp(terms - top).sum(axis=0))
+    *at, col = np.nonzero(over)
+    log_s = np.log(snrs[col])
+    with np.errstate(divide="ignore"):
+        terms = np.stack([np.zeros_like(log_s)] + [np.log(e[tuple(at)]) + k * log_s
+                                                  for k, e in enumerate(coeffs, 1)])
+    top = terms.max(axis=0)
+    out[over] = top + np.log(np.exp(terms - top).sum(axis=0))
     return out
 
 
@@ -259,15 +261,19 @@ def _symmetric_capacity(mats, snrs):
 
     Subset S's rate is log2 det(I + s G_S) for its _subset_gram G_S, whose
     determinant polynomial is evaluated on the whole SNR grid.  The users'
-    n_rx x n_rx Grams are formed once, and only if the full set reads them."""
+    n_rx x n_rx Grams are formed once, and only if the full set reads them.
+    Subsets of one size k share the scale n / (k ln 2), so it is applied once
+    to their least ln det: rounding is monotone, so the scaled minimum is the
+    minimum of the scaled rates."""
     _, n, n_rx, n_tx = mats.shape
     grams = mats @ mats.conj().swapaxes(-1, -2) if n * n_tx >= n_rx else None
-    best = np.full((len(mats), snrs.size), np.inf)
+    least = {}   # subset size -> least ln det over the subsets of that size
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
-        rates = _log_det(_det_coefficients(_subset_gram(mats, members, grams)), snrs)
-        best = np.minimum(best, rates * (n / len(members) / _LN2))
-    return best
+        log_det = _log_det(_det_coefficients(_subset_gram(mats, members, grams)), snrs)
+        k = len(members)
+        least[k] = np.minimum(least[k], log_det, out=log_det) if k in least else log_det
+    return reduce(np.minimum, (m * (n / k / _LN2) for k, m in least.items()))
 
 
 def _snr_grid_linear(cfg):

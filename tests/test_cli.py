@@ -832,6 +832,68 @@ def test_rerun_reproduces_a_fresh_run_byte_for_byte(kind, data):
         assert _manifest_text(f"{replay}.json") == _manifest_text(f"{fresh}.json")
 
 
+# One command line of each kind of CSV run, at a few trials: fig 1-10, each
+# simulate branch (the bracket on scalar and on MIMO users), and if-sim with
+# each precoder and mode.
+_WRITER_RUNS = (
+    [["fig", "1"], ["fig", "2"]]
+    + [["fig", str(n), "--trials", "5"] for n in range(3, 11)]
+    + [["simulate", "--nt", "2", "--nr", "2", "--rate", "1", "--snr-db-list", "0,10",
+        "--trials", "5"],
+       ["simulate", "--sum-cap", "2", "--trials", "5"],
+       ["simulate", "--users", "3", "--nt", "2", "--nr", "2", "--sum-cap", "2", "--trials", "5"],
+       ["simulate", "--users", "4", "--sum-cap", "8", "--cardinality", "2", "--trials", "5"]]
+    + [["if-sim", "--sum-cap", "4", "--precoder", p, "--mode", m, "--trials", "3"]
+       for p in ("none", "bb", "haar") for m in ("if", "if-sic")])
+
+
+def _csv_module_bytes(path, rows):
+    """The bytes csv.writer writes for the rows under _write_csv's header."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["curve", "x", "y", "stderr"])
+        writer.writerows([curve, cli._fmt(x), cli._fmt(y), cli._fmt(err)]
+                         for curve, x, y, err in rows)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("argv", _WRITER_RUNS, ids=" ".join)
+def test_csv_bytes_equal_the_csv_module_on_every_run_kind(tmp_path, monkeypatch, capsys, argv):
+    written = []
+    write = cli._write_csv
+    monkeypatch.setattr(cli, "_write_csv",
+                        lambda path, rows: written.append(rows) or write(path, rows))
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    (rows,) = written
+    assert rows and not any(set(curve) & set(',"\r\n') for curve, *_ in rows)
+    assert (tmp_path / "run.csv").read_bytes() == _csv_module_bytes(tmp_path / "ref.csv", rows)
+
+
+def test_csv_bytes_equal_the_csv_module_on_edge_values(tmp_path):
+    rows = [("a", 0.0, -0.0, None), ("b", np.inf, -np.inf, 5e-324),
+            ("c", np.float64(0.1), np.float64(-1e300), np.float64(2.5)),
+            ("d", 1, np.float64("nan"), 0), ("e", -5e-324, 1.7976931348623157e308, None)]
+    cli._write_csv(tmp_path / "run.csv", rows)
+    assert (tmp_path / "run.csv").read_bytes() == _csv_module_bytes(tmp_path / "ref.csv", rows)
+    assert (tmp_path / "run.csv").read_text().splitlines()[1:3] == [
+        "a,0.0,-0.0,", "b,inf,-inf,5e-324"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig", "4", "--trials", "5"],
+    ["fig", "6", "--trials", "5", "--snr-db-list=-3.5,0,12"],
+    ["if-sim", "--sum-cap", "4", "--trials", "3"],
+    ["bound", "scalar-bracket", "--users", "4", "--rate", "4", "--sum-cap", "8"],
+], ids=" ".join)
+def test_manifest_bytes_equal_json_dump(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    doc = json.loads((tmp_path / "run.json").read_text())
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert (tmp_path / "run.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
 _PARAM_KEYS = {
     "fig": {"figure", "seed", "users", "nt", "nr", "sum_cap", "rate", "trials",
             "snr_db_list", "rate_convention"},

@@ -8,6 +8,7 @@ statistics (CDF probabilities, atoms, outage counts) must therefore match
 exactly and averaged bounds to rounding.
 """
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -481,3 +482,79 @@ def test_batched_symmetric_capacity_equals_subset_enumeration(n_users, n_tx, n_r
     got = montecarlo._symmetric_capacity(mats, snrs)
     want = _reference_symmetric_capacity(dims, seed, trials, snrs)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# digest pin of the SNR-sweep kernel
+
+# sha256 per dims of _symmetric_capacity and of the outage, union and SIMO
+# estimates (point, p_hat, stderr, trials), at 300 trials, seeds 51 and 52,
+# target 3 bits, on -10..20 dB in 2 dB steps and on {0, 1,000, 3,000} dB,
+# where det overflows and the log-domain sum takes over.  A bound that
+# refuses its conditioning value is hashed by its message.  Recorded with the
+# out-of-place Horner loop and one minimum per subset that preceded the
+# in-place loop and the running minimum per subset size.
+_SWEEP_DIGESTS = {
+    ((2, 2, 3), "capacity"):
+        "3b2713e00046e5f8f8fa246bc19402185f4d3ac764d1a0300e96a186ff93cd53",
+    ((2, 2, 3), "outage"):
+        "33901db87983ec286d99303ae7630bb65e9dc9959bbeeb8ccca16de927a30527",
+    ((2, 2, 3), "union"):
+        "5090d8c732cfbf71e337c4a66e4aaaf1efa49f5f0affaacbf6598e9ed65f7bd2",
+    ((4, 1, 2), "capacity"):
+        "216167ff3dd13fe6df3782a9aaa4f024c616f1a84a573883d0fd08bf06abcc50",
+    ((4, 1, 2), "outage"):
+        "cf8bef5e14de802133a6184ccd7352f0272578ef93281025b98d99738ffd1c9b",
+    ((4, 1, 2), "union"):
+        "39864b6edd7dac9ff804b01489ce6874c9f0477b07f4734c31fb5c357dd019b3",
+    ((2, 1, 6), "capacity"):
+        "1ce3e15f75d296c6a8ea3ac8119ef656db3248ea1a561b3354bd5173af53632b",
+    ((2, 1, 6), "outage"):
+        "cf5ddc3bde00cfe340dfc5606a65b54bcf36e4c905fd0a0b934e8b76351964f2",
+    ((2, 1, 6), "union"):
+        "5090d8c732cfbf71e337c4a66e4aaaf1efa49f5f0affaacbf6598e9ed65f7bd2",
+    ((2, 1, 6), "simo"):
+        "11ab2306da9cd90febdbe7663bfa0191aed8ebc3abef7864824dc6d689c2f879",
+    ((3, 2, 4), "capacity"):
+        "a4425a8e429364da5fd221a5769674ac9258944c4864ea927c97961150386225",
+    ((3, 2, 4), "outage"):
+        "b83b8014e2728af75a414adbb01ab2c73181f827dbf082091134d990b2a38245",
+    ((3, 2, 4), "union"):
+        "fa9908a2671f83c9b66c9b84864d0586c2426ca0aff9ef0b4d6aa41e4911daf9",
+    ((6, 1, 2), "capacity"):
+        "87b74135ab5e11fc6237876d5af9c37006083398f867c07d83ad23de510d0580",
+    ((6, 1, 2), "outage"):
+        "a6c0108c731010508e9443ecf3f00efc0c0adeadd6e35033ffaff5db0e8063b9",
+    ((6, 1, 2), "union"):
+        "86c7227b73be66b0b25536fb2fb83abe067553b5bfb97741f14056c05f010df8"}
+_SWEEP_GRIDS = (np.arange(-10.0, 20.0 + 1e-9, 2.0), np.array([0.0, 1000.0, 3000.0]))
+
+
+def _estimate_bytes(run):
+    try:
+        estimates = run()
+    except InvalidParameterError as exc:
+        return str(exc).encode()
+    return np.array([[e.point, e.p_hat, e.stderr, e.trials] for e in estimates]).tobytes()
+
+
+def _sweep_digests(dims):
+    dims = ScenarioDims(*dims)
+    bounds = ("union", "simo") if (dims.n_users, dims.n_tx) == (2, 1) else ("union",)
+    digests = {name: hashlib.sha256() for name in ("capacity", "outage", *bounds)}
+    for seed, grid_db in itertools.product((51, 52), _SWEEP_GRIDS):
+        cfg = SimConfig(trials=300, seed=seed, snr_grid_db=grid_db)
+        for mats in montecarlo._user_matrix_blocks(dims, cfg):
+            digests["capacity"].update(
+                montecarlo._symmetric_capacity(mats, 10.0 ** (grid_db / 10.0)).tobytes())
+        digests["outage"].update(_estimate_bytes(partial(outage_vs_snr, dims, 3.0, cfg)))
+        for which in bounds:
+            digests[which].update(
+                _estimate_bytes(partial(averaged_bound_vs_snr, dims, 3.0, which, cfg)))
+    return {name: h.hexdigest() for name, h in digests.items()}
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 3), (4, 1, 2), (2, 1, 6), (3, 2, 4), (6, 1, 2)])
+def test_sweep_outputs_keep_their_digests(dims):
+    got = _sweep_digests(dims)
+    assert got == {name: _SWEEP_DIGESTS[dims, name] for name in got}
