@@ -47,15 +47,9 @@ from .bounds import (
 from .dmt import single_user_dmt, symmetric_mac_dmt, symmetric_mac_dmt_curve
 from .errors import InvalidParameterError, NumericalDomainError, check_capacity, check_gain, \
     check_int
-from .integer_forcing import (
-    EffectiveChannel,
-    brute_force_search,
-    check_if_capacity,
-    conditioned_rate_samples,
-    if_rate,
-    lll_search,
-)
-from .linalg import RNG_LAYOUT, hermitian_inverse, sample_complex_gaussian, trial_generators
+from .integer_forcing import EffectiveChannel, check_if_capacity, conditioned_rate_samples, \
+    exhaustive_search, if_rate
+from .linalg import RNG_LAYOUT, sample_complex_gaussian, trial_generators
 from .montecarlo import (
     SimConfig,
     averaged_bound_vs_snr,
@@ -504,9 +498,8 @@ def _suite_if(params):
     for rng in trial_generators(params["seed"], instances):
         h = sample_complex_gaussian(2, 2, 1.0, rng)
         eff = EffectiveChannel(matrix=h, n_users=2, streams_per_user=1, time_extension=1)
-        gram = hermitian_inverse(np.eye(2) + h.conj().T @ h)
-        r_lll = if_rate(eff, "if", a=lll_search(gram)).symmetric_rate_bits
-        r_opt = if_rate(eff, "if", a=brute_force_search(gram, 3)).symmetric_rate_bits
+        r_lll = if_rate(eff).symmetric_rate_bits
+        r_opt = if_rate(eff, a=exhaustive_search(eff, 3)).symmetric_rate_bits
         if r_lll > r_opt + 1e-9:
             better += 1
         if abs(r_lll - r_opt) <= 1e-9:
@@ -520,7 +513,7 @@ def _suite_if(params):
         eff = EffectiveChannel(matrix=h, n_users=3, streams_per_user=1,
                                time_extension=1)
         plain = if_rate(eff, mode="if")
-        sic = if_rate(eff, mode="if-sic", a=plain.a_matrix)
+        sic = if_rate(eff, mode="if-sic")
         gap = float(np.max(plain.per_stream_rate_bits - sic.per_stream_rate_bits))
         worst = max(worst, gap)
     checks.append(("successive worse than parallel (max bits)", worst, 1e-9))

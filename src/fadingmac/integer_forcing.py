@@ -14,10 +14,10 @@ of F A^T, and A is searched with LLL reduction of the lattice spanned by the
 real embedding of F.  F's condition number grows like 2^(C/2) rather than
 K's 2^C; up to C = MAX_IF_CAPACITY_BITS = 80 bits, the working range of
 conditioned_rate_samples, rates stay within 1e-3 bits of exact rational
-rates and at or below C.  An exhaustive bounded-box search provides the
-oracle the reduction is validated against.  lll_search and
-brute_force_search take K itself, for callers that hold one, and search
-with its Cholesky factor.
+rates and at or below C.  An exhaustive bounded-box search from the same
+F (exhaustive_search) provides the oracle the reduction is validated
+against.  lll_search and brute_force_search are the Gram adapters: they take
+K itself, for callers that hold one, and search with its Cholesky factor.
 
 conditioned_rate_samples works on blocks of trials, drawn through
 linalg.trial_normals as the conditioned engines are: each trial's sphere
@@ -198,8 +198,7 @@ def _effective_matrices(p, h):
 
 def _real_embedding(k):
     """Real matrix M acting on [u; v] as k acts on a = u + jv, so
-    ||k a|| = ||M [u; v]|| and, for Hermitian k, a^H k a = [u v]^T M [u v].
-    Embeds each matrix of a stack (..., n, n)."""
+    ||k a|| = ||M [u; v]||.  Embeds each matrix of a stack (..., n, n)."""
     return np.block([[k.real, -k.imag], [k.imag, k.real]])
 
 
@@ -492,14 +491,24 @@ def _points_in_ellipsoid(b, bound, radius):
 
 
 def brute_force_search(gram, radius):
-    """Oracle search: the full-rank matrix minimizing the worst quadratic form
-    over Gaussian-integer rows with |Re|, |Im| <= radius.
+    """exhaustive_search for a caller that holds K, with F = L^H from its
+    Cholesky factor L."""
+    return _exhaustive(cholesky_lower(gram).conj().T, radius)
 
-    Enumeration is pruned at the largest diagonal entry of K: the unit rows
+
+def exhaustive_search(eff, radius):
+    """Oracle search on an effective channel, from the F that if_rate takes."""
+    return _exhaustive(_channel_factor(eff)[0], radius)
+
+
+def _exhaustive(f, radius):
+    """The full-rank matrix minimizing the worst form ||F a||^2 over
+    Gaussian-integer rows with |Re|, |Im| <= radius.
+
+    Enumeration is pruned at the largest column norm of F: the unit rows
     always complete a partial selection, so no optimal row can have a larger
     form.  This keeps the result exactly equal to enumerating the whole box.
     """
-    f = cholesky_lower(gram).conj().T
     n = f.shape[0]
     if n > BRUTE_FORCE_MAX_DIM:
         raise InvalidParameterError(
@@ -546,6 +555,12 @@ def _validate_a(a, n):
     return ints[:, :n] + 1j * ints[:, n:]
 
 
+def _channel_factor(eff):
+    """F of one effective channel, as a stack of one."""
+    check_type(eff, EffectiveChannel, "eff")
+    return _sqrt_factors(np.asarray(eff.matrix, dtype=complex)[None])
+
+
 def _sqrt_factors(h):
     """F = R^-H for a stack of effective channels h (..., rows, n), where R
     is the triangular factor of a QR decomposition of [H; I], so that
@@ -590,9 +605,8 @@ def if_rate(eff, mode="if", a=None):
     A noise variance that is not finite and positive raises
     NumericalDomainError.
     """
-    check_type(eff, EffectiveChannel, "eff")
+    f = _channel_factor(eff)
     check_choice(mode, _MODES, "mode")
-    f = _sqrt_factors(np.asarray(eff.matrix, dtype=complex)[None])
     a = _search(f)[0] if a is None else _validate_a(a, f.shape[-1])
     fa = a @ f[0].T
     rates = _rates(_variances(fa, mode))

@@ -53,3 +53,29 @@ def test_integer_forcing_imports_neither_bounds_nor_montecarlo():
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             modules.update([node.module] if node.module else [a.name for a in node.names])
     assert modules == {"capacity", "errors", "linalg"}
+
+
+def _names(tree):
+    """Every name a parsed module binds, reads or reads as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_the_gram_adapters_factor_the_noise_gram():
+    # Every search the library and the command line run starts from the
+    # channel's square-root factor F; K = F^H F and its Cholesky factor serve
+    # only callers that hold K, through lll_search and brute_force_search.
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    gram_names = {"hermitian_inverse", "cholesky_lower", "lll_search", "brute_force_search"}
+    assert gram_names.isdisjoint(_names(cli))
+    tree = ast.parse((PACKAGE / "integer_forcing.py").read_text())
+    adapters = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                and fn.name in {"lll_search", "brute_force_search"}]
+    inside = sum(list(_names(fn)).count("cholesky_lower") for fn in adapters)
+    # the import, then one call in each adapter
+    assert list(_names(tree)).count("cholesky_lower") == inside + 1 == 3

@@ -30,6 +30,7 @@ from fadingmac.integer_forcing import (
     brute_force_search,
     build_effective_channel,
     conditioned_rate_samples,
+    exhaustive_search,
     if_rate,
     lll_search,
 )
@@ -245,6 +246,37 @@ def test_brute_force_validation():
         brute_force_search(np.array([[1.0, 1.0], [0.0, 1.0]]), radius=2)
     with pytest.raises(NumericalDomainError):
         brute_force_search(np.zeros((2, 2)), radius=2)
+    with pytest.raises(InvalidParameterError, match="must be an EffectiveChannel"):
+        exhaustive_search(np.eye(2), radius=2)
+    wide = EffectiveChannel(matrix=np.ones((1, 5)), n_users=5, streams_per_user=1,
+                            time_extension=1)
+    with pytest.raises(InvalidParameterError, match="limited to dimension"):
+        exhaustive_search(wide, radius=2)
+    with pytest.raises(InvalidParameterError):
+        exhaustive_search(_random_scalar_eff(RngStream(9, 0).generator()), radius=0)
+
+
+@pytest.mark.parametrize("cap", [60, 80])
+def test_exhaustive_search_from_f_checks_the_engine_at_the_top_of_the_range(cap):
+    # The engine's own channels (two users, no precoder, seed 3).  K = F^H F
+    # of most of them is too ill-conditioned for a Cholesky factor, so the
+    # Gram adapters cannot search them; the search from F runs on all 40.
+    # The radius-4 box is too small here: the engine beats it on every trial.
+    z = np.concatenate(list(linalg.trial_normals(3, 40, (4,))))
+    h = linalg.capacity_sphere_rows(z.reshape(-1, 2, 2), cap)
+    engine = conditioned_rate_samples(2, cap, "none", "if", SimConfig(trials=40, seed=3))
+    better = 0
+    for row, total in zip(h, engine):
+        eff = EffectiveChannel(matrix=row[None], n_users=2, streams_per_user=1,
+                               time_extension=1)
+        a = exhaustive_search(eff, radius=4)
+        assert a.shape == (2, 2) and np.array_equal(a, np.rint(a.real) + 1j * np.rint(a.imag))
+        oracle = if_rate(eff, a=a).symmetric_rate_bits   # refuses a rank-deficient A
+        rate = if_rate(eff).symmetric_rate_bits
+        assert 2 * rate == total
+        assert rate >= oracle - 1e-9
+        better += rate > oracle + 1e-9
+    assert better == 40
 
 
 def test_canonical_unit_rotations():
