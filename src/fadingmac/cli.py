@@ -133,14 +133,13 @@ def _estimate_rows(curve_name, estimates):
 
 
 def _parse_snr_list(text):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not text.strip():
+        raise InvalidParameterError("--snr-db-list must be non-empty")
+    try:   # an empty field is no number
+        return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise InvalidParameterError(
             "--snr-db-list must be comma-separated numbers") from exc
-    if not values:
-        raise InvalidParameterError("--snr-db-list must be non-empty")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +193,16 @@ def _cardinality_rows(params, k):
 
 def _bracket_rows(params, with_atom=True):
     """Conditioned empirical CDF plus the bracket at each rate: scalar users
-    list lower then upper, MIMO users upper then lower.  Unset antenna counts
-    are 1, and two scalar users add the analytic atom."""
-    users, cap, cfg = params["users"], params["sum_cap"], _cfg(params)
-    nt, nr = (1 if params[f] is None else params[f] for f in ("nt", "nr"))
-    dims = ScenarioDims(users, nt, nr)   # rejects an explicit 0
+    list lower then upper, MIMO users upper then lower.  Two scalar users
+    add the analytic atom."""
+    cfg, dims, cap = _cfg(params), _dims(params), params["sum_cap"]   # rejects an explicit 0
     cdf = conditional_cdf_mimo_frobenius(dims, cap, cfg)
     rows = _cdf_rows("empirical", cdf, atom_name="empirical-atom")
-    order = ("lower", "upper") if nt == nr == 1 else ("upper", "lower")
+    order = ("lower", "upper") if dims.n_tx == dims.n_rx == 1 else ("upper", "lower")
     for r in cdf.rates:
         pair = mimo_bounds(dims, float(r), cap)
         rows.extend((end, r, getattr(pair, end), None) for end in order)
-    if with_atom and (users, nt, nr) == (2, 1, 1):
+    if with_atom and dims == ScenarioDims(2, 1, 1):
         rows.append(("analytic-atom", cap, atom_probability(cap), None))
     return rows
 
@@ -398,7 +395,8 @@ _SIMULATE = {
         {"users", "sum_cap", "cardinality", *_MONTE_CARLO}, ("sum_cap",),
         {"nt": 1, "nr": 1})),
     "bracket": ("a conditioned bracket", _Run(
-        _bracket_rows, {"users", "nt", "nr", "sum_cap", *_MONTE_CARLO}, ("sum_cap",))),
+        _bracket_rows, {"users", "nt", "nr", "sum_cap", *_MONTE_CARLO}, ("sum_cap",),
+        {"nt": 1, "nr": 1})),
 }
 
 _IF_SIM = ("if-sim", _Run(lambda p: _if_cdf_rows(p, [(p["mode"], p["precoder"])]),
@@ -528,7 +526,8 @@ def _suite_if(params):
 
 
 # suite -> its run; --trials counts the Monte-Carlo trials (default 20,000)
-# and the search instances (default 100)
+# and the search instances (default 100).  Each suite holds its own default,
+# since "validate all" applies one --trials to both.
 _VALIDATE = {
     "analytic": _Run(_suite_analytic, set()),
     "montecarlo": _Run(_suite_montecarlo, _MONTE_CARLO),
@@ -630,7 +629,7 @@ def _run_rerun(_command, _run, params, out):
 
 _FLAGS = {
     "trials": dict(type=int, help="Monte-Carlo trial count"),
-    "seed": dict(type=int, default=0, help="base seed (default 0)"),
+    "seed": dict(type=int, help="base seed (default 0)"),
     "out": dict(help="output path stem or .csv/.json path"),
     "users": dict(type=int, help="number of users"),
     "nr": dict(type=int, help="receive antennas"),
@@ -638,9 +637,8 @@ _FLAGS = {
     "sum-cap": dict(type=float, help="conditioning sum rate in bits"),
     "rate": dict(type=float, help="target rate in bits"),
     "snr-db-list": dict(help="comma-separated SNR grid in dB"),
-    "precoder": dict(default="none", choices=sorted(_PRECODER_NAMES),
-                     help="space-time precoder"),
-    "mode": dict(default="if", choices=["if", "if-sic"], help="receiver variant"),
+    "precoder": dict(choices=sorted(_PRECODER_NAMES), help="space-time precoder"),
+    "mode": dict(choices=["if", "if-sic"], help="receiver variant"),
     "rate-convention": dict(choices=["total", "per-user"],
                             help="rate axis and outage-target convention"),
     "mux": dict(type=float, help="multiplexing gain"),
@@ -663,7 +661,7 @@ class _Command(NamedTuple):
     run: Callable = _run_rows
 
 
-_RUN_DEFAULTS = {"users": 2, "trials": 10000, "rate_convention": "total"}
+_RUN_DEFAULTS = {"users": 2, "trials": 10000, "seed": 0, "rate_convention": "total"}
 
 _COMMANDS = {
     "fig": _Command(
@@ -692,12 +690,13 @@ _COMMANDS = {
     "if-sim": _Command(
         "conditioned integer-forcing rate CDF",
         ("trials", "seed", "out", "users", "sum-cap", "precoder", "mode", "rate-convention"),
-        lambda p: _IF_SIM, defaults=_RUN_DEFAULTS, stem="if-sim"),
+        lambda p: _IF_SIM, defaults={**_RUN_DEFAULTS, "precoder": "none", "mode": "if"},
+        stem="if-sim"),
     "validate": _Command(
         "run a self-check suite",
         (("suite", dict(choices=list(_VALIDATE), help="which suite")), "trials", "seed"),
         lambda p: (f"validate {p['suite']}", _VALIDATE[p["suite"]]),
-        run=_run_validate),
+        defaults={"seed": 0}, run=_run_validate),
     "rerun": _Command(
         "replay a run from its manifest",
         (("--manifest", dict(required=True, help="path to a JSON manifest")),
@@ -718,7 +717,7 @@ def _resolve(command, params):
     for key, value in params.items():   # in parser order
         flag = key.replace("_", "-")
         if (flag in _FLAGS and key not in run.reads
-                and value not in (None, defaults.get(key, _FLAGS[flag].get("default")))):
+                and value not in (None, defaults.get(key))):
             raise InvalidParameterError(f"--{flag} does not apply to {name}")
     for key in run.requires:
         if params[key] is None:

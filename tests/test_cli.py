@@ -332,6 +332,21 @@ def test_unwritable_out_is_one_error_line(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("text, error", [
+    ("0,,10", "comma-separated numbers"), ("5,", "comma-separated numbers"),
+    (",5", "comma-separated numbers"), ("0, ,10", "comma-separated numbers"),
+    (",", "comma-separated numbers"), (" ", "non-empty"), ("", "non-empty")])
+def test_snr_list_refuses_an_empty_field(tmp_path, monkeypatch, capsys, text, error):
+    # An empty field is not dropped: 0,,10 is not the grid 0,10.
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--users", "2", "--nt", "1", "--nr", "2", "--rate", "2",
+                 f"--snr-db-list={text}", "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"fadingmac: error: --snr-db-list must be {error}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("point", ["nan", "inf"])
 def test_snr_list_rejects_non_finite_points(tmp_path, monkeypatch, capsys, point):
     monkeypatch.chdir(tmp_path)
@@ -705,6 +720,18 @@ _COMMITTED_RUNS = {
 }
 
 
+@pytest.mark.parametrize("figure", ["8", "10"])
+def test_if_figures_replay_without_the_sample_cache(tmp_path, capsys, figure):
+    # In one process a replay's IF samples could be served by the one-entry
+    # cache of the run before it; cleared, the replay draws and searches every
+    # channel again.
+    fresh, replay = tmp_path / "fresh", tmp_path / "replay"
+    assert main(["fig", figure, "--trials", "20", "--seed", "3", "--out", str(fresh)]) == 0
+    integer_forcing._both_mode_samples.cache_clear()
+    assert main(["rerun", "--manifest", f"{fresh}.json", "--out", str(replay)]) == 0
+    assert Path(f"{replay}.csv").read_bytes() == Path(f"{fresh}.csv").read_bytes()
+
+
 @pytest.mark.parametrize("stem", sorted(_COMMITTED_RUNS))
 def test_rerun_reproduces_committed_outputs(tmp_path, capsys, stem):
     # Manifest and CSV pairs written by an earlier release.
@@ -714,12 +741,18 @@ def test_rerun_reproduces_committed_outputs(tmp_path, capsys, stem):
     assert out.read_bytes() == (DATA / f"{stem}.csv").read_bytes()
 
 
+# A conditioned bracket on unset antenna counts runs with 1 and 1, and a fresh
+# manifest records them so; the committed one, from an earlier release,
+# records them unset.
+_FRESH_PARAMS = {"simulate-scalar": {"nt": 1, "nr": 1}}
+
+
 def test_fresh_manifests_record_the_committed_parameter_sets(tmp_path, capsys):
     for stem, argv in _COMMITTED_RUNS.items():
         assert main(argv + ["--out", str(tmp_path / stem)]) == 0
         fresh = json.loads((tmp_path / f"{stem}.json").read_text())
         committed = json.loads((DATA / f"{stem}.json").read_text())
-        assert fresh["params"] == committed["params"]
+        assert fresh["params"] == {**committed["params"], **_FRESH_PARAMS.get(stem, {})}
         assert (tmp_path / f"{stem}.csv").read_bytes() == (DATA / f"{stem}.csv").read_bytes()
 
 

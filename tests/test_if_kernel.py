@@ -183,6 +183,24 @@ def test_lll_kernel_matches_numpy_reference(n_users, cap, kind, seed):
     assert np.array_equal(np.array(_lll_transform(r)), _ref_lll_transform(basis))
 
 
+def test_lattice_reduction_that_cannot_converge_raises(monkeypatch):
+    # With delta above 1 the Lovasz condition fails for good: the step guard
+    # must end the loop with a domain error.
+    monkeypatch.setattr(integer_forcing, "_LLL_DELTA", 1.5)
+    rng = next(iter(trial_generators(2, 1)))
+    r = np.linalg.qr(_real_embedding(_factor(_effective(rng, 2, 10.0, "none"))), mode="r")
+    assert r.shape == (4, 4)
+    with pytest.raises(NumericalDomainError, match="lattice reduction failed to converge"):
+        _lll_transform(r)
+
+
+@pytest.mark.parametrize("variances", [[[0.5, 0.0]], [[0.5, -0.1]], [[np.nan, 0.5]],
+                                       [[0.5, np.inf]]])
+def test_rates_refuse_a_variance_that_is_not_finite_and_positive(variances):
+    with pytest.raises(NumericalDomainError, match="noise variance is not positive"):
+        integer_forcing._rates(np.array(variances))
+
+
 @pytest.mark.parametrize("cap", [4.0, 10.0, 20.0, 40.0])
 def test_conditioned_samples_match_reference_bit_for_bit(cap):
     cfg = SimConfig(trials=40, seed=1)

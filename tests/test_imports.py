@@ -8,6 +8,7 @@ the harness's imports with ast instead of importing the harness itself.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,38 @@ def test_only_the_gram_adapters_factor_the_noise_gram():
     inside = sum(list(_names(fn)).count("cholesky_lower") for fn in adapters)
     # the import, then one call in each adapter
     assert list(_names(tree)).count("cholesky_lower") == inside + 1 == 3
+
+
+def _uses(node):
+    """Every name a node reads, reads as an attribute or imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def _private_definitions(node):
+    """The private names a module's top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.endswith("__")]
+
+
+def test_every_private_top_level_name_is_used_elsewhere_in_the_package():
+    # A private name nothing else in the package reads is dead code: no
+    # caller outside the package may rely on it.
+    statements = [(path.name, node) for path in sorted(PACKAGE.glob("*.py"))
+                  for node in ast.parse(path.read_text(), filename=str(path)).body]
+    uses = Counter(name for _, node in statements for name in _uses(node))
+    unused = [f"{module}: {name}" for module, node in statements
+              for name in _private_definitions(node)
+              if uses[name] == list(_uses(node)).count(name)]
+    assert unused == []

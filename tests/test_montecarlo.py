@@ -5,7 +5,9 @@ averages); statistical checks compare against the closed forms within a
 few standard errors at moderate trial counts.
 """
 
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from fadingmac.bounds import (
 from fadingmac.errors import InvalidParameterError
 from fadingmac.linalg import sample_complex_gaussian, trial_generators
 from fadingmac.montecarlo import (
+    OutageEstimate,
     SimConfig,
     averaged_bound_vs_snr,
     binomial_stderr,
@@ -193,6 +196,30 @@ def test_outage_curve_monotone_and_deterministic():
     for p in pts:
         assert p.stderr == binomial_stderr(p.p_hat, cfg.trials)
         assert p.trials == cfg.trials
+
+
+def test_outage_estimate_is_an_immutable_value():
+    est = OutageEstimate(-2.0, 0.25, 0.0125, 400)
+    assert list(inspect.signature(OutageEstimate).parameters) == [
+        "point", "p_hat", "stderr", "trials"]
+    assert repr(est) == "OutageEstimate(point=-2.0, p_hat=0.25, stderr=0.0125, trials=400)"
+    with pytest.raises(AttributeError):
+        est.p_hat = 0.5
+    assert pickle.loads(pickle.dumps(est)) == est
+    assert est == OutageEstimate(point=-2.0, p_hat=0.25, stderr=0.0125, trials=400)
+    assert est != OutageEstimate(-2.0, 0.25, 0.0125, 401)
+
+
+def test_outage_estimates_hold_python_numbers():
+    dims = ScenarioDims(2, 1, 2)
+    cfg = SimConfig(trials=50, seed=4, snr_grid_db=np.array([0.0, 10.0]))
+    for which in ("outage", "union", "simo"):
+        pts = (outage_vs_snr(dims, 2.0, cfg) if which == "outage"
+               else averaged_bound_vs_snr(dims, 2.0, which, cfg))
+        assert [p.point for p in pts] == [0.0, 10.0], which
+        for p in pts:
+            assert [type(v) for v in (p.point, p.p_hat, p.stderr, p.trials)] == [
+                float, float, float, int], which
 
 
 def test_per_user_target_rescales_threshold():
