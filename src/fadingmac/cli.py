@@ -195,7 +195,7 @@ def _bracket_rows(params, with_atom=True):
     """Conditioned empirical CDF plus the bracket at each rate: scalar users
     list lower then upper, MIMO users upper then lower.  Two scalar users
     add the analytic atom."""
-    cfg, dims, cap = _cfg(params), _dims(params), params["sum_cap"]   # rejects an explicit 0
+    cfg, dims, cap = _cfg(params), _dims(params), params["sum_cap"]
     cdf = conditional_cdf_mimo_frobenius(dims, cap, cfg)
     rows = _cdf_rows("empirical", cdf, atom_name="empirical-atom")
     order = ("lower", "upper") if dims.n_tx == dims.n_rx == 1 else ("upper", "lower")
