@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage or parameter error, 2 numerical-domain error.
 import argparse
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -84,13 +85,21 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _write_in_place(path, text, newline=None):
+    # Write over the old bytes, then cut the file at the end of the new ones:
+    # same inode and mode, and no truncate-to-zero for the filesystem to flush.
+    with open(path, "w", newline=newline,
+              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def _write_csv(path, rows):
-    # One string, one write: no curve name holds a comma, quote or line
-    # break, so csv's minimal quoting would leave every field as it is.
+    # One string, written in place: no curve name holds a comma, quote or
+    # line break, so csv's minimal quoting would leave every field as it is.
     text = "curve,x,y,stderr\n" + "".join(
         f"{curve},{_fmt(x)},{_fmt(y)},{_fmt(err)}\n" for curve, x, y, err in rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    _write_in_place(path, text, newline="")
 
 
 def _write_manifest(path, command, run, params, wall_time_s, csv_path, extra=None):
@@ -107,9 +116,7 @@ def _write_manifest(path, command, run, params, wall_time_s, csv_path, extra=Non
     }
     if "seed" in run.reads:   # a run that draws nothing has no seed to record
         doc["seed"] = params["seed"]
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    _write_in_place(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _out_paths(base):

@@ -9,10 +9,12 @@ import json
 import os
 import platform
 import re
+import stat
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -925,6 +927,83 @@ def test_manifest_bytes_equal_json_dump(tmp_path, capsys, argv):
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     assert (tmp_path / "run.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+# Each writer with a text that grows with n: the CSV with n rows, the
+# manifest with an n-character parameter.
+_WRITERS = {
+    "csv": lambda path, n: cli._write_csv(path, [("c", float(i), 0.5, None) for i in range(n)]),
+    "manifest": lambda path, n: cli._write_manifest(
+        path, "fig", cli._Run(None, set()), {"pad": "p" * n}, 0.25, "run.csv"),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+@pytest.mark.parametrize("old", [5000, 10, None], ids=["over-longer", "over-shorter", "new"])
+def test_writers_leave_exactly_the_new_bytes(tmp_path, writer, old):
+    path, ref = tmp_path / "run", tmp_path / "ref"
+    if old is not None:
+        path.write_bytes(b"#" * old)
+    _WRITERS[writer](path, 3)
+    _WRITERS[writer](ref, 3)
+    assert 10 < len(ref.read_bytes()) < 5000
+    assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_writers_rewrite_an_existing_file_in_place(tmp_path, writer):
+    # Same inode and mode, so a hard link sees the new bytes.
+    path, link = tmp_path / "run", tmp_path / "link"
+    _WRITERS[writer](path, 200)
+    path.chmod(0o640)
+    os.link(path, link)
+    inode = path.stat().st_ino
+    _WRITERS[writer](path, 3)
+    assert path.stat().st_ino == inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    _WRITERS[writer](tmp_path / "ref", 3)
+    assert link.read_bytes() == (tmp_path / "ref").read_bytes()
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_a_new_file_takes_the_mode_open_gives(tmp_path, writer, umask):
+    previous = os.umask(umask)
+    try:
+        open(tmp_path / "ref", "w").close()
+        _WRITERS[writer](tmp_path / "run", 3)
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE((tmp_path / "run").stat().st_mode) == \
+        stat.S_IMODE((tmp_path / "ref").stat().st_mode)
+
+
+def test_bare_rerun_rewrites_its_own_files(tmp_path, monkeypatch, capsys):
+    # fig N writes figN.csv and figN.json; a rerun with no --out writes back
+    # onto the pair it replays, and must leave the same bytes each time.
+    monkeypatch.chdir(tmp_path)
+    for stem, argv in {"fig4": ["fig", "4", "--trials", "200"],
+                       "fig6": ["fig", "6", "--trials", "50"]}.items():
+        csv_path, manifest = tmp_path / f"{stem}.csv", tmp_path / f"{stem}.json"
+        assert main(argv) == 0
+        first_csv, first_doc = csv_path.read_bytes(), json.loads(manifest.read_text())
+        for _ in range(2):
+            assert main(["rerun", "--manifest", manifest.name]) == 0
+            assert csv_path.read_bytes() == first_csv
+            doc = json.loads(manifest.read_text())
+            assert {**doc, "wall_time_s": 0} == {**first_doc, "wall_time_s": 0}
+        # Padded with blank lines, the manifest is longer than its new text;
+        # under a fixed clock it must hold exactly the bytes of a fresh write.
+        manifest.write_text(manifest.read_text() + "\n" * 64)
+        fresh = tmp_path / f"{stem}-fresh"
+        fresh.mkdir()
+        with monkeypatch.context() as fixed:
+            fixed.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+            assert main(["rerun", "--manifest", manifest.name]) == 0
+            fixed.chdir(fresh)   # the recorded CSV path is relative: new files here
+            assert main(["rerun", "--manifest", str(manifest)]) == 0
+        assert manifest.read_bytes() == (fresh / manifest.name).read_bytes()
+        assert csv_path.read_bytes() == (fresh / csv_path.name).read_bytes() == first_csv
 
 
 _PARAM_KEYS = {
