@@ -36,7 +36,6 @@ from .integer_forcing import (
     EffectiveChannel,
     IfResult,
     Precoder,
-    badr_belfiore_precoders,
     brute_force_search,
     build_effective_channel,
     if_rate,
@@ -79,7 +78,6 @@ __all__ = [
     "SubsetReport",
     "atom_probability",
     "averaged_bound_vs_snr",
-    "badr_belfiore_precoders",
     "brute_force_search",
     "build_effective_channel",
     "cholesky_lower",

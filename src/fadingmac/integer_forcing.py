@@ -20,8 +20,8 @@ against.  lll_search and brute_force_search are the Gram adapters: they take
 K itself, for callers that hold one, and search with its Cholesky factor.
 
 conditioned_rate_samples works on blocks of trials, drawn through
-linalg.trial_normals as the conditioned engines are: each trial's sphere
-and Haar normals are one row.  capacity_sphere_rows' sphere normalization,
+linalg.trial_normals: each trial's 2N sphere normals, then any 8N Haar
+normals, are one row.  capacity_sphere_rows' sphere normalization,
 the Haar QRs, the effective channels, F, the QR factors of F's real
 embeddings, F A^T, the variances and the rates are stacked numpy calls over
 the block.  if_rate calls the same helpers on a stack of one, so a row
@@ -85,23 +85,6 @@ def check_if_capacity(bits):
 # ---------------------------------------------------------------------------
 # precoders and effective channels
 
-def badr_belfiore_precoders():
-    """The pair of unitary 2x2 golden-ratio precoders of Badr and Belfiore.
-
-    Each user spreads one symbol pair over two channel uses; the golden-ratio
-    structure keeps integer combinations well conditioned for every channel.
-    """
-    phi = (1.0 + _SQRT5) / 2.0
-    phib = (1.0 - _SQRT5) / 2.0
-    alpha = 1.0 + 1j * (1.0 - phi)
-    alphab = 1.0 + 1j * (1.0 - phib)
-    p1 = np.array([[alpha, alpha * phi],
-                   [alphab, alphab * phib]], dtype=complex) / _SQRT5
-    p2 = np.array([[1j * alpha, 1j * alpha * phi],
-                   [alphab, alphab * phib]], dtype=complex) / _SQRT5
-    return p1, p2
-
-
 @dataclass(frozen=True)
 class Precoder:
     """Per-user unitary spreading matrices over a common time extension."""
@@ -133,10 +116,24 @@ class Precoder:
 
     @classmethod
     def badr_belfiore(cls, n_users=2):
+        """The pair of unitary 2x2 golden-ratio precoders of Badr and Belfiore.
+
+        Each user spreads one symbol pair over two channel uses; the
+        golden-ratio structure keeps integer combinations well conditioned
+        for every channel.
+        """
         if n_users != 2:
             raise InvalidParameterError(
                 "the golden-ratio pair is a two-user construction; use the haar precoder")
-        return cls(kind="badr_belfiore", matrices=badr_belfiore_precoders())
+        phi = (1.0 + _SQRT5) / 2.0
+        phib = (1.0 - _SQRT5) / 2.0
+        alpha = 1.0 + 1j * (1.0 - phi)
+        alphab = 1.0 + 1j * (1.0 - phib)
+        p1 = np.array([[alpha, alpha * phi],
+                       [alphab, alphab * phib]], dtype=complex) / _SQRT5
+        p2 = np.array([[1j * alpha, 1j * alpha * phi],
+                       [alphab, alphab * phib]], dtype=complex) / _SQRT5
+        return cls(kind="badr_belfiore", matrices=(p1, p2))
 
     @classmethod
     def haar_t2(cls, n_users, rng):

@@ -14,10 +14,12 @@ stream.  :func:`trial_generators` hands trial t that stream's generator, so
 a loop that makes each trial's draws in turn follows the layout; the
 batched engines take the same numbers from :func:`trial_normals`, or, for
 the conditioned CDF engines' Gamma(m, 1) user gains, :func:`trial_gammas`:
-one call per block of consecutive trials.  :func:`capacity_sphere_rows` and
-:func:`haar_unitary_rows` turn normal rows into exactly what the per-trial
-samplers return.  Because streams are fixed at RNG_BLOCK trials, the size
-of the blocks an engine works on never changes a draw.
+one call per block of consecutive trials.  Because streams are fixed at
+RNG_BLOCK trials, the size of the blocks an engine works on never changes a
+draw.  Each draw is computed in one place, a block sampler on stacked
+standard normals (:func:`complex_gaussian_rows`, :func:`haar_unitary_rows`,
+:func:`capacity_sphere_rows`); a per-trial sampler checks its arguments and
+is the one-row call of its block sampler on its generator's next normals.
 """
 
 import math
@@ -119,8 +121,12 @@ def sample_complex_gaussian(rows, cols, variance, rng):
     cols = check_int(cols, "cols", 1)
     check_positive(variance, "variance")
     check_type(rng, np.random.Generator, "rng")
-    z = rng.standard_normal((2, rows, cols))
-    return math.sqrt(variance / 2.0) * (z[0] + 1j * z[1])
+    return complex_gaussian_rows(rng.standard_normal((2, rows, cols)), variance)
+
+
+def complex_gaussian_rows(z, variance=1.0):
+    """sqrt(variance / 2) (z_re + j z_im) of standard normals z, shape (..., 2, rows, cols)."""
+    return math.sqrt(variance / 2.0) * (z[..., 0, :, :] + 1j * z[..., 1, :, :])
 
 
 def sample_haar_unitary(n, rng):
@@ -139,12 +145,11 @@ def sample_haar_unitary(n, rng):
 def haar_unitary_rows(z):
     """Haar unitaries from stacked standard normals z of shape (..., 2, n, n).
 
-    Each n x n result is what sample_haar_unitary returns after drawing
-    that (2, n, n) slice: the same unit-variance complex Gaussian, QR and
-    phase correction, as stacked numpy calls.
+    Each n x n result is the QR of the unit-variance complex Gaussian of
+    that (2, n, n) slice, with each column's phase corrected, as stacked
+    numpy calls; sample_haar_unitary is the call on one slice.
     """
-    g = math.sqrt(0.5) * (z[..., 0, :, :] + 1j * z[..., 1, :, :])
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(complex_gaussian_rows(z))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(d)
     ph = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
@@ -159,25 +164,20 @@ def sample_capacity_sphere(dim, sum_cap_bits, rng):
     normalizing an i.i.d. complex Gaussian vector, which is isotropic.
     """
     dim = check_int(dim, "dim", 1)
-    radius = math.sqrt(check_gain(sum_cap_bits, "sum capacity"))
+    check_gain(sum_cap_bits, "sum capacity")
     check_type(rng, np.random.Generator, "rng")
-    z = rng.standard_normal((2, dim))
-    v = z[0] + 1j * z[1]
-    nrm = np.linalg.norm(v)
-    if nrm == 0:   # no direction: raise, as capacity_sphere_rows does
-        raise NumericalDomainError("capacity-sphere normals are all zero")
-    return v * (radius / nrm)
+    return capacity_sphere_rows(rng.standard_normal((1, 2, dim)), sum_cap_bits)[0]
 
 
 def capacity_sphere_rows(z, sum_cap_bits):
     """Capacity-sphere points from stacked standard normals z, shape (rows, 2, dim).
 
-    Row t is what sample_capacity_sphere returns from the draw z[t], bit for
-    bit, and an all-zero row raises NumericalDomainError as there.  The
-    sampler's 1-D np.linalg.norm sums the squares as two strided dot products,
-    of the real and of the imaginary parts; a stacked (1 x dim) @ (dim x 1)
-    product runs that same dot on every row, whereas np.linalg.norm(v, axis=1)
-    sums in another order and differs in the last bit on about one row in seven.
+    Row t is v (radius / ||v||) for v = z[t, 0] + j z[t, 1], and an all-zero
+    row raises NumericalDomainError.  ||v||^2 is two stacked (1 x dim) @
+    (dim x 1) dot products, of the real and of the imaginary parts: the 1-D
+    np.linalg.norm's order, which RNG layout 3's integer-forcing samples
+    depend on.  np.linalg.norm(v, axis=1) sums in another order and differs
+    in the last bit on about one row in seven.
     """
     radius = math.sqrt(check_gain(sum_cap_bits, "sum capacity"))
     v = z[:, 0] + 1j * z[:, 1]

@@ -5,9 +5,12 @@ linalg.trial_normals hand them each trial's draws as one row of an array, in
 the package's RNG layout, one call per block of consecutive trials of one
 stream.  The conditioned CDF engines draw each user's squared norm, Gamma(m,
 1) for m channel entries, and take the users' shares of the capacity sphere
-with users on the leading axis: sample_capacity_sphere's law, not its draws.
-The sweeps draw normals, the numbers of a per-trial loop over
-sample_complex_gaussian, and read the subset Grams' determinant polynomials.
+with users on the leading axis: sample_capacity_sphere's law, not its draws;
+each passes its per-block samples to one tail, _sphere_cdf, which samples
+exactly C with no draw where the full set is the only subset.  The sweeps
+turn normals into user matrices with linalg.complex_gaussian_rows, whose
+one-row call is sample_complex_gaussian, and read the subset Grams'
+determinant polynomials.
 Every step after the draw is an array operation over the block, so results
 are bit-reproducible and independent of scheduling and of the block size;
 aggregation is counting.
@@ -26,7 +29,7 @@ from .bounds import ScenarioDims, mimo_union_bound_array, two_user_simo_bound_ar
 from .capacity import check_enumerable, scaled_subset_rates
 from .errors import (InvalidParameterError, NumericalDomainError, check_capacity, check_choice,
                      check_gain, check_int, check_positive, check_subset_size, check_type)
-from .linalg import trial_gammas, trial_normals
+from .linalg import complex_gaussian_rows, trial_gammas, trial_normals
 
 _LN2 = math.log(2.0)
 
@@ -146,15 +149,9 @@ def conditional_cdf_cardinality(k, n_users, sum_cap_bits, cfg):
     check_capacity(sum_cap_bits)
     n_users = check_int(n_users, "n_users", 1)
     k = check_subset_size(k, n_users)
-    grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(sum_cap_bits)
-    if k == n_users:
-        # The full set's rate is C on every draw; summing the sphere would
-        # only add rounding noise around it.
-        return empirical_cdf(np.full(cfg.trials, float(sum_cap_bits)), grid, cfg.trials)
-    samples = np.concatenate([
-        (n_users / k) * np.log1p(_sphere_gains(g, sum_cap_bits, k)) / _LN2
-        for g in trial_gammas(cfg.seed, cfg.trials, 1, n_users)])
-    return empirical_cdf(samples, grid, cfg.trials)
+    def sample(g):
+        return (n_users / k) * np.log1p(_sphere_gains(g, sum_cap_bits, k)) / _LN2
+    return _sphere_cdf(cfg, sum_cap_bits, 1, n_users, sample if k < n_users else None, atom=False)
 
 
 def conditional_cdf_mimo_frobenius(dims, frob_cap_bits, cfg):
@@ -162,21 +159,26 @@ def conditional_cdf_mimo_frobenius(dims, frob_cap_bits, cfg):
     Frobenius sum rate.  Validates the inflated-parameter beta law: each
     user's squared norm, Gamma(N_r*N_t, 1), aggregates N_r*N_t coordinates
     of one big sphere.  Samples are capped at the conditioning value, whose
-    atom is counted exactly; one user (the trivial MAC) draws nothing."""
+    atom is counted exactly."""
     check_type(dims, ScenarioDims, "dims")
     check_capacity(frob_cap_bits)
-    grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(frob_cap_bits)
     n, m = dims.n_users, dims.n_rx * dims.n_tx
-    if n == 1:
-        return empirical_cdf(np.full(cfg.trials, float(frob_cap_bits)), grid, cfg.trials,
-                             cfg.trials)
-    samples = []
-    for g in trial_gammas(cfg.seed, cfg.trials, m, n):
+    def sample(g):
         rates = scaled_subset_rates(_sorted_users(_sphere_gains(g, frob_cap_bits))[:-1], n)
-        samples.append(np.minimum(rates.min(axis=0), frob_cap_bits))
-    samples = np.concatenate(samples)
+        return np.minimum(rates.min(axis=0), frob_cap_bits)
+    return _sphere_cdf(cfg, frob_cap_bits, m, n, sample if n > 1 else None, atom=True)
+
+
+def _sphere_cdf(cfg, cap, m, n, sample, atom):
+    """Empirical CDF given C of sample(g) over the blocks g, shape (rows, n), of
+    n users' Gamma(m, 1) squared norms; if atom, the samples equal to C are the
+    atom.  sample=None: the only subset is the full set (k = N, or one user),
+    whose rate is C on every draw, so each sample is exactly C; nothing is drawn."""
+    grid = cfg.rate_grid if cfg.rate_grid is not None else default_rate_grid(cap)
+    samples = np.full(cfg.trials, float(cap)) if sample is None else np.concatenate(
+        [sample(g) for g in trial_gammas(cfg.seed, cfg.trials, m, n)])
     return empirical_cdf(samples, grid, cfg.trials,
-                         int(np.count_nonzero(samples == frob_cap_bits)))
+                         int(np.count_nonzero(samples == cap)) if atom else None)
 
 
 def _user_matrix_blocks(dims, cfg):
@@ -185,7 +187,7 @@ def _user_matrix_blocks(dims, cfg):
     from trial t's generator."""
     shape = (dims.n_users, 2, dims.n_rx, dims.n_tx)
     for z in trial_normals(cfg.seed, cfg.trials, shape):
-        yield math.sqrt(0.5) * (z[:, :, 0] + 1j * z[:, :, 1])
+        yield complex_gaussian_rows(z)
 
 
 def _det_coefficients(grams):

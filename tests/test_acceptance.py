@@ -27,7 +27,6 @@ from fadingmac.dmt import single_user_dmt, symmetric_mac_dmt
 from fadingmac.integer_forcing import (
     EffectiveChannel,
     Precoder,
-    badr_belfiore_precoders,
     build_effective_channel,
     brute_force_search,
     conditioned_rate_samples,
@@ -237,7 +236,7 @@ def test_criterion_08_integer_forcing_sanity(acceptance_log):
     cap_orth = float(np.log2(np.linalg.det(
         np.eye(2) + eff.matrix.conj().T @ eff.matrix).real))
     orth_gap = abs(2.0 * if_rate(eff).symmetric_rate_bits - cap_orth)
-    p1, p2 = badr_belfiore_precoders()
+    p1, p2 = Precoder.badr_belfiore().matrices
     unitarity = max(float(np.max(np.abs(p.conj().T @ p - np.eye(2))))
                     for p in (p1, p2))
     sic_violations = 0

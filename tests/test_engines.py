@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fadingmac import linalg, montecarlo
+from fadingmac import integer_forcing, linalg, montecarlo
 from fadingmac.bounds import (
     ScenarioDims,
     mimo_bounds,
@@ -36,6 +36,7 @@ from fadingmac.capacity import (
     symmetric_capacity,
 )
 from fadingmac.errors import InvalidParameterError, NumericalDomainError
+from fadingmac.integer_forcing import conditioned_rate_samples
 from fadingmac.linalg import sample_capacity_sphere, sample_complex_gaussian, trial_generators
 from fadingmac.montecarlo import (
     SimConfig,
@@ -225,6 +226,44 @@ def test_results_do_not_depend_on_the_trial_block(monkeypatch):
     assert np.array_equal(runs[0][1], runs[1][1])
     assert runs[0][2] == runs[1][2]
     np.testing.assert_allclose(runs[0][3], runs[1][3], rtol=_REL, atol=0.0)
+
+
+@pytest.mark.parametrize("n_users, kind", [(2, "none"), (2, "badr_belfiore"), (2, "haar"),
+                                           (3, "haar")])
+@pytest.mark.parametrize("cap", [10.0, 80.0])
+def test_integer_forcing_does_not_depend_on_the_trial_block(monkeypatch, n_users, kind, cap):
+    cfg = SimConfig(trials=60, seed=5)
+    for mode in ("if", "if-sic"):
+        runs = []
+        for block in (4096, 7):
+            monkeypatch.setattr(linalg, "_TRIAL_BLOCK", block)
+            integer_forcing._both_mode_samples.cache_clear()   # or the call is served
+            runs.append(conditioned_rate_samples(n_users, cap, kind, mode, cfg))
+        assert np.array_equal(*runs), mode
+
+
+def _no_draw(*args):
+    raise AssertionError("a degenerate run drew gains")
+
+
+@pytest.mark.parametrize("engine, atom", [
+    (lambda cfg: conditional_cdf_cardinality(3, 3, 6.0, cfg), None),
+    (lambda cfg: conditional_cdf_scalar(1, 6.0, cfg), 1.0),
+    (lambda cfg: conditional_cdf_mimo_frobenius(ScenarioDims(1, 2, 3), 6.0, cfg), 1.0),
+], ids=["cardinality-full-set", "scalar-one-user", "frobenius-one-user"])
+def test_a_degenerate_run_samples_exactly_c_and_draws_nothing(monkeypatch, engine, atom):
+    # The full set is the only subset there is: every sample is C, and no
+    # gains are drawn.  The full set at k = N has no atom, one user's every
+    # trial is one.  The engines bind trial_gammas by name.
+    recorded = []
+    monkeypatch.setattr(montecarlo, "trial_gammas", _no_draw)
+    monkeypatch.setattr(montecarlo, "empirical_cdf",
+                        lambda s, *rest, cdf=montecarlo.empirical_cdf: recorded.append(s)
+                        or cdf(s, *rest))
+    curve = engine(SimConfig(trials=50, seed=3, rate_grid=[0.0, 3.0, 6.0, 7.0]))
+    assert np.array_equal(recorded[0], np.full(50, 6.0))
+    assert list(curve.probs) == [0.0, 0.0, 0.0, 1.0]
+    assert curve.atom_mass == atom
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 12])

@@ -26,7 +26,6 @@ from fadingmac.integer_forcing import (
     _canonical_unit,
     _points_in_ellipsoid,
     _real_embedding,
-    badr_belfiore_precoders,
     brute_force_search,
     build_effective_channel,
     conditioned_rate_samples,
@@ -54,7 +53,7 @@ def _gram_of(eff):
 
 
 def test_golden_precoders_unitary_and_pinned():
-    p1, p2 = badr_belfiore_precoders()
+    p1, p2 = Precoder.badr_belfiore().matrices
     for p in (p1, p2):
         assert np.max(np.abs(p.conj().T @ p - np.eye(2))) < 1e-12
     assert abs(abs(p1[0, 0]) ** 2 - (5.0 - _SQRT5) / 10.0) < 1e-14
@@ -64,7 +63,7 @@ def test_golden_precoders_unitary_and_pinned():
 
 
 def test_precoder_validation():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="two-user construction; use the haar"):
         Precoder.badr_belfiore(n_users=3)
     with pytest.raises(InvalidParameterError):
         Precoder(kind="none", matrices=(np.eye(2) * 2.0,))
@@ -90,7 +89,7 @@ def test_effective_channel_kron_structure():
     h = np.array([0.7 - 0.1j, 1.3 + 0.4j])
     ch = MacChannel.from_scalar(h)
     eff = build_effective_channel(ch, Precoder.badr_belfiore())
-    p1, p2 = badr_belfiore_precoders()
+    p1, p2 = Precoder.badr_belfiore().matrices
     assert eff.matrix.shape == (2, 4)
     assert eff.streams_per_user == 2 and eff.time_extension == 2
     assert np.max(np.abs(eff.matrix[:, :2] - h[0] * p1)) < 1e-14

@@ -65,6 +65,15 @@ def test_complex_gaussian_rejects_bad_args():
         sample_complex_gaussian(2.0001, 2, 1.0, RngStream(0).generator())
 
 
+@pytest.mark.parametrize("variance", [2.5, 1e-300])
+def test_complex_gaussian_splits_one_normal_draw(variance):
+    # sqrt(v / 2) (z_re + j z_im) of one (2, rows, cols) draw, bit for bit;
+    # z comes from a twin generator.
+    z = RngStream(7).generator().standard_normal((2, 3, 4))
+    got = sample_complex_gaussian(3, 4, variance, RngStream(7).generator())
+    assert np.array_equal(got, math.sqrt(variance / 2.0) * (z[0] + 1j * z[1]))
+
+
 @pytest.mark.parametrize("rng", [RngStream(0), None])
 def test_samplers_take_a_numpy_generator_only(rng):
     # A stream names draws but is not a generator: callers pass
